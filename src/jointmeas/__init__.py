@@ -15,6 +15,7 @@ from .bloch import (
     is_valid_effect_params,
     liu_criterion,
     molnar_criterion,
+    qubit_pair_criterion,
     three_orthogonal_criterion,
 )
 from .feasibility import (

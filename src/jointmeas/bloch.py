@@ -17,9 +17,12 @@ pairs and orthogonal triples in closed form:
   2||a|| <= sqrt(beta^2 - ||b||^2) + sqrt((2-beta)^2 - ||b||^2).
 * ``three_orthogonal_criterion`` - unbiased triple along orthogonal axes:
   ||a||^2 + ||b||^2 + ||c||^2 <= 1.
+* ``qubit_pair_criterion`` - any pair of effects, necessary and sufficient;
+  the three pair criteria above are its special cases.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +213,48 @@ def three_orthogonal_criterion(a, b, c, tol: float = 1e-9) -> CriterionResult:
             raise ValueError(f"criterion requires {n1} orthogonal to {n2}")
     value = float(sum(np.dot(v, v) for v in vecs))
     return CriterionResult(value, 1.0, value <= 1.0 + tol)
+
+
+def _f_term(alpha: float, n: float) -> float:
+    """F = (sqrt(alpha^2 - n^2) + sqrt((2-alpha)^2 - n^2)) / 2, with the
+    differences of squares factored to keep near-sharp effects accurate."""
+    lower = max((alpha - n) * (alpha + n), 0.0)
+    upper = max((2.0 - alpha - n) * (2.0 - alpha + n), 0.0)
+    return 0.5 * (math.sqrt(lower) + math.sqrt(upper))
+
+
+def qubit_pair_criterion(alpha: float, a, beta: float, b, tol: float = 1e-9) -> CriterionResult:
+    """Any pair of qubit effects (alpha, a) and (beta, b).
+
+    With x = alpha - 1, y = beta - 1 and F_A, F_B the ``_f_term`` of each
+    effect, jm iff
+    (1 - F_A^2 - F_B^2)(1 - x^2/F_A^2 - y^2/F_B^2) <= (a.b - xy)^2
+    (Yu, Liu, Li & Oh, PRA 81, 062116 (2010); equivalent to Busch & Schmidt,
+    QIP 9, 143 (2010)).  ``value`` is the left side and ``threshold`` the
+    right side.  The inequality is unchanged when either effect is replaced
+    by its complement, so either outcome of each observable may be used.
+
+    F vanishes only for a nontrivial projection, where x = 0 and x^2/F^2 is
+    taken at its limit 0.  Since (1 - F^2)(1 - y^2/F^2) = ||b||^2 for every
+    effect, a projection A then gives ||b||^2 <= (a.b)^2: it is compatible
+    exactly with the partners whose vector is parallel to a, the commuting
+    ones.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    # every pair of qubit effects reaches this criterion from ``decide``, so
+    # effects that pass ``validate`` at its default tolerance are accepted
+    for name, al, v in (("alpha, a", alpha, a), ("beta, b", beta, b)):
+        if not is_valid_effect_params(float(al), v, 1e-9):
+            raise ValueError(f"({name}) is not a valid effect")
+    x, y = float(alpha) - 1.0, float(beta) - 1.0
+    fa = _f_term(float(alpha), float(np.linalg.norm(a)))
+    fb = _f_term(float(beta), float(np.linalg.norm(b)))
+    ratio_a = (x / fa) ** 2 if fa > 0.0 else 0.0
+    ratio_b = (y / fb) ** 2 if fb > 0.0 else 0.0
+    lhs = (1.0 - fa * fa - fb * fb) * (1.0 - ratio_a - ratio_b)
+    rhs = (float(np.dot(a, b)) - x * y) ** 2
+    return CriterionResult(lhs, rhs, lhs <= rhs + tol)
 
 
 def boundary_joint(a, b, boundary_tol: float = 1e-9) -> ProductObservable:

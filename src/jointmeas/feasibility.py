@@ -1,16 +1,27 @@
-"""Joint-measurability decisions: analytic routes plus a numerical search.
+"""Joint-measurability decisions: exact routes first, then a numerical search.
 
 ``decide`` dispatches in a fixed order:
 
 1. commuting families in which every pair contains a sharp (or scalar)
    member get the exact product joint;
-2. qubit pairs and orthogonal triples matching an analytic criterion get its
-   verdict, with a witness constructed for the feasible side;
-3. everything else goes to an alternating-projection search over the joint
+2. pairs of two-outcome qubit observables are decided exactly: eq3, eq4 or
+   eq5 where its hypotheses hold, else the general qubit criterion (reason
+   ``qubit-pair``).  A violated criterion gives INFEASIBLE with its margin;
+   a satisfied one gets the closed-form boundary joint on the eq3 boundary
+   and otherwise a witness from the planar search below;
+3. orthogonal unbiased triples get the eq6 verdict, with a witness from the
+   alternating-projection search on the feasible side;
+4. everything else goes to an alternating-projection search over the joint
    effects.
 
-The numerical path never claims infeasibility: it either produces a witness
-or reports UNDETERMINED with the best residual it reached.
+The planar search (``decide_pair_qubit_numeric``) reduces a qubit pair to
+the question whether four filled ellipses in the plane of the two Bloch
+vectors share a point, and answers it by a deterministic nested bracketing
+of a convex function of two variables.  It also serves as an independent
+numerical check of the qubit criteria.
+
+The alternating-projection search never claims infeasibility: it either
+produces a witness or reports UNDETERMINED with the best residual it reached.
 """
 from __future__ import annotations
 
@@ -19,7 +30,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import bloch as _bloch
 from .bloch import (
@@ -32,6 +42,7 @@ from .bloch import (
     busch_criterion,
     liu_criterion,
     molnar_criterion,
+    qubit_pair_criterion,
     three_orthogonal_criterion,
 )
 from .observables import (
@@ -52,6 +63,7 @@ REASON_MOLNAR = "eq4"
 REASON_LIU = "eq5"
 REASON_TRIPLE = "eq6"
 REASON_COMMUTING_SHARP = "commuting-sharp"
+REASON_QUBIT_PAIR = "qubit-pair"
 
 _ALPHA_TOL = 1e-9  # tolerance when matching criterion hypotheses on alpha
 
@@ -192,6 +204,9 @@ class _CriterionMatch:
 
 
 def _match_pair_criterion(a_obs, b_obs) -> _CriterionMatch | None:
+    """The criterion deciding a pair of two-outcome qubit observables: eq3,
+    eq4 or eq5 where its hypotheses hold, else the general qubit criterion.
+    None for any other pair."""
     pa = _qubit_binary_params(a_obs)
     pb = _qubit_binary_params(b_obs)
     if pa is None or pb is None:
@@ -242,7 +257,14 @@ def _match_pair_criterion(a_obs, b_obs) -> _CriterionMatch | None:
         if flip:
             desig = (desig[1], desig[0])
         return _CriterionMatch(REASON_LIU, result, desig)
-    return None
+
+    da = _designation_order(a_obs)[0]
+    db = _designation_order(b_obs)[0]
+    (alpha, avec), (beta, bvec) = pa[da], pb[db]
+    result = qubit_pair_criterion(alpha, avec, beta, bvec)
+    return _CriterionMatch(
+        REASON_QUBIT_PAIR, result, ((da, alpha, avec), (db, beta, bvec))
+    )
 
 
 def _match_triple_criterion(parents) -> _CriterionMatch | None:
@@ -295,18 +317,6 @@ def _trivial_joint_designated(a_obs, b_obs, da, db, tol: float) -> ProductObserv
     return ProductObservable((tuple(a_obs.outcomes), tuple(b_obs.outcomes)), effects)
 
 
-def _trivial_joint_sweep(a_obs, b_obs, tol: float = 1e-9) -> ProductObservable | None:
-    """Try the empty-cell construction over all designations of the two parents."""
-    if len(a_obs.outcomes) != 2 or len(b_obs.outcomes) != 2:
-        return None
-    for da in a_obs.outcomes:
-        for db in b_obs.outcomes:
-            g = _trivial_joint_designated(a_obs, b_obs, da, db, tol)
-            if g is not None:
-                return g
-    return None
-
-
 def _relabel_boundary_joint(g: ProductObservable, a_obs, b_obs, da, db) -> ProductObservable:
     """Map the '0'/'1' cells of a boundary joint onto the parents' own labels,
     with ('1','1') landing on the designated pair (da, db)."""
@@ -319,8 +329,14 @@ def _relabel_boundary_joint(g: ProductObservable, a_obs, b_obs, da, db) -> Produ
 
 
 # ---------------------------------------------------------------------------
-# numerical search for qubit pairs: four free parameters
+# planar witness search for qubit pairs
 # ---------------------------------------------------------------------------
+
+_GRID = np.linspace(0.0, 1.0, 17)
+_ROWS = np.arange(len(_GRID))
+_ROUNDS = 14  # a round narrows a bracket eightfold: 8**-14 < 1e-12
+_SETTLED = 1e-12  # the search's own resolution: a point this good ends it
+
 
 def _designated_pair_params(obs):
     params = _qubit_binary_params(obs)
@@ -339,18 +355,90 @@ def _as_observable(obs):
     return obs
 
 
+def _narrow(lo, width, best):
+    """Bracket of a minimum of a convex function of one variable, from its
+    values on ``lo + width * _GRID`` with the least at index ``best``: the
+    grid points on either side of it, clipped to [0, 1]."""
+    step = width / (len(_GRID) - 1)
+    new_lo = np.maximum(lo + (best - 1) * step, 0.0)
+    return new_lo, np.minimum(lo + (best + 1) * step, 1.0) - new_lo
+
+
+def _planar_search(alpha: float, avec, beta: float, bvec):
+    """Minimize the largest ellipse excess over g = s a + t b, s, t in [0, 1].
+
+    Returns (value, s, t, evaluations).  For each s of a grid the minimum
+    over t is bracketed by ``_narrow``; the row minima of the last round
+    bracket the minimum over s the same way.  The search returns at the
+    first grid evaluation holding a point with excess <= ``_SETTLED``.
+    """
+    # the plane of a and b as the complex plane, a on the real axis
+    ref = avec if np.linalg.norm(avec) > 0.0 else bvec
+    length = float(np.linalg.norm(ref))
+    axis = ref / length if length > 0.0 else np.array([1.0, 0.0, 0.0])
+
+    def planar(v) -> complex:
+        along = float(np.dot(v, axis))
+        return complex(along, float(np.linalg.norm(v - along * axis)))
+
+    pa, pb = planar(avec), planar(bvec)
+    pab = pa + pb
+
+    def excess(p):
+        d0, da, db, dab = np.abs(p), np.abs(p - pa), np.abs(p - pb), np.abs(p - pab)
+        return np.maximum(
+            np.maximum(d0 + da - alpha, d0 + db - beta),
+            np.maximum(da + dab - (2.0 - beta), db + dab - (2.0 - alpha)),
+        )
+
+    best = (np.inf, 0.0, 0.0)
+    evaluations = 0
+    t_offsets = pb * _GRID
+    s_lo, s_width = 0.0, 1.0
+    for _ in range(_ROUNDS):
+        s = s_lo + s_width * _GRID
+        t_lo, t_width = np.zeros_like(s), np.ones_like(s)
+        for _ in range(_ROUNDS):
+            values = excess((s * pa + t_lo * pb)[:, None] + t_width[:, None] * t_offsets)
+            evaluations += 1
+            cols = values.argmin(axis=1)
+            row_min = values[_ROWS, cols]
+            i = int(row_min.argmin())
+            if row_min[i] < best[0]:
+                t = t_lo[i] + t_width[i] * _GRID[cols[i]]
+                best = (float(row_min[i]), float(s[i]), float(t))
+                if best[0] <= _SETTLED:
+                    return (*best, evaluations)
+            t_lo, t_width = _narrow(t_lo, t_width, cols)
+        s_lo, s_width = _narrow(s_lo, s_width, i)
+    return (*best, evaluations)
+
+
 def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = None) -> FeasibilityReport:
     """Search for a joint observable of two two-outcome qubit observables.
 
-    The joint is pinned down by one cell in Bloch form, G(1,1) = (gamma, g);
-    the marginal equations fix the other three cells, so feasibility reduces
-    to minimizing the worst effect-validity violation f = max(||v|| - alpha)
-    over the four implied cells.  The four corner joints (one cell forced to
-    zero) are evaluated exactly first: when a parent effect is rank one the
-    feasible set collapses to such a corner and no interior search can reach
-    it.  Otherwise f is convex and a multistart simplex search is run for
-    robustness; f* <= tol yields a FEASIBLE witness, and anything else is
-    reported UNDETERMINED with the best residual found.
+    With designated effects (alpha, a) and (beta, b), a joint is fixed by
+    its designated cell G(1,1) = (gamma, g) in Bloch form; the marginals fix
+    the other three cells.  Each cell is positive iff its Bloch vector is no
+    longer than its weight, and eliminating gamma leaves four filled
+    ellipses that g must share:
+
+        |g| + |g - a| <= alpha,          |g| + |g - b| <= beta,
+        |g - a| + |g - a - b| <= 2 - beta,  |g - b| + |g - a - b| <= 2 - alpha.
+
+    Any gamma in [max(|g|, |g - a - b| + alpha + beta - 2),
+    min(alpha - |g - a|, beta - |g - b|)] then completes the joint; the
+    witness takes the middle of that interval.  Reflection through the plane
+    of a and b maps the conditions to themselves, so by convexity g can be
+    taken in that plane, and projecting g onto the parallelogram spanned by
+    a and b shortens every focal distance, so g = s a + t b with s, t in
+    [0, 1].  The largest ellipse excess (sum of focal distances minus the
+    bound) is convex in (s, t); nested bracketing on a 17-point grid narrows
+    both variables to 1e-12, stopping early once a point with excess <= 1e-12
+    is found.  A least excess within ``opts.tol`` gives FEASIBLE with the
+    witness; otherwise the report is UNDETERMINED with that excess as its
+    residual.  Deterministic: of the options only ``tol`` is read, and
+    ``iterations`` counts grid evaluations.
     """
     opts = opts or FeasibilityOptions()
     a_obs = _as_observable(a_obs)
@@ -360,70 +448,26 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     da, alpha, avec = _designated_pair_params(a_obs)
     db, beta, bvec = _designated_pair_params(b_obs)
 
+    value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec)
+    if value > opts.tol:
+        return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, value, evaluations)
+
     absum = avec + bvec
-
-    def violation(x):
-        gamma, g = x[0], x[1:]
-        return max(
-            float(np.linalg.norm(g)) - gamma,
-            float(np.linalg.norm(avec - g)) - (alpha - gamma),
-            float(np.linalg.norm(bvec - g)) - (beta - gamma),
-            float(np.linalg.norm(absum - g)) - (2.0 - alpha - beta + gamma),
-        )
-
-    # corner joints: G(1,1), G(1,0), G(0,1) or G(0,0) equal to zero
-    corners = (
-        np.concatenate(([0.0], np.zeros(3))),
-        np.concatenate(([alpha], avec)),
-        np.concatenate(([beta], bvec)),
-        np.concatenate(([alpha + beta - 2.0], absum)),
-    )
-    best_x, best_f = None, np.inf
-    for x in corners:
-        f = violation(x)
-        if f < best_f:
-            best_x, best_f = x, f
-
-    iterations = 0
-    if best_f > opts.tol:
-        # start at the symmetrized-product guess, then perturb
-        g0 = 0.5 * (alpha * bvec + beta * avec)
-        x0 = np.concatenate(([0.5 * (alpha * beta + float(np.dot(avec, bvec)))], g0))
-        rng = np.random.default_rng([opts.seed, 101])
-        starts = [x0]
-        for _ in range(max(opts.restarts - 1, 0)):
-            starts.append(x0 + 0.3 * rng.standard_normal(4))
-
-        for start in starts:
-            res = minimize(
-                violation,
-                start,
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-13, "maxfev": 4000},
-            )
-            iterations += int(res.nit)
-            if res.fun < best_f:
-                best_x, best_f = res.x, float(res.fun)
-            if best_f < 0.0:
-                break  # strictly valid joint found
-
-    fstar = float(best_f)
-    if fstar <= opts.tol:
-        gamma, g = float(best_x[0]), np.asarray(best_x[1:], dtype=float)
-        ca = next(x for x in a_obs.outcomes if x != da)
-        cb = next(x for x in b_obs.outcomes if x != db)
-        effects = {
-            (da, db): HermitianOperator(bloch_matrix(gamma, g)),
-            (da, cb): HermitianOperator(bloch_matrix(alpha - gamma, avec - g)),
-            (ca, db): HermitianOperator(bloch_matrix(beta - gamma, bvec - g)),
-            (ca, cb): HermitianOperator(bloch_matrix(2.0 - alpha - beta + gamma, -absum + g)),
-        }
-        witness = ProductObservable((tuple(a_obs.outcomes), tuple(b_obs.outcomes)), effects)
-        resid = witness_residual(witness, (a_obs, b_obs))
-        return FeasibilityReport(Verdict.FEASIBLE, witness, None, None, resid, iterations)
-    return FeasibilityReport(
-        Verdict.UNDETERMINED, None, None, None, max(fstar, 0.0), iterations
-    )
+    g = s * avec + t * bvec
+    lo = max(float(np.linalg.norm(g)), float(np.linalg.norm(g - absum)) + alpha + beta - 2.0)
+    hi = min(alpha - float(np.linalg.norm(avec - g)), beta - float(np.linalg.norm(bvec - g)))
+    gamma = 0.5 * (lo + hi)
+    ca = next(x for x in a_obs.outcomes if x != da)
+    cb = next(x for x in b_obs.outcomes if x != db)
+    effects = {
+        (da, db): HermitianOperator(bloch_matrix(gamma, g)),
+        (da, cb): HermitianOperator(bloch_matrix(alpha - gamma, avec - g)),
+        (ca, db): HermitianOperator(bloch_matrix(beta - gamma, bvec - g)),
+        (ca, cb): HermitianOperator(bloch_matrix(2.0 - alpha - beta + gamma, g - absum)),
+    }
+    witness = ProductObservable((tuple(a_obs.outcomes), tuple(b_obs.outcomes)), effects)
+    resid = witness_residual(witness, (a_obs, b_obs))
+    return FeasibilityReport(Verdict.FEASIBLE, witness, None, None, resid, evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +553,21 @@ def _alternating_projection_search(parents, opts: FeasibilityOptions) -> Feasibi
 # the dispatcher
 # ---------------------------------------------------------------------------
 
-def _pair_feasible_witness(a_obs, b_obs, match: _CriterionMatch, opts: FeasibilityOptions):
-    """Best available witness for an analytically feasible qubit pair."""
-    (da, alpha, avec), (db, beta, bvec) = match.designations
+def _decide_qubit_pair(a_obs, b_obs, match: _CriterionMatch, opts: FeasibilityOptions):
+    """Exact verdict for a pair of two-outcome qubit observables, with a
+    witness on the feasible side."""
+    margin = match.result.margin
+    if not match.result.jm:
+        return FeasibilityReport(Verdict.INFEASIBLE, None, match.reason, margin, 0.0, 0)
+    (da, _, avec), (db, _, bvec) = match.designations
     if match.reason == REASON_BUSCH and abs(match.result.value - 2.0) <= 1e-9:
-        g = boundary_joint(avec, bvec)
-        return _relabel_boundary_joint(g, a_obs, b_obs, da, db), 0
-    g = _trivial_joint_sweep(a_obs, b_obs)
-    if g is not None:
-        return g, 0
-    report = decide_pair_qubit_numeric(a_obs, b_obs, opts)
-    if report.verdict is Verdict.FEASIBLE:
-        return report.witness, report.iterations
-    return None, report.iterations
+        witness = _relabel_boundary_joint(boundary_joint(avec, bvec), a_obs, b_obs, da, db)
+        resid = witness_residual(witness, (a_obs, b_obs))
+        return FeasibilityReport(Verdict.FEASIBLE, witness, match.reason, margin, resid, 0)
+    search = decide_pair_qubit_numeric(a_obs, b_obs, opts)
+    return FeasibilityReport(
+        search.verdict, search.witness, match.reason, margin, search.residual, search.iterations
+    )
 
 
 def decide(problem: FeasibilityProblem) -> FeasibilityReport:
@@ -536,44 +582,26 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
             Verdict.FEASIBLE, witness, REASON_COMMUTING_SHARP, None, resid, 0
         )
 
-    match = None
     if len(parents) == 2:
         match = _match_pair_criterion(*parents)
+        if match is not None:
+            return _decide_qubit_pair(parents[0], parents[1], match, opts)
     elif len(parents) == 3:
         match = _match_triple_criterion(parents)
-
-    if match is not None:
-        if not match.result.jm:
+        if match is not None:
+            if not match.result.jm:
+                return FeasibilityReport(
+                    Verdict.INFEASIBLE, None, match.reason, match.result.margin, 0.0, 0
+                )
+            numeric = _alternating_projection_search(parents, opts)
             return FeasibilityReport(
-                Verdict.INFEASIBLE, None, match.reason, match.result.margin, 0.0, 0
+                Verdict.FEASIBLE,
+                numeric.witness,
+                match.reason,
+                match.result.margin,
+                numeric.residual,
+                numeric.iterations,
             )
-        if len(parents) == 2:
-            witness, iters = _pair_feasible_witness(parents[0], parents[1], match, opts)
-            resid = witness_residual(witness, parents) if witness is not None else np.inf
-            return FeasibilityReport(
-                Verdict.FEASIBLE, witness, match.reason, match.result.margin, resid, iters
-            )
-        numeric = _alternating_projection_search(parents, opts)
-        return FeasibilityReport(
-            Verdict.FEASIBLE,
-            numeric.witness,
-            match.reason,
-            match.result.margin,
-            numeric.residual,
-            numeric.iterations,
-        )
-
-    if len(parents) == 2:
-        pa = _qubit_binary_params(parents[0])
-        pb = _qubit_binary_params(parents[1])
-        if pa is not None and pb is not None:
-            # no criterion hypothesis matched; an exact zero-overlap joint may
-            # still exist, and the pair solver beats the generic engine here
-            g = _trivial_joint_sweep(parents[0], parents[1])
-            if g is not None:
-                resid = witness_residual(g, parents)
-                return FeasibilityReport(Verdict.FEASIBLE, g, None, None, resid, 0)
-            return decide_pair_qubit_numeric(parents[0], parents[1], opts)
 
     return _alternating_projection_search(parents, opts)
 
@@ -597,10 +625,10 @@ class PairwiseGlobalReport:
 def pairwise_vs_global(parents, opts: FeasibilityOptions | None = None) -> PairwiseGlobalReport:
     """Decide every pair and the full family.
 
-    When at least two parents are sharp and every pair is feasible, joint
-    measurability of the whole family follows analytically, so a global
-    UNDETERMINED is upgraded to FEASIBLE in that case (with a product
-    witness whenever the family commutes well enough to build one).
+    When at least n - 1 of the n parents are sharp and every pair is
+    feasible, joint measurability of the whole family follows analytically,
+    so a global UNDETERMINED is upgraded to FEASIBLE in that case (with a
+    product witness whenever the family commutes well enough to build one).
     """
     opts = opts or FeasibilityOptions()
     parents = tuple(parents)

@@ -39,6 +39,7 @@ from jointmeas import (
     partition,
     partition_paradox_audit,
     product_joint_commuting,
+    qubit_pair_criterion,
     random_commuting_sharp_pair,
     random_orthogonal_unbiased_vs_biased_pair,
     random_rank_one_pair,
@@ -237,8 +238,24 @@ def test_criterion_7_oracle_agreement(criterion):
             (_, va), (beta, vb) = params(a_obs), params(b_obs)
             compared += check(liu_criterion(va, beta, vb), a_obs, b_obs)
 
+        def biased_effect(rng):
+            # neither unbiased nor rank one, so no eq criterion applies
+            while True:
+                v = rng.standard_normal(3)
+                n = rng.uniform(0.5, 0.95)
+                alpha = n + rng.uniform(0.0, 1.0) * (2.0 - 2.0 * n)
+                if min(abs(alpha - 1.0), alpha - n, 2.0 - alpha - n) >= 0.02:
+                    return alpha, n * v / np.linalg.norm(v)
+
+        for i in range(200):
+            rng = np.random.default_rng([74, i])
+            (alpha, va), (beta, vb) = biased_effect(rng), biased_effect(rng)
+            a_obs = SimpleQubitObservable(BlochEffect(alpha, va)).as_observable()
+            b_obs = SimpleQubitObservable(BlochEffect(beta, vb)).as_observable()
+            compared += check(qubit_pair_criterion(alpha, va, beta, vb), a_obs, b_obs)
+
         # the boundary band must not swallow the sample
-        assert compared >= 500
+        assert compared >= 700
 
 
 def suite_joints():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jointmeas.bloch import (
@@ -17,6 +17,7 @@ from jointmeas.bloch import (
     is_valid_effect_params,
     liu_criterion,
     molnar_criterion,
+    qubit_pair_criterion,
     three_orthogonal_criterion,
 )
 from jointmeas.observables import marginal, validate
@@ -159,6 +160,72 @@ def test_three_orthogonal_values():
     assert r2.jm
     with pytest.raises(ValueError):
         three_orthogonal_criterion(EX, EX, EY)
+
+
+def test_qubit_pair_criterion_values():
+    # the ROADMAP example no eq criterion covers: incompatible
+    r = qubit_pair_criterion(0.9, 0.85 * EX, 1.1, 0.85 * (EX + EY) / math.sqrt(2.0))
+    assert not r.jm
+    assert r.margin == pytest.approx(r.lhs - r.rhs, abs=0.0)
+    assert r.margin > 0.1
+    # a projection is compatible exactly with the partners parallel to it
+    assert qubit_pair_criterion(1.0, EZ, 0.3, -0.2 * EZ).jm
+    blocked = qubit_pair_criterion(1.0, EZ, 0.4, 0.2 * EX)
+    assert not blocked.jm
+    assert blocked.margin == pytest.approx(0.04, abs=1e-12)  # |a x b|^2
+    assert not qubit_pair_criterion(1.0, EZ, 1.0, EX).jm
+    # a scalar effect is compatible with anything
+    assert qubit_pair_criterion(0.7, np.zeros(3), 1.2, 0.8 * EY).jm
+
+
+def test_qubit_pair_criterion_complement_invariance():
+    a, b = np.array([0.3, -0.2, 0.4]), np.array([-0.1, 0.5, 0.2])
+    r = qubit_pair_criterion(0.8, a, 1.3, b)
+    for alpha, va, beta, vb in ((1.2, -a, 1.3, b), (0.8, a, 0.7, -b), (1.3, b, 0.8, a)):
+        other = qubit_pair_criterion(alpha, va, beta, vb)
+        assert other.lhs == pytest.approx(r.lhs, abs=1e-14)
+        assert other.rhs == pytest.approx(r.rhs, abs=1e-14)
+
+
+def test_qubit_pair_criterion_rejects_invalid_effect():
+    with pytest.raises(ValueError):
+        qubit_pair_criterion(0.4, 0.5 * EX, 1.0, 0.5 * EY)
+    with pytest.raises(ValueError):
+        qubit_pair_criterion(1.0, 0.5 * EX, 1.8, 0.5 * EY)
+
+
+unit_vectors = st.builds(
+    lambda x, y, z: np.array([x, y, z]), *(st.floats(-1.0, 1.0) for _ in range(3))
+).filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+
+
+@st.composite
+def eq_instances(draw):
+    """(eq criterion result, alpha, a, beta, b) where eq3, eq4 or eq5 applies."""
+    kind = draw(st.sampled_from(("eq3", "eq4", "eq5")))
+    u, w = draw(unit_vectors), draw(unit_vectors)
+    na, nb = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+    if kind == "eq3":
+        a, b = na * u, nb * w
+        return busch_criterion(a, b), 1.0, a, 1.0, b
+    if kind == "eq4":
+        a, b = na * u, nb * w
+        assume(np.linalg.norm(np.cross(u, w)) > 1e-3)
+        return molnar_criterion(a, b), na, a, nb, b
+    w = w - np.dot(w, u) * u
+    assume(np.linalg.norm(w) > 0.1)
+    a, b = na * u, nb * w / np.linalg.norm(w)
+    beta = nb + draw(st.floats(0.0, 1.0)) * (2.0 - 2.0 * nb)
+    return liu_criterion(a, beta, b), 1.0, a, beta, b
+
+
+@settings(max_examples=300)
+@given(eq_instances())
+def test_qubit_pair_criterion_agrees_with_eq3_eq4_eq5(instance):
+    special, alpha, a, beta, b = instance
+    assume(abs(special.margin) > 1e-6)
+    general = qubit_pair_criterion(alpha, a, beta, b)
+    assert general.jm == special.jm, (special.margin, general.margin)
 
 
 # --- boundary joint ------------------------------------------------------

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import jointmeas
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jointmeas import (
@@ -250,6 +255,64 @@ def test_trivialization_is_always_feasible(obs, p):
     # (obs, coin) is jointly measurable whatever obs is
     report = decide(FeasibilityProblem((obs, coin(p))))
     assert report.verdict is Verdict.FEASIBLE
+
+
+def _rotation(seed: int) -> np.ndarray:
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@st.composite
+def qubit_effect_params(draw):
+    vec = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    assume(np.linalg.norm(vec) > 1e-3)
+    n = draw(st.floats(0.0, 1.0))
+    alpha = n + draw(st.floats(0.0, 1.0)) * (2.0 - 2.0 * n)
+    return alpha, n * vec / np.linalg.norm(vec)
+
+
+@settings(max_examples=60)
+@given(qubit_effect_params(), qubit_effect_params(), st.integers(0, 2**32 - 1))
+def test_pair_verdict_invariant_under_rotation_swap_and_relabeling(pa, pb, seed):
+    (alpha, a), (beta, b) = pa, pb
+    rot = _rotation(seed)
+    variants = (
+        ((alpha, a), (beta, b)),
+        ((alpha, rot @ a), (beta, rot @ b)),
+        ((beta, b), (alpha, a)),
+        ((2.0 - alpha, -a), (beta, b)),
+        ((alpha, a), (2.0 - beta, -b)),
+    )
+    tol = FeasibilityOptions().tol
+    verdicts = set()
+    for (al, va), (be, vb) in variants:
+        parents = (
+            SimpleQubitObservable(BlochEffect(al, va)).as_observable(),
+            SimpleQubitObservable(BlochEffect(be, vb)).as_observable(),
+        )
+        report = decide(FeasibilityProblem(parents))
+        assert report.verdict is not Verdict.UNDETERMINED
+        if report.verdict is Verdict.FEASIBLE:
+            assert report.witness is not None
+            assert validate(report.witness, tol=tol).passed
+            assert witness_residual(report.witness, parents) <= tol
+        verdicts.add(report.verdict)
+    assert len(verdicts) == 1
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, jointmeas; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(jointmeas.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from jointmeas import (
     partition_paradox_audit,
     product_joint_commuting,
     validate,
+    witness_residual,
 )
 from jointmeas.feasibility import FeasibilityProblem
 
@@ -189,6 +190,30 @@ def test_matrix_on_commuting_sharp_pair_is_all_feasible():
     assert mat.all_feasible
     for report in mat.cells.values():
         assert report.reason == "commuting-sharp"
+
+
+def test_rotated_paradox_matrices_decide_every_cell_with_witnesses():
+    # |a| just below 1/sqrt(2): several feasible cells sit close to the eq3
+    # and eq4 boundaries, where a witness is hardest to find
+    tol = FeasibilityOptions().tol
+    for seed in range(20):
+        rng = np.random.default_rng([90, seed])
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        la = rng.uniform(0.66, 0.707)
+        a, b, c = la * q[:, 0], math.sqrt(1.0 - la * la) * q[:, 1], la * q[:, 2]
+        mat = partition_compatibility_matrix(boundary_joint(a, b), boundary_joint(b, c))
+        rows = {p.key: p.observable for p in mat.rows}
+        cols = {p.key: p.observable for p in mat.cols}
+        for (xk, yk), report in mat.cells.items():
+            assert report.verdict is not Verdict.UNDETERMINED, (seed, xk, yk)
+            if report.verdict is Verdict.FEASIBLE:
+                assert report.witness is not None, (seed, xk, yk)
+                assert validate(report.witness, tol=tol).passed, (seed, xk, yk)
+                resid = witness_residual(report.witness, (rows[xk], cols[yk]))
+                assert resid <= tol, (seed, xk, yk, resid)
 
 
 # ---------------------------------------------------------------------------
