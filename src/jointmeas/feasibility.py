@@ -9,8 +9,8 @@
    ``qubit-pair``).  A violated criterion gives INFEASIBLE with its margin;
    a satisfied one gets the closed-form boundary joint on the eq3 boundary
    and otherwise a witness from the planar search below;
-3. orthogonal unbiased triples get the eq6 verdict, with a witness from the
-   alternating-projection search on the feasible side;
+3. orthogonal unbiased triples get the eq6 verdict, with the closed-form
+   signed-sum joint on the feasible side;
 4. everything else goes to an alternating-projection search over the joint
    effects.
 
@@ -49,14 +49,21 @@ from .observables import (
     Observable,
     ProductObservable,
     commute,
+    designation_order,
     is_sharp,
     is_trivial,
     label_key,
-    marginal,
     observable_to_json,
     validate,
 )
-from .operators import HermitianOperator, eigvalsh_checked, identity, loewner_leq, opnorm, zero
+from .operators import (
+    HermitianOperator,
+    clip_psd,
+    identity,
+    loewner_leq,
+    opnorm,
+    zero,
+)
 
 REASON_BUSCH = "eq3"
 REASON_MOLNAR = "eq4"
@@ -118,15 +125,17 @@ class FeasibilityReport:
 
 
 def witness_residual(g: ProductObservable, parents) -> float:
-    """Max marginal deviation plus worst negative-eigenvalue magnitude."""
-    marg = 0.0
+    """Max marginal deviation (spectral norm) plus worst negative-eigenvalue
+    magnitude, over stacked cells."""
+    labels = list(g.outcomes)
+    cells = np.array([g.effects[z].matrix for z in labels])
+    gaps = []
     for axis, parent in enumerate(parents):
-        got = marginal(g, axis)
         for x in parent.outcomes:
-            marg = max(marg, opnorm(got.effects[x].matrix - parent.effects[x].matrix))
-    neg = 0.0
-    for z in g.outcomes:
-        neg = max(neg, max(0.0, -float(eigvalsh_checked(g.effects[z])[0])))
+            keep = [z[axis] == x for z in labels]
+            gaps.append(cells[keep].sum(axis=0) - parent.effects[x].matrix)
+    marg = float(np.linalg.norm(np.array(gaps), 2, axis=(1, 2)).max())
+    neg = max(0.0, -float(np.linalg.eigvalsh(cells)[:, 0].min()))
     return marg + neg
 
 
@@ -188,14 +197,6 @@ def _qubit_binary_params(obs) -> dict | None:
     return params
 
 
-def _designation_order(obs) -> list:
-    """Deterministic preference order for the designated outcome."""
-    outs = list(obs.outcomes)
-    if "1" in outs:
-        return ["1"] + [x for x in outs if x != "1"]
-    return list(reversed(outs))
-
-
 @dataclass(frozen=True)
 class _CriterionMatch:
     reason: str
@@ -216,15 +217,15 @@ def _match_pair_criterion(a_obs, b_obs) -> _CriterionMatch | None:
         return all(abs(al - 1.0) <= _ALPHA_TOL for al, _ in params.values())
 
     def rank_one_label(obs, params):
-        for x in _designation_order(obs):
+        for x in designation_order(obs):
             al, v = params[x]
             if abs(al - float(np.linalg.norm(v))) <= _ALPHA_TOL:
                 return x
         return None
 
     if unbiased(pa) and unbiased(pb):
-        da = _designation_order(a_obs)[0]
-        db = _designation_order(b_obs)[0]
+        da = designation_order(a_obs)[0]
+        db = designation_order(b_obs)[0]
         av, bv = pa[da][1], pb[db][1]
         result = busch_criterion(av, bv)
         return _CriterionMatch(
@@ -246,8 +247,8 @@ def _match_pair_criterion(a_obs, b_obs) -> _CriterionMatch | None:
         o_obs, o_par = other_side
         if not unbiased(s_par):
             continue
-        ds = _designation_order(s_obs)[0]
-        do = _designation_order(o_obs)[0]
+        ds = designation_order(s_obs)[0]
+        do = designation_order(o_obs)[0]
         avec = s_par[ds][1]
         beta, bvec = o_par[do]
         if not are_orthogonal(avec, bvec):
@@ -258,8 +259,8 @@ def _match_pair_criterion(a_obs, b_obs) -> _CriterionMatch | None:
             desig = (desig[1], desig[0])
         return _CriterionMatch(REASON_LIU, result, desig)
 
-    da = _designation_order(a_obs)[0]
-    db = _designation_order(b_obs)[0]
+    da = designation_order(a_obs)[0]
+    db = designation_order(b_obs)[0]
     (alpha, avec), (beta, bvec) = pa[da], pb[db]
     result = qubit_pair_criterion(alpha, avec, beta, bvec)
     return _CriterionMatch(
@@ -275,7 +276,7 @@ def _match_triple_criterion(parents) -> _CriterionMatch | None:
     for obs, par in zip(parents, params):
         if not all(abs(al - 1.0) <= _ALPHA_TOL for al, _ in par.values()):
             return None
-        d = _designation_order(obs)[0]
+        d = designation_order(obs)[0]
         desigs.append((d, 1.0, par[d][1]))
     vecs = [d[2] for d in desigs]
     for i in range(3):
@@ -317,6 +318,20 @@ def _trivial_joint_designated(a_obs, b_obs, da, db, tol: float) -> ProductObserv
     return ProductObservable((tuple(a_obs.outcomes), tuple(b_obs.outcomes)), effects)
 
 
+def _signed_sum_joint(parents, designations) -> ProductObservable:
+    """Joint of unbiased qubit observables with designated Bloch vectors v_i:
+    G(s) = (1 + (sum_i s_i v_i).sigma) / 8, with s_i = +1 on the designated
+    outcome and -1 on the other.  For an orthogonal triple every signed sum
+    has length sqrt(sum |v_i|^2), so eq6 makes every cell positive."""
+    effects = {}
+    for combo in itertools.product(*(p.outcomes for p in parents)):
+        vec = sum(
+            (1.0 if x == d else -1.0) * v for x, (d, _, v) in zip(combo, designations)
+        )
+        effects[combo] = HermitianOperator(bloch_matrix(0.25, 0.25 * vec))
+    return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
+
+
 def _relabel_boundary_joint(g: ProductObservable, a_obs, b_obs, da, db) -> ProductObservable:
     """Map the '0'/'1' cells of a boundary joint onto the parents' own labels,
     with ('1','1') landing on the designated pair (da, db)."""
@@ -342,7 +357,7 @@ def _designated_pair_params(obs):
     params = _qubit_binary_params(obs)
     if params is None:
         raise ValueError("expected a two-outcome qubit observable")
-    d = _designation_order(obs)[0]
+    d = designation_order(obs)[0]
     alpha, avec = params[d]
     return d, alpha, avec
 
@@ -542,10 +557,7 @@ def _alternating_projection_search(parents, opts: FeasibilityOptions) -> Feasibi
                 if resid > 10.0 * opts.tol and resid > window_resid * (1.0 - 1e-6):
                     break
                 window_resid = resid
-            # cone step: clip negative eigenvalues
-            w, v = np.linalg.eigh(g)
-            w = np.clip(w, 0.0, None)
-            g = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            g = clip_psd(g)  # cone step
     return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, best_resid, iterations)
 
 
@@ -593,14 +605,10 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
                 return FeasibilityReport(
                     Verdict.INFEASIBLE, None, match.reason, match.result.margin, 0.0, 0
                 )
-            numeric = _alternating_projection_search(parents, opts)
+            witness = _signed_sum_joint(parents, match.designations)
+            resid = witness_residual(witness, parents)
             return FeasibilityReport(
-                Verdict.FEASIBLE,
-                numeric.witness,
-                match.reason,
-                match.result.margin,
-                numeric.residual,
-                numeric.iterations,
+                Verdict.FEASIBLE, witness, match.reason, match.result.margin, resid, 0
             )
 
     return _alternating_projection_search(parents, opts)

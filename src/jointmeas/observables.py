@@ -37,6 +37,15 @@ def subset_key(labels) -> str:
     return ",".join(sorted(label_key(x) for x in labels))
 
 
+def designation_order(obs) -> list:
+    """Deterministic preference order for the designated outcome of an
+    observable: "1" when present, otherwise its outcomes in reverse."""
+    outs = list(obs.outcomes)
+    if "1" in outs:
+        return ["1"] + [x for x in outs if x != "1"]
+    return list(reversed(outs))
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """An outcome-labeled effect family.  Construction checks structure only

@@ -51,7 +51,7 @@ class HermitianOperator:
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("operator entries must be finite")
         skew = 0.5 * (m - m.conj().T)
-        asym = float(np.linalg.norm(skew, 2))
+        asym = float(np.linalg.norm(skew, 2)) if skew.any() else 0.0
         if asym > self.atol:
             raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {self.atol:.3e}")
         herm = 0.5 * (m + m.conj().T)
@@ -128,6 +128,14 @@ def loewner_leq(a: HermitianOperator, b: HermitianOperator, tol: float | None = 
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return is_psd(b - a, tol)
+
+
+def clip_psd(batch: np.ndarray) -> np.ndarray:
+    """Nearest positive semidefinite matrices (Frobenius norm) to a stack of
+    Hermitian matrices: their negative eigenvalues set to zero."""
+    w, v = np.linalg.eigh(batch)
+    w = np.clip(w, 0.0, None)
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def is_effect(e: HermitianOperator, tol: float | None = None) -> bool:

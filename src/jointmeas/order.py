@@ -1,11 +1,19 @@
 """Lower-bound sets in the Loewner order: membership, greatest-element
-refutation, and maximality probing.
+refutation, and exact maximality decisions.
 
 lb(A, B) is the set of effects below both A and B.  Greatestness of a
 candidate is refuted by exhibiting a member that fails to sit below it;
 the search can never prove greatestness, so "no counterexample found" is
-reported as exactly that.  Maximality is probed by pushing the trace up
-inside lb(A, B) above the candidate.
+reported as exactly that.
+
+Maximality is decided exactly.  With P = A - C and Q = B - C, every D >= C
+in lb(A, B) has D - C = X with 0 <= X <= P and X <= Q, so the range of X
+lies in S = ran P cap ran Q; conversely C + lambda v v* lies in lb(A, B)
+for any unit v in S and small lambda > 0.  So C is maximal exactly when
+S = {0} (Ando, 1999; Gheondea, Gudder & Jonas, J. Math. Phys. 46, 062102,
+2005).  When S is not zero the largest trace gain is a small convex problem
+on S, solved in closed form when dim S = 1 and by a log-det barrier method
+otherwise.
 """
 from __future__ import annotations
 
@@ -14,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochEffect, bloch_matrix
-from .observables import ProductObservable, label_key, marginal
+from .observables import ProductObservable, designation_order, label_key, marginal
 from .operators import (
     HermitianOperator,
-    eigvalsh_checked,
+    clip_psd,
     identity,
     is_effect,
     loewner_leq,
@@ -34,9 +42,9 @@ class OrderSearchOptions:
     # alternating-projection sweeps toward lb; candidates still face an exact
     # membership recheck, so extra sweeps buy accuracy, never false positives
     projection_cycles: int = 4
-    bisect_tol: float = 1e-8       # absolute tolerance on the trace target
-    feasibility_tol: float = 1e-9  # constraint residual for probe iterates
-    max_iter: int = 1500           # projection iterations per trace target
+    # duality-gap target of the barrier solve: the reported maximality gain
+    # is within gain_tol of the largest one
+    gain_tol: float = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,22 +89,22 @@ class MaximalityReport:
     witness: HermitianOperator | None
     trace_gain: float
     eps: float
+    iterations: int = 0  # Newton steps of the barrier solve
 
     def to_json(self) -> dict:
-        return {"verdict": self.verdict, "trace_gain": self.trace_gain, "eps": self.eps}
-
-
-def _clip_psd(batch: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(batch)
-    w = np.clip(w, 0.0, None)
-    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        return {
+            "verdict": self.verdict,
+            "trace_gain": self.trace_gain,
+            "eps": self.eps,
+            "iterations": self.iterations,
+        }
 
 
 def _project_into_lb(batch: np.ndarray, a: np.ndarray, b: np.ndarray, cycles: int) -> np.ndarray:
     for _ in range(cycles):
-        batch = _clip_psd(batch)
-        batch = a - _clip_psd(a - batch)
-        batch = b - _clip_psd(b - batch)
+        batch = clip_psd(batch)
+        batch = a - clip_psd(a - batch)
+        batch = b - clip_psd(b - batch)
     return batch
 
 
@@ -179,30 +187,79 @@ def refute_greatest(
     )
 
 
-def _probe_feasible(cm, am, bm, tau, start, opts: OrderSearchOptions):
-    """Alternating projections for: C <= D <= A, D <= B, tr D = tau."""
-    dim = cm.shape[0]
-    eye = np.eye(dim)
-    d = start.copy()
-    prev = np.inf
-    for it in range(opts.max_iter):
-        d = cm + _clip_psd((d - cm)[None, :, :])[0]
-        d = am - _clip_psd((am - d)[None, :, :])[0]
-        d = bm - _clip_psd((bm - d)[None, :, :])[0]
-        d = d + ((tau - float(np.trace(d).real)) / dim) * eye
-        if it % 25 == 24:
-            viol = max(
-                -float(np.linalg.eigvalsh(d - cm)[0]),
-                -float(np.linalg.eigvalsh(am - d)[0]),
-                -float(np.linalg.eigvalsh(bm - d)[0]),
-                0.0,
-            )
-            if viol <= opts.feasibility_tol:
-                return d
-            if viol > prev * (1.0 - 1e-3) and viol > 10.0 * opts.feasibility_tol:
-                return None  # stalled well away from feasibility
-            prev = viol
-    return None
+def _range(m: np.ndarray, tol: float):
+    """Eigenvalues above tol of a Hermitian matrix, with their eigenvectors:
+    an orthonormal basis of its range."""
+    w, v = np.linalg.eigh(m)
+    keep = w > tol
+    return w[keep], v[:, keep]
+
+
+def _compressed_bound(w: np.ndarray, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(V* M^+ V)^-1 for M with range eigenpairs (w, basis) and V inside
+    ran M: for X = V Y V*, X <= M exactly when Y is below this matrix."""
+    y = basis.conj().T @ v
+    m = np.linalg.inv((y.conj().T / w) @ y)
+    return 0.5 * (m + m.conj().T)
+
+
+def _hermitian_basis(k: int) -> np.ndarray:
+    """Orthonormal basis of the k x k Hermitian matrices (k^2 of them) for
+    the trace inner product."""
+    out = []
+    for i in range(k):
+        for j in range(k):
+            e = np.zeros((k, k), dtype=complex)
+            if i == j:
+                e[i, i] = 1.0
+            elif i < j:
+                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+            else:
+                e[i, j], e[j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            out.append(e)
+    return np.array(out)
+
+
+_CENTERING_STEPS = 50  # Newton steps per barrier round; a few suffice
+
+
+def _max_trace_below(p: np.ndarray, q: np.ndarray, gap_tol: float):
+    """Maximize tr X over 0 <= X <= P, X <= Q for positive definite P, Q.
+
+    Returns (X, Newton steps).  One dimension has the answer min(P, Q).
+    Otherwise a log-det barrier method: minimize the self-concordant
+    -t tr X - log det X - log det(P - X) - log det(Q - X) by Newton steps on
+    the k^2 real coordinates of X, from (lambda_min / 2) I, with t growing
+    tenfold per round until the duality-gap bound 3k / t is at most gap_tol.
+    Steps with Newton decrement lambda above 1/4 are damped to 1 / (1 + lambda),
+    which keeps every iterate strictly feasible without a line search.
+    """
+    k = p.shape[0]
+    if k == 1:
+        return np.array([[min(p[0, 0].real, q[0, 0].real)]], dtype=complex), 0
+    basis = _hermitian_basis(k)
+    eye = np.eye(k)
+    lam = min(np.linalg.eigvalsh(p)[0], np.linalg.eigvalsh(q)[0])
+    x = 0.5 * lam * eye.astype(complex)
+    steps = 0
+    t = 3.0 * k / max(float(np.trace(p).real), float(np.trace(q).real))
+    while True:
+        for _ in range(_CENTERING_STEPS):
+            invs = [np.linalg.inv(m) for m in (x, p - x, q - x)]
+            grad = -t * eye - invs[0] + invs[1] + invs[2]
+            g = np.einsum("iba,ab->i", basis, grad).real
+            hess = sum(np.einsum("iba,jab->ij", basis, m @ basis @ m).real for m in invs)
+            dy = -np.linalg.solve(hess, g)
+            decrement = -float(g @ dy)
+            if decrement <= 1e-12:
+                break
+            size = np.sqrt(decrement)
+            step = 1.0 if size < 0.25 else 1.0 / (1.0 + size)
+            x = x + step * np.einsum("i,iab->ab", dy, basis)
+            steps += 1
+        if 3.0 * k / t <= gap_tol:
+            return 0.5 * (x + x.conj().T), steps
+        t *= 10.0
 
 
 def maximality_probe(
@@ -211,31 +268,45 @@ def maximality_probe(
     b: HermitianOperator,
     opts: OrderSearchOptions | None = None,
 ) -> MaximalityReport:
-    """Push the trace up inside {D in lb(A, B) : D >= C} by bisection.
+    """Decide whether C is maximal in lb(A, B), with the largest trace gain.
 
-    For D >= C, D differs from C exactly when tr(D - C) > 0, so maximality
-    fails iff some feasible D gains trace.  Each trace target is tested with
-    alternating projections; a target whose projections stall is treated as
-    infeasible, which can only make the probe conservative (it may miss a
-    gain, never invent one).
+    With P = A - C and Q = B - C, C is maximal exactly when ran P and ran Q
+    share no nonzero vector.  Both ranges come from ``eigh`` (eigenvalues
+    above ``membership_tol``) and their intersection S from the singular
+    values of Vp* Vq that reach 1 - ``membership_tol``; S = {0} gives
+    MAXIMAL_WITHIN with gain 0 and no iterations.  Otherwise, with V a basis
+    of S, the members D = C + V Y V* satisfy Y <= (V* P^+ V)^-1 and
+    Y <= (V* Q^+ V)^-1, and the largest tr Y under those bounds and Y >= 0
+    is the trace gain, found to ``gain_tol`` (``_max_trace_below``).  Before
+    NOT_MAXIMAL is reported the witness D is re-checked with ``eigvalsh``:
+    D - C, A - D and B - D must each be >= -``membership_tol``.  A failed
+    check reports MAXIMAL_WITHIN with gain 0, so the probe may miss a gain,
+    never invent one.  A gain of at most ``eps`` is also MAXIMAL_WITHIN.
     """
     opts = opts or OrderSearchOptions()
     _check_in_lb_pre(c, a, b, opts.eps, "maximality_probe")
     cm, am, bm = c.matrix, a.matrix, b.matrix
-    lo = c.trace()
-    hi = min(a.trace(), b.trace())
-    best = None
-    while hi - lo > opts.bisect_tol:
-        mid = 0.5 * (lo + hi)
-        found = _probe_feasible(cm, am, bm, mid, best if best is not None else cm, opts)
-        if found is not None:
-            lo, best = mid, found
-        else:
-            hi = mid
-    gain = max(lo - c.trace(), 0.0)
-    if best is not None and gain > opts.eps:
-        return MaximalityReport("NOT_MAXIMAL", HermitianOperator(best), gain, opts.eps)
-    return MaximalityReport("MAXIMAL_WITHIN", None, gain, opts.eps)
+    mtol = opts.membership_tol
+    wp, vp = _range(am - cm, mtol)
+    wq, vq = _range(bm - cm, mtol)
+    k = 0
+    if vp.shape[1] and vq.shape[1]:
+        u, sv, _ = np.linalg.svd(vp.conj().T @ vq)
+        k = int(np.count_nonzero(sv >= 1.0 - mtol))
+    if k == 0:
+        return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, opts.eps)
+    v = vp @ u[:, :k]
+    y, steps = _max_trace_below(
+        _compressed_bound(wp, vp, v), _compressed_bound(wq, vq, v), opts.gain_tol
+    )
+    dm = cm + v @ y @ v.conj().T
+    low = min(float(np.linalg.eigvalsh(m)[0]) for m in (dm - cm, am - dm, bm - dm))
+    if low < -mtol:
+        return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, opts.eps, steps)
+    gain = float(np.trace(y).real)
+    if gain > opts.eps:
+        return MaximalityReport("NOT_MAXIMAL", HermitianOperator(dm), gain, opts.eps, steps)
+    return MaximalityReport("MAXIMAL_WITHIN", None, gain, opts.eps, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,13 +346,6 @@ class OrderAudit:
             "all_maximal": self.all_maximal,
             "uniqueness_refuted": self.uniqueness_refuted,
         }
-
-
-def _designated(obs):
-    outs = list(obs.outcomes)
-    if "1" in outs:
-        return "1"
-    return outs[-1]
 
 
 def joint_observable_order_audit(
@@ -338,7 +402,7 @@ def joint_observable_order_audit(
     uniqueness_refuted = False
     alternative = None
     if len(a_obs.outcomes) == 2 and len(b_obs.outcomes) == 2:
-        da, db = _designated(a_obs), _designated(b_obs)
+        da, db = designation_order(a_obs)[0], designation_order(b_obs)[0]
         probe = cells[(da, db)].maximality
         if probe is not None and probe.verdict == "NOT_MAXIMAL":
             d = probe.witness

@@ -304,7 +304,7 @@ def suite_joints():
     assert nm.verdict is Verdict.FEASIBLE
     add(nm.witness, *pair, "nm-interior")
 
-    # slices of an alternating-projection triple witness
+    # slices of the closed-form eq6 triple witness
     l = 0.5
     parents = tuple(unbiased(l * v) for v in (EX, EY, EZ))
     triple = decide(

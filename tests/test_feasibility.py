@@ -195,13 +195,57 @@ def test_generic_search_never_claims_infeasible():
 
 
 def test_generic_search_finds_triple_witness_in_feasible_region():
-    l = 0.5  # below the 1/sqrt(3) triple threshold
-    parents = tuple(unbiased(l * v) for v in (EX, EY, EZ))
     opts = FeasibilityOptions(tol=1e-7, max_iter=5000, restarts=2)
+    # an orthogonal triple below the 1/sqrt(3) threshold: eq6 verdict with
+    # the closed-form signed-sum witness, no search
+    l = 0.5
+    parents = tuple(unbiased(l * v) for v in (EX, EY, EZ))
     report = decide(FeasibilityProblem(parents, opts))
     assert report.verdict is Verdict.FEASIBLE
-    assert report.reason == "eq6"  # analytic verdict, numeric witness
+    assert report.reason == "eq6"
+    assert report.iterations == 0
     assert_witness_ok(report, parents, opts.tol)
+    # a non-orthogonal unbiased triple whose signed sums are all shorter than
+    # 0.85: no criterion applies, so the witness comes from the projection search
+    axes = (EX, np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, 0.8]))
+    vecs = [0.35 * v for v in axes]
+    assert max(
+        np.linalg.norm(s1 * vecs[0] + s2 * vecs[1] + s3 * vecs[2])
+        for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)
+    ) < 0.85
+    parents = tuple(unbiased(v) for v in vecs)
+    report = decide(FeasibilityProblem(parents, opts))
+    assert report.verdict is Verdict.FEASIBLE
+    assert report.reason is None
+    assert report.iterations > 0
+    assert_witness_ok(report, parents, opts.tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orthogonal_triple_gets_closed_form_witness(seed):
+    # rotated frames, lengths up to the eq6 threshold, and relabeled outcomes
+    # with the designated outcome either first or last
+    rng = np.random.default_rng([31, seed])
+    rot = _rotation(seed)
+    lens = rng.uniform(0.2, 1.0, 3)
+    scale = 1.0 / math.sqrt(3.0) - 1e-9 if seed < 3 else rng.uniform(0.1, 0.57)
+    lens *= scale * math.sqrt(3.0) / float(np.linalg.norm(lens))
+    parents = []
+    for k, labels in enumerate((("0", "1"), ("up", "dn"), ("x", "y"))):
+        if seed % 2:
+            labels = labels[::-1]
+        effects = SimpleQubitObservable(
+            BlochEffect(1.0, lens[k] * rot[:, k])
+        ).as_observable().effects
+        parents.append(Observable(labels, {labels[0]: effects["0"], labels[1]: effects["1"]}))
+    parents = tuple(parents)
+    report = decide(FeasibilityProblem(parents))
+    assert report.verdict is Verdict.FEASIBLE
+    assert report.reason == "eq6"
+    assert report.iterations == 0
+    assert validate(report.witness, tol=1e-12).passed
+    assert witness_residual(report.witness, parents) <= 1e-12
+    assert report.residual <= 1e-12
 
 
 def test_trivial_joint_construction_and_refusal():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointmeas import (
     BlochEffect,
@@ -23,6 +25,7 @@ from jointmeas import (
     marginal,
     maximality_probe,
     product_joint_commuting,
+    random_unitary,
     refute_greatest,
     validate,
     zero,
@@ -153,6 +156,23 @@ def test_probe_zero_below_half_identities():
     assert in_lb(LowerBoundQuery(half, half, d, 1e-8))
     assert loewner_leq(zero(2), d, 1e-9)
     assert d.trace() > report.eps
+    # a two-dimensional shared range goes to the barrier solve
+    assert report.iterations > 0
+    assert report.to_json()["iterations"] == report.iterations
+
+
+def test_probe_gain_below_commuting_bounds_is_sum_of_minima():
+    # A and B share the eigenbasis of a random frame and their ranges meet in
+    # two dimensions; every X <= A, B has <e_i, X e_i> <= min(a_i, b_i), and
+    # X = diag(min(a_i, b_i)) attains it, so the largest gain is 0.4 + 0.3
+    u = random_unitary(3, np.random.default_rng(23))
+    a = HermitianOperator((u * np.array([0.7, 0.3, 0.0])) @ u.conj().T)
+    b = HermitianOperator((u * np.array([0.4, 0.6, 0.0])) @ u.conj().T)
+    report = maximality_probe(zero(3), a, b)
+    assert report.verdict == "NOT_MAXIMAL"
+    assert report.trace_gain == pytest.approx(0.7, abs=1e-8)
+    assert report.iterations > 0
+    assert in_lb(LowerBoundQuery(a, b, report.witness, 1e-9))
 
 
 def test_probe_self_bounds_are_maximal():
@@ -174,11 +194,12 @@ def test_gamma_family_corner_cell_is_not_maximal():
     c = g.effects[("1", "1")]
     report = maximality_probe(c, fa, fb)
     assert report.verdict == "NOT_MAXIMAL"
-    assert report.trace_gain == pytest.approx(0.12, abs=1e-4)
+    assert report.trace_gain == pytest.approx(0.12, abs=1e-9)
+    assert report.iterations == 0  # a one-dimensional shared range: closed form
     d = report.witness
-    assert in_lb(LowerBoundQuery(fa, fb, d, 1e-7))
-    assert loewner_leq(c, d, 1e-7)
-    assert d.trace() - c.trace() > report.eps
+    assert in_lb(LowerBoundQuery(fa, fb, d, 1e-12))
+    assert loewner_leq(c, d, 1e-12)
+    assert d.trace() - c.trace() == pytest.approx(report.trace_gain, abs=1e-12)
 
 
 def test_boundary_corner_cell_is_maximal(boundary_setup):
@@ -187,6 +208,54 @@ def test_boundary_corner_cell_is_maximal(boundary_setup):
         g.effects[("1", "1")], a_obs.effects["1"], b_obs.effects["1"]
     )
     assert report.verdict == "MAXIMAL_WITHIN"
+    assert report.trace_gain == 0.0
+    assert report.iterations == 0
+
+
+def _shared_range_cell(dim: int, shared: int, seed: int):
+    """(C, A, B) with A - C and B - C positive on ranges that meet in exactly
+    ``shared`` dimensions, in a random frame."""
+    rng = np.random.default_rng([17, seed])
+    u = random_unitary(dim, rng)
+    common = [u[:, i] for i in range(shared)]
+    extra_p = u[:, shared]
+    extra_q = (u[:, shared] + u[:, shared + 1]) / math.sqrt(2.0)
+
+    def positive_on(vectors):
+        basis = np.array(vectors).T
+        k = basis.shape[1]
+        w = random_unitary(k, rng)
+        m = (w * rng.uniform(0.2, 0.5, k)) @ w.conj().T
+        return basis @ m @ basis.conj().T
+
+    p = positive_on(common + [extra_p])
+    q = positive_on(common + [extra_q])
+    w = random_unitary(dim, rng)
+    c = (w * rng.uniform(0.0, 0.3, dim)) @ w.conj().T
+    return (HermitianOperator(m) for m in (c, c + p, c + q))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_probe_verdict_follows_shared_range(shared, seed):
+    c, a, b = _shared_range_cell(4, shared, seed)
+    report = maximality_probe(c, a, b)
+    assert report.verdict == ("NOT_MAXIMAL" if shared else "MAXIMAL_WITHIN")
+    if shared == 0:
+        assert report.trace_gain == 0.0
+        assert report.iterations == 0
+    else:
+        d = report.witness
+        assert in_lb(LowerBoundQuery(a, b, d, 1e-9))
+        assert loewner_leq(c, d, 1e-9)
+        assert d.trace() - c.trace() == pytest.approx(report.trace_gain, abs=1e-9)
+    # the verdict and the gain do not depend on the frame
+    u = random_unitary(4, np.random.default_rng([18, seed]))
+    turned = maximality_probe(
+        *(HermitianOperator(u @ m.matrix @ u.conj().T) for m in (c, a, b))
+    )
+    assert turned.verdict == report.verdict
+    assert turned.trace_gain == pytest.approx(report.trace_gain, abs=1e-7)
 
 
 def test_probe_requires_membership(boundary_setup):
@@ -217,6 +286,7 @@ def test_audit_commuting_sharp_product_joint():
     assert all(cell.in_lb for cell in audit.cells.values())
     assert audit.all_greatest
     assert audit.all_maximal
+    assert all(cell.maximality.trace_gain == 0.0 for cell in audit.cells.values())
     assert not audit.uniqueness_refuted
     assert audit.alternative_joint is None
 
@@ -228,6 +298,7 @@ def test_audit_boundary_joint_unique_but_not_greatest(boundary_setup):
     assert not audit.all_greatest
     assert audit.cells[("1", "1")].greatest_refuted
     assert audit.all_maximal
+    assert all(cell.maximality.trace_gain == 0.0 for cell in audit.cells.values())
     assert not audit.uniqueness_refuted
     assert audit.alternative_joint is None
 

@@ -118,6 +118,7 @@ def test_order_audit_json_keys():
     assert set(cell) == {"in_lb", "greatest_refuted", "violation", "maximality"}
     assert cell["greatest_refuted"] is True
     assert cell["maximality"]["verdict"] == "MAXIMAL_WITHIN"
+    assert set(cell["maximality"]) == {"verdict", "trace_gain", "eps", "iterations"}
     json.dumps(data)
 
 
