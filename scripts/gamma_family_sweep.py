@@ -13,7 +13,6 @@ import numpy as np
 
 from jointmeas import (
     BlochEffect,
-    OrderSearchOptions,
     SimpleQubitObservable,
     gamma_family_member,
     gamma_interval,
@@ -29,7 +28,6 @@ def main() -> int:
     ap.add_argument("--anorm", type=float, default=0.6)
     ap.add_argument("--beta", type=float, default=0.4)
     ap.add_argument("--steps", type=int, default=7)
-    ap.add_argument("--trials", type=int, default=200)
     args = ap.parse_args()
 
     a_vec = args.anorm * EX
@@ -52,11 +50,10 @@ def main() -> int:
         .as_observable()
         .effects["1"]
     )
-    opts = OrderSearchOptions(trials=args.trials)
     print()
     for gamma in (j.lo, 0.5 * (j.lo + j.hi), j.hi):
         g = gamma_family_member(a_vec, args.beta, EY, float(gamma))
-        probe = maximality_probe(g.effects[("1", "1")], fa, fb, opts)
+        probe = maximality_probe(g.effects[("1", "1")], fa, fb)
         print(
             f"gamma = {gamma:.4f}: cell (1,1) {probe.verdict}, "
             f"trace gain {probe.trace_gain:.6f}"

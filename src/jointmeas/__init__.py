@@ -41,6 +41,8 @@ from .observables import (
     joint_agreement,
     label_key,
     marginal,
+    marginal_deviation,
+    max_marginal_deviation,
     observable_from_json,
     observable_to_json,
     product_joint_commuting,

@@ -14,7 +14,7 @@ import sys
 
 from .feasibility import FeasibilityOptions, FeasibilityProblem, decide, pairwise_vs_global
 from .observables import observable_from_json, validate
-from .order import OrderSearchOptions, joint_observable_order_audit
+from .order import joint_observable_order_audit
 from .partitioning import partition_compatibility_matrix
 from .scenarios import REGISTRY, run_scenario
 
@@ -22,6 +22,9 @@ EXIT_OK = 0
 EXIT_EXPECTATION = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+
+# every scenario parameter is a ``run`` flag, typed by its default value
+_SCENARIO_PARAMS = {k: type(v) for s in REGISTRY.values() for k, v in s.defaults.items()}
 
 
 def _round_floats(x):
@@ -89,16 +92,7 @@ def _cmd_run(args) -> int:
     if args.name is None:
         print("run: scenario name required (or --list)", file=sys.stderr)
         return EXIT_PARSE
-    overrides = {
-        "l": args.l,
-        "t": args.t,
-        "gamma": args.gamma,
-        "anorm": args.anorm,
-        "beta": args.beta,
-        "bad_gamma": args.bad_gamma,
-        "dim": args.dim,
-        "trials": args.trials,
-    }
+    overrides = {name: getattr(args, name) for name in _SCENARIO_PARAMS}
     try:
         report = run_scenario(args.name, overrides, _feas_options(args))
     except KeyError as err:
@@ -174,8 +168,7 @@ def _cmd_check(args) -> int:
             if len(inputs) != 3:
                 raise _ParseError("order-audit takes a joint observable and its two parents")
             g, a, b = (_load_observable(p) for p in inputs)
-            order_opts = OrderSearchOptions(trials=args.trials or 200, seed=args.seed)
-            audit = joint_observable_order_audit(g, a, b, order_opts)
+            audit = joint_observable_order_audit(g, a, b)
             _emit({"command": "order-audit", "report": audit.to_json()}, args.json_out)
             observed = "all-greatest" if audit.all_greatest else "greatest-refuted"
             return _check_expectation(observed, args)
@@ -216,17 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a registered reproduction scenario")
     run.add_argument("name", nargs="?", default=None)
     run.add_argument("--list", action="store_true", help="list scenarios with citations")
-    for flag, typ in (
-        ("--l", float),
-        ("--t", float),
-        ("--gamma", float),
-        ("--anorm", float),
-        ("--beta", float),
-        ("--bad-gamma", float),
-        ("--dim", int),
-        ("--trials", int),
-    ):
-        run.add_argument(flag, type=typ, default=None)
+    for name, typ in _SCENARIO_PARAMS.items():
+        run.add_argument("--" + name.replace("_", "-"), type=typ, default=None)
     _add_common_flags(run)
     run.set_defaults(func=_cmd_run)
 
@@ -236,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("inputs", nargs="+", help="observable JSON files")
     check.add_argument("--expect", type=str, default=None, help="exit 1 unless the outcome matches")
-    check.add_argument("--trials", type=int, default=None, help="order-audit search trials")
     _add_common_flags(check)
     check.set_defaults(func=_cmd_check)
     return parser

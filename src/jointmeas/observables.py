@@ -196,6 +196,19 @@ def marginal(g: ProductObservable, axis: int):
     return Observable(tuple(g.parents[axis]), effects)
 
 
+def marginal_deviation(g: ProductObservable, axis: int, parent) -> float:
+    """Largest spectral-norm distance between an effect of the ``axis``
+    marginal of g and the same outcome's effect of ``parent``."""
+    got = marginal(g, axis)
+    return max(opnorm(got.effects[x].matrix - parent.effects[x].matrix) for x in parent.outcomes)
+
+
+def max_marginal_deviation(g: ProductObservable, parents) -> float:
+    """``marginal_deviation`` maximized over the axes, with ``parents[i]``
+    the observable that axis i should reproduce."""
+    return max(marginal_deviation(g, axis, p) for axis, p in enumerate(parents))
+
+
 def product_joint_commuting(a, b, tol: float = 1e-9) -> ProductObservable:
     """Joint observable of a commuting pair via symmetrized products.
 

@@ -1,10 +1,15 @@
-"""Lower-bound sets in the Loewner order: membership, greatest-element
-refutation, and exact maximality decisions.
+"""Lower-bound sets in the Loewner order: membership, and exact
+greatestness and maximality decisions.
 
-lb(A, B) is the set of effects below both A and B.  Greatestness of a
-candidate is refuted by exhibiting a member that fails to sit below it;
-the search can never prove greatestness, so "no counterexample found" is
-reported as exactly that.
+lb(A, B) is the set of effects below both A and B.  Every member has its
+range in S = ran A cap ran B, and with V a basis of S the members are the
+V Y V* with 0 <= Y <= A' and Y <= B', where A' = (V* A^+ V)^-1 and B' is
+defined the same way; V A' V* and V B' V* are the shorts [B]A and [A]B.
+So lb(A, B) has a greatest element exactly when A' and B' are comparable,
+and it is then V min(A', B') V* (Ando, Problem of infimum in the positive
+cone, 1999; Gheondea, Gudder & Jonas, J. Math. Phys. 46, 062102, 2005).
+Greatestness of a candidate is decided from that comparison, and a refuted
+candidate comes with a closed-form member of lb(A, B) not below it.
 
 Maximality is decided exactly.  With P = A - C and Q = B - C, every D >= C
 in lb(A, B) has D - C = X with 0 <= X <= P and X <= Q, so the range of X
@@ -21,27 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochEffect, bloch_matrix
-from .observables import ProductObservable, designation_order, label_key, marginal
+from .observables import ProductObservable, designation_order, label_key, marginal_deviation
 from .operators import (
     HermitianOperator,
-    clip_psd,
     identity,
     is_effect,
     loewner_leq,
-    opnorm,
 )
 
 
 @dataclass(frozen=True)
 class OrderSearchOptions:
-    trials: int = 200
-    seed: int = 0
     eps: float = 1e-6              # strict-violation / trace-gain threshold
-    membership_tol: float = 1e-9   # lb membership slack for search candidates
-    # alternating-projection sweeps toward lb; candidates still face an exact
-    # membership recheck, so extra sweeps buy accuracy, never false positives
-    projection_cycles: int = 4
+    membership_tol: float = 1e-9   # range cut-off and lb slack for witnesses
     # duality-gap target of the barrier solve: the reported maximality gain
     # is within gain_tol of the largest one
     gain_tol: float = 1e-8
@@ -100,36 +97,6 @@ class MaximalityReport:
         }
 
 
-def _project_into_lb(batch: np.ndarray, a: np.ndarray, b: np.ndarray, cycles: int) -> np.ndarray:
-    for _ in range(cycles):
-        batch = clip_psd(batch)
-        batch = a - clip_psd(a - batch)
-        batch = b - clip_psd(b - batch)
-    return batch
-
-
-def _random_effect_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=1, axis2=2).copy()
-    phases = phases / np.abs(phases)
-    q = q * phases.conj()[:, None, :]
-    w = rng.uniform(0.0, 1.0, (count, dim))
-    return (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
-
-
-def _directed_qubit_candidates(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
-    """Candidate effects along the summed Bloch axis of A and B; the family
-    that breaks greatestness of boundary joints lives here."""
-    axis = BlochEffect.from_operator(a).a + BlochEffect.from_operator(b).a
-    mats = []
-    for t in (0.1, 0.2, 0.3, 0.4):
-        for k in (1, 2, 3):
-            gamma = t + k * (0.5 - t) / 4.0
-            mats.append(bloch_matrix(gamma, t * axis))
-    return np.array(mats)
-
-
 def _check_in_lb_pre(c, a, b, eps: float, who: str):
     ok = (
         loewner_leq(c, a, eps)
@@ -140,53 +107,6 @@ def _check_in_lb_pre(c, a, b, eps: float, who: str):
         raise ValueError(f"{who}: candidate is not in lb(A, B)")
 
 
-def refute_greatest(
-    c: HermitianOperator,
-    a: HermitianOperator,
-    b: HermitianOperator,
-    opts: OrderSearchOptions | None = None,
-) -> Refutation | None:
-    """Search lb(A, B) for a member D with D not below C.
-
-    Directed qubit candidates (effects along the summed Bloch axis) are tried
-    first, then ``opts.trials`` random effects projected into lb(A, B) by
-    alternating projections.  Candidates are only accepted after an exact
-    membership re-check, so an imperfect projection can not produce a false
-    counterexample.  Returns None when the search exhausts; that outcome is
-    inconclusive by design.
-    """
-    opts = opts or OrderSearchOptions()
-    _check_in_lb_pre(c, a, b, opts.eps, "refute_greatest")
-    dim = c.dim
-    rng = np.random.default_rng([opts.seed, 7])
-
-    pools = []
-    if dim == 2:
-        pools.append(_directed_qubit_candidates(a, b))
-    if opts.trials > 0:
-        pools.append(_random_effect_batch(dim, opts.trials, rng))
-    if not pools:
-        return None
-    batch = np.concatenate(pools, axis=0)
-    batch = _project_into_lb(batch, a.matrix, b.matrix, opts.projection_cycles)
-
-    mtol = opts.membership_tol
-    ok_psd = np.linalg.eigvalsh(batch)[:, 0] >= -mtol
-    ok_a = np.linalg.eigvalsh(a.matrix - batch)[:, 0] >= -mtol
-    ok_b = np.linalg.eigvalsh(b.matrix - batch)[:, 0] >= -mtol
-    w, v = np.linalg.eigh(batch - c.matrix)
-    violating = ok_psd & ok_a & ok_b & (w[:, -1] > opts.eps)
-    if not violating.any():
-        return None
-    first = int(np.argmax(violating))
-    psi = v[first][:, -1]
-    return Refutation(
-        HermitianOperator(batch[first]),
-        psi / np.linalg.norm(psi),
-        float(w[first, -1]),
-    )
-
-
 def _range(m: np.ndarray, tol: float):
     """Eigenvalues above tol of a Hermitian matrix, with their eigenvectors:
     an orthonormal basis of its range."""
@@ -195,12 +115,91 @@ def _range(m: np.ndarray, tol: float):
     return w[keep], v[:, keep]
 
 
+def _shared_range(vp: np.ndarray, vq: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of ran P cap ran Q, given orthonormal bases Vp and
+    Vq of the two ranges: the directions where the singular values of
+    Vp* Vq reach 1 - tol."""
+    if not (vp.shape[1] and vq.shape[1]):
+        return vp[:, :0]
+    u, sv, _ = np.linalg.svd(vp.conj().T @ vq)
+    return vp @ u[:, : int(np.count_nonzero(sv >= 1.0 - tol))]
+
+
 def _compressed_bound(w: np.ndarray, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(V* M^+ V)^-1 for M with range eigenpairs (w, basis) and V inside
     ran M: for X = V Y V*, X <= M exactly when Y is below this matrix."""
     y = basis.conj().T @ v
     m = np.linalg.inv((y.conj().T / w) @ y)
     return 0.5 * (m + m.conj().T)
+
+
+def _greatest_candidates(ap: np.ndarray, bp: np.ndarray, cp: np.ndarray, tol: float) -> list:
+    """Members Y of {0 <= Y <= A', Y <= B'} that may fail to sit below C'.
+
+    Comparable A' and B' (within tol) give the smaller, the greatest member.
+    Otherwise the candidates are lambda v v* with lambda = 1 / max(v* A'^-1 v,
+    v* B'^-1 v), each not below C' exactly when v* C'^-1 v exceeds that max:
+    v spans the kernel of a singular C', or else v = C'^1/2 z for the top
+    eigenvectors z1, z2 of I - C'^1/2 A'^-1 C'^1/2 and I - C'^1/2 B'^-1 C'^1/2
+    (both >= 0 and nonzero) and for z1 + z2, one of which is positive for both.
+    Maximizing this ratio, not the difference of the inverses, keeps a
+    near-null direction shared by C' and A' from shrinking the violation.
+    """
+    gap = np.linalg.eigvalsh(ap - bp)
+    if gap[0] >= -tol:
+        return [bp]
+    if gap[-1] <= tol:
+        return [ap]
+    ai, bi = np.linalg.inv(ap), np.linalg.inv(bp)
+    wc, uc = np.linalg.eigh(cp)
+    if wc[0] <= tol:
+        vs = [uc[:, 0]]
+    else:
+        half = (uc * np.sqrt(wc)) @ uc.conj().T
+        z1 = np.linalg.eigh(half @ ai @ half)[1][:, 0]
+        z2 = np.linalg.eigh(half @ bi @ half)[1][:, 0]
+        vs = [half @ z for z in (z1, z2, z1 + z2)]
+    return [
+        np.outer(x, x.conj()) / max((x.conj() @ ai @ x).real, (x.conj() @ bi @ x).real)
+        for x in vs
+    ]
+
+
+def refute_greatest(
+    c: HermitianOperator,
+    a: HermitianOperator,
+    b: HermitianOperator,
+    opts: OrderSearchOptions | None = None,
+) -> Refutation | None:
+    """Decide whether C is the greatest element of lb(A, B), and if it is not,
+    return a member D of lb(A, B) not below C.
+
+    S and V come from the ranges of A and B as in ``maximality_probe``, and
+    S = {0} means lb(A, B) = {0}.  Comparable A' and B' (module docstring)
+    make V min(A', B') V* the witness; incomparable ones leave no greatest
+    member, and the witness is a closed-form rank-one member.  A witness is
+    returned only after ``eigvalsh`` confirms D, A - D, B - D >=
+    -``membership_tol`` and a top eigenvalue of D - C (the violation, with
+    the unit vector as its eigenvector) above ``eps``.  So None means that C
+    is the infimum of A and B up to ``eps``; a refutation is never invented.
+    """
+    opts = opts or OrderSearchOptions()
+    _check_in_lb_pre(c, a, b, opts.eps, "refute_greatest")
+    am, bm, cm = a.matrix, b.matrix, c.matrix
+    mtol = opts.membership_tol
+    wa, va = _range(am, mtol)
+    wb, vb = _range(bm, mtol)
+    v = _shared_range(va, vb, mtol)
+    if not v.shape[1]:
+        return None
+    ap, bp = _compressed_bound(wa, va, v), _compressed_bound(wb, vb, v)
+    for y in _greatest_candidates(ap, bp, v.conj().T @ cm @ v, mtol):
+        dm = v @ y @ v.conj().T
+        low = min(float(np.linalg.eigvalsh(m)[0]) for m in (dm, am - dm, bm - dm))
+        w, u = np.linalg.eigh(dm - cm)
+        if low >= -mtol and w[-1] > opts.eps:
+            return Refutation(HermitianOperator(dm), u[:, -1], float(w[-1]))
+    return None
 
 
 def _hermitian_basis(k: int) -> np.ndarray:
@@ -289,13 +288,9 @@ def maximality_probe(
     mtol = opts.membership_tol
     wp, vp = _range(am - cm, mtol)
     wq, vq = _range(bm - cm, mtol)
-    k = 0
-    if vp.shape[1] and vq.shape[1]:
-        u, sv, _ = np.linalg.svd(vp.conj().T @ vq)
-        k = int(np.count_nonzero(sv >= 1.0 - mtol))
-    if k == 0:
+    v = _shared_range(vp, vq, mtol)
+    if not v.shape[1]:
         return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, opts.eps)
-    v = vp @ u[:, :k]
     y, steps = _max_trace_below(
         _compressed_bound(wp, vp, v), _compressed_bound(wq, vq, v), opts.gain_tol
     )
@@ -331,7 +326,7 @@ class CellAudit:
 @dataclass(frozen=True, eq=False)
 class OrderAudit:
     cells: dict
-    all_greatest: bool  # meaning: no refutation found in any cell
+    all_greatest: bool  # every cell is the infimum of its marginal effects
     all_maximal: bool
     uniqueness_refuted: bool
     alternative_joint: ProductObservable | None
@@ -358,11 +353,10 @@ def joint_observable_order_audit(
     """Order-theoretic audit of a joint observable, cell by cell.
 
     Every cell effect is confirmed to lie in the lower-bound set of its
-    marginal effects, then attacked with the greatest-element refutation
-    search and the maximality probe.  ``all_greatest`` records only that no
-    refutation was found; it is conclusive just for families where the
-    greatest element is known analytically (commuting pairs with a sharp
-    member).  For two-outcome parents a refuted maximality at the designated
+    marginal effects, then put to the exact greatestness decision
+    (``refute_greatest``) and the maximality probe.  ``all_greatest`` is
+    conclusive: it is True exactly when every cell is the infimum of its
+    marginal effects, up to ``eps``.  For two-outcome parents a refuted maximality at the designated
     cell is converted into an explicit second joint observable, refuting
     uniqueness.
     """
@@ -372,13 +366,9 @@ def joint_observable_order_audit(
     for axis, parent in enumerate((a_obs, b_obs)):
         if set(g.parents[axis]) != set(parent.outcomes):
             raise ValueError(f"axis {axis} labels do not match the parent observable")
-        got = marginal(g, axis)
-        for x in parent.outcomes:
-            dev = opnorm(got.effects[x].matrix - parent.effects[x].matrix)
-            if dev > marginal_tol:
-                raise ValueError(
-                    f"marginal mismatch on axis {axis} outcome {label_key(x)}: {dev:.3e}"
-                )
+        dev = marginal_deviation(g, axis, parent)
+        if dev > marginal_tol:
+            raise ValueError(f"marginal mismatch on axis {axis}: {dev:.3e}")
 
     cells = {}
     for x in a_obs.outcomes:

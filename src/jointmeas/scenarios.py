@@ -32,9 +32,9 @@ from .feasibility import (
     decide_pair_qubit_numeric,
     pairwise_vs_global,
 )
-from .observables import marginal, validate
+from .observables import max_marginal_deviation, validate
 from .operators import HermitianOperator, loewner_leq, opnorm
-from .order import LowerBoundQuery, OrderSearchOptions, in_lb, refute_greatest
+from .order import LowerBoundQuery, in_lb, refute_greatest
 from .partitioning import enumerate_partitionings, forward_partition_joint, partition_paradox_audit
 from .sampling import random_commuting_sharp_pair
 
@@ -110,19 +110,14 @@ def _max_cell_deviation(g, h) -> float:
     return max(opnorm(g.effects[key].matrix - h.effects[key].matrix) for key in g.effects)
 
 
-def _max_marginal_deviation(g, parents) -> float:
-    worst = 0.0
-    for axis, parent in enumerate(parents):
-        got = marginal(g, axis)
-        for x in parent.outcomes:
-            worst = max(worst, opnorm(got.effects[x].matrix - parent.effects[x].matrix))
-    return worst
-
-
 _CITE_PAIR = "unbiased qubit pair criterion: |a+b| + |a-b| <= 2"
 _CITE_TRIPLE = "orthogonal unbiased triple criterion: |a|^2 + |b|^2 + |c|^2 <= 1"
 _CITE_BOUNDARY = "closed-form joint observable on the pair-criterion boundary"
 _CITE_LB = "lower-bound set membership in the Loewner order"
+_CITE_INFIMUM = (
+    "exact greatestness test: lb(A, B) has a greatest element iff the shorts "
+    "[B]A and [A]B are comparable (Ando 1999)"
+)
 _CITE_GAMMA = "one-parameter family exhausting the joints of an unbiased/rank-one pair"
 _CITE_PRODUCT = "symmetrized product joint observable for commuting pairs with a sharp member"
 _CITE_PARTITION = "pairwise compatibility of all two-outcome coarse-grainings"
@@ -151,7 +146,7 @@ def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
                 "witness-marginal-residual",
                 "at_most",
                 1e-12,
-                _max_marginal_deviation(report.witness, (obs_a, obs_b)),
+                max_marginal_deviation(report.witness, (obs_a, obs_b)),
                 citation=_CITE_BOUNDARY,
             )
         )
@@ -241,9 +236,7 @@ def _run_unique_not_greatest(params: dict, opts: FeasibilityOptions):
     top = float(np.linalg.eigvalsh(c.matrix - g11.matrix)[-1])
     nm = decide_pair_qubit_numeric(obs_a, obs_b, opts)
     dev = _max_cell_deviation(nm.witness, g) if nm.witness is not None else None
-    search = refute_greatest(
-        g11, ea1, eb1, OrderSearchOptions(trials=200, seed=opts.seed)
-    )
+    search = refute_greatest(g11, ea1, eb1)
     exps = [
         Expectation("candidate-in-lb", "is_true", True, member, citation=_CITE_LB),
         Expectation("candidate-not-below-joint-cell", "is_true", True, not below, citation=_CITE_LB),
@@ -266,7 +259,7 @@ def _run_unique_not_greatest(params: dict, opts: FeasibilityOptions):
             "is_true",
             True,
             search is not None,
-            citation=_CITE_LB,
+            citation=_CITE_INFIMUM,
         ),
     ]
     payload = {
@@ -375,7 +368,7 @@ def _run_partition_paradox(params: dict, opts: FeasibilityOptions):
 
 
 def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
-    dim, trials = int(params["dim"]), int(params["trials"])
+    dim = int(params["dim"])
     rng = np.random.default_rng([opts.seed, dim])
     obs_a, obs_b = random_commuting_sharp_pair(dim, rng)
     report = decide(FeasibilityProblem((obs_a, obs_b), opts))
@@ -400,16 +393,15 @@ def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
                 "witness-marginal-residual",
                 "at_most",
                 1e-10,
-                _max_marginal_deviation(witness, (obs_a, obs_b)),
+                max_marginal_deviation(witness, (obs_a, obs_b)),
                 citation=_CITE_PRODUCT,
             )
         )
         refuted = False
-        order_opts = OrderSearchOptions(trials=trials, seed=opts.seed)
         for x in obs_a.outcomes:
             for y in obs_b.outcomes:
                 hit = refute_greatest(
-                    witness.effects[(x, y)], obs_a.effects[x], obs_b.effects[y], order_opts
+                    witness.effects[(x, y)], obs_a.effects[x], obs_b.effects[y]
                 )
                 refuted = refuted or hit is not None
         exps.append(
@@ -418,7 +410,8 @@ def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
                 "is_true",
                 True,
                 not refuted,
-                citation=_CITE_PRODUCT + "; its cells are greatest lower bounds",
+                citation=f"{_CITE_PRODUCT}; its cells are greatest lower bounds by the "
+                f"{_CITE_INFIMUM}",
             )
         )
         partition_ok = True
@@ -433,7 +426,7 @@ def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
                 fwd = forward_partition_joint(witness, pa.subset, pb.subset)
                 ok = (
                     validate(fwd).passed
-                    and _max_marginal_deviation(fwd, (pa.observable, pb.observable)) <= 1e-10
+                    and max_marginal_deviation(fwd, (pa.observable, pb.observable)) <= 1e-10
                 )
                 partition_ok = partition_ok and ok
         exps.append(
@@ -507,7 +500,7 @@ REGISTRY = {
             "commuting-sharp-product",
             "randomized commuting sharp pair and its product joint",
             _CITE_PRODUCT,
-            {"dim": 4, "trials": 200},
+            {"dim": 4},
             _run_commuting_sharp_product,
         ),
     )

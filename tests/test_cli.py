@@ -183,7 +183,7 @@ def test_check_order_audit_boundary_joint(tmp_path, capsys):
     a = dump(tmp_path, "ea.json", unbiased(L * EX))
     b = dump(tmp_path, "eb.json", unbiased(L * EY))
     code = main(
-        ["check", "order-audit", g, a, b, "--trials", "50", "--expect", "greatest-refuted"]
+        ["check", "order-audit", g, a, b, "--expect", "greatest-refuted"]
     )
     assert code == 0
     data = json.loads(capsys.readouterr().out)

@@ -25,6 +25,7 @@ from jointmeas import (
     marginal,
     maximality_probe,
     product_joint_commuting,
+    random_effect,
     random_unitary,
     refute_greatest,
     validate,
@@ -112,13 +113,24 @@ def test_refute_greatest_requires_membership(boundary_setup):
         refute_greatest(outsider, a_obs.effects["1"], b_obs.effects["1"])
 
 
-def test_boundary_corner_cell_is_not_greatest(boundary_setup):
+def test_boundary_corner_cell_is_not_greatest(boundary_setup, eig2x2_oracle):
     a_obs, b_obs, g = boundary_setup
+    fa, fb = a_obs.effects["1"], b_obs.effects["1"]
     c = g.effects[("1", "1")]
-    ref = refute_greatest(c, a_obs.effects["1"], b_obs.effects["1"])
+    ref = refute_greatest(c, fa, fb)
     assert ref is not None
-    # the first directed candidate already violates by 0.05
-    assert ref.violation == pytest.approx(0.05, abs=1e-9)
+    # A and B have full rank, so A' = A, B' = B and C' = C.  The corner cell
+    # is rank one; the witness is lambda w w* on its kernel, with
+    # lambda = 1 / max(w* A^-1 w, w* B^-1 w) = 1/6
+    cm = c.matrix
+    low = eig2x2_oracle(cm)[0]
+    assert abs(low) <= 1e-12
+    w = np.array([cm[0, 1], low - cm[0, 0]])  # (C - low) w = 0
+    w = w / np.linalg.norm(w)
+    lam = 1.0 / max(float(np.real(w.conj() @ np.linalg.inv(m.matrix) @ w)) for m in (fa, fb))
+    want = eig2x2_oracle(lam * np.outer(w, w.conj()) - cm)[1]
+    assert want == pytest.approx(1.0 / 6.0, abs=1e-12)
+    assert ref.violation == pytest.approx(want, abs=1e-9)
     assert in_lb(
         LowerBoundQuery(a_obs.effects["1"], b_obs.effects["1"], ref.witness, 1e-9)
     )
@@ -134,12 +146,133 @@ def test_projection_is_its_own_greatest_lower_bound():
 
 
 def test_commuting_sharp_product_cells_survive_refutation():
-    # diagonal projections: the product effect is the greatest element, so the
-    # randomized search must exhaust
+    # diagonal projections: the product effect is the greatest element
     a1 = HermitianOperator(np.diag([1.0, 0.0, 0.0]))
     b1 = HermitianOperator(np.diag([1.0, 1.0, 0.0]))
     c = HermitianOperator(a1.matrix @ b1.matrix)
-    assert refute_greatest(c, a1, b1, OrderSearchOptions(trials=400)) is None
+    assert refute_greatest(c, a1, b1) is None
+
+
+@pytest.mark.parametrize("cell", [("1", "1"), ("0", "1")])
+def test_gamma_family_cells_are_not_greatest(cell):
+    # B's effect 0.4 P_y is rank one, so lb(A_x, B_1) is the segment s P_y
+    # with s <= (1 - |a|^2) / 2 = 0.32 for either effect A_x of the unbiased
+    # A.  Its top 0.32 P_y is the infimum, and the trace-0.2 cell s = 0.2 of
+    # the member gamma = 0.2 sits 0.12 below it
+    a_vec = 0.6 * EX
+    fa = unbiased(a_vec).effects[cell[0]]
+    fb = bloch_op(0.4, 0.4 * EY)
+    c = gamma_family_member(a_vec, 0.4, EY, 0.2).effects[cell]
+    ref = refute_greatest(c, fa, fb)
+    assert ref is not None
+    assert ref.violation == pytest.approx(0.12, abs=1e-9)
+    assert np.abs(ref.witness.matrix - bloch_matrix(0.32, 0.32 * EY)).max() <= 1e-9
+    assert in_lb(LowerBoundQuery(fa, fb, ref.witness, 1e-9))
+    psi = ref.vector
+    quad = float(np.real(psi.conj() @ (ref.witness.matrix - c.matrix) @ psi))
+    assert quad == pytest.approx(ref.violation, abs=1e-9)
+
+
+def test_invertible_cell_witness_is_closed_form(eig2x2_oracle):
+    # the (1,0) cell of the gamma = 0.2 member is invertible and its parent
+    # effects are full rank and incomparable, so lb(A, B) has no greatest
+    # element.  The first candidate is lambda v v* with v maximizing
+    # v* C^-1 v / v* A^-1 v: v = C w for (A - mu C) w = 0 at the larger root
+    # mu of det(A - mu C) = det C mu^2 - s mu + det A = 0
+    a_vec = 0.6 * EX
+    fa = unbiased(a_vec).effects["1"]
+    fb = bloch_op(1.6, -0.4 * EY)
+    c = gamma_family_member(a_vec, 0.4, EY, 0.2).effects[("1", "0")]
+    am, bm, cm = fa.matrix, fb.matrix, c.matrix
+    assert eig2x2_oracle(cm)[0] > 0.05
+
+    def det(m):
+        return float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
+
+    s = float((am[0, 0] * cm[1, 1] + am[1, 1] * cm[0, 0] - 2.0 * am[0, 1] * cm[1, 0]).real)
+    mu = (s + math.sqrt(s * s - 4.0 * det(cm) * det(am))) / (2.0 * det(cm))
+    pencil = am - mu * cm
+    v = cm @ np.array([pencil[0, 1], -pencil[0, 0]])
+    forms = [float(np.real(v.conj() @ np.linalg.inv(m) @ v)) for m in (am, bm, cm)]
+    assert forms[2] > max(forms[:2])  # lambda v v* is not below C
+    want = eig2x2_oracle(np.outer(v, v.conj()) / max(forms[:2]) - cm)[1]
+
+    ref = refute_greatest(c, fa, fb)
+    assert ref is not None
+    assert ref.violation == pytest.approx(want, abs=1e-9)
+    assert in_lb(LowerBoundQuery(fa, fb, ref.witness, 1e-9))
+
+
+def _parallel_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A : B = A (A + B)^+ B, a member of lb(A, B) (Anderson & Duffin)."""
+    m = a @ np.linalg.pinv(a + b, hermitian=True) @ b
+    return 0.5 * (m + m.conj().T)
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(m)
+    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+
+
+def _verdicts_agree(c, a, b, seed):
+    """refute_greatest on (C, A, B), with every refutation re-checked, and
+    its verdict compared under swapping A and B and under U . U*."""
+    ops = [HermitianOperator(m) for m in (c, a, b)]
+    ref = refute_greatest(*ops)
+    if ref is not None:
+        d = ref.witness
+        assert in_lb(LowerBoundQuery(ops[1], ops[2], d, 1e-9))
+        assert ref.violation > OrderSearchOptions().eps
+        psi = ref.vector
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        quad = float(np.real(psi.conj() @ (d.matrix - c) @ psi))
+        assert quad == pytest.approx(ref.violation, abs=1e-9)
+    assert (refute_greatest(ops[0], ops[2], ops[1]) is None) == (ref is None)
+    u = random_unitary(c.shape[0], np.random.default_rng([19, seed]))
+    turned = [HermitianOperator(u @ m @ u.conj().T) for m in (c, a, b)]
+    assert (refute_greatest(*turned) is None) == (ref is None)
+    return ref
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_greatest_decision_is_exact_and_frame_free(dim, drop, seed):
+    rng = np.random.default_rng([21, seed])
+    # random effects A, B; A loses up to dim - 1 eigenvalues
+    a = random_effect(dim, rng).matrix
+    w, u = np.linalg.eigh(a)
+    w[: min(drop, dim - 1)] = 0.0
+    a = (u * w) @ u.conj().T
+    b = random_effect(dim, rng).matrix
+    # C = X^1/2 R X^1/2 <= X = A : B.  On S the parallel sum sits strictly
+    # below A' and B', so C is never the infimum and must be refuted
+    root = _psd_sqrt(_parallel_sum(a, b))
+    c = root @ random_effect(dim, rng).matrix @ root
+    assert _verdicts_agree(c, a, b, seed) is not None
+
+    # A = V A' V* + P, B = V B' V* + Q with A' <= B' and P, Q, S = ran V
+    # mutually orthogonal: A' and B' are the compressed shorts on
+    # S = ran A cap ran B, and C = V A' V* is the infimum
+    k = int(rng.integers(1, dim + 1))
+    extra_a = int(rng.integers(0, dim - k + 1))
+    extra_b = int(rng.integers(0, dim - k - extra_a + 1))
+    frame = random_unitary(dim, rng)
+    v = frame[:, :k]
+    pa = frame[:, k : k + extra_a]
+    pb = frame[:, k + extra_a : k + extra_a + extra_b]
+
+    def positive(basis, lo, hi):
+        r = random_unitary(basis.shape[1], rng)
+        m = (r * rng.uniform(lo, hi, basis.shape[1])) @ r.conj().T
+        return basis @ m @ basis.conj().T
+
+    low = positive(v, 0.1, 0.5)
+    bump = positive(v, 0.0, 0.4)
+    if k > 1 and rng.integers(0, 2):
+        bump = np.outer(v[:, 0], v[:, 0].conj()) * 0.3  # equal on part of S
+    a = low + positive(pa, 0.1, 1.0)
+    b = low + bump + positive(pb, 0.1, 1.0)
+    assert _verdicts_agree(low, a, b, seed) is None
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +415,7 @@ def test_audit_commuting_sharp_product_joint():
     a = diag_obs({"0": (0,), "1": (1, 2)})
     b = diag_obs({"0": (0, 1), "1": (2,)})
     g = product_joint_commuting(a, b)
-    audit = joint_observable_order_audit(g, a, b, OrderSearchOptions(trials=150))
+    audit = joint_observable_order_audit(g, a, b)
     assert all(cell.in_lb for cell in audit.cells.values())
     assert audit.all_greatest
     assert audit.all_maximal

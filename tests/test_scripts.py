@@ -23,7 +23,7 @@ def run_script(name: str, *args: str) -> str:
 
 
 def test_gamma_family_sweep_probes_the_corners():
-    out = run_script("gamma_family_sweep.py", "--steps", "3", "--trials", "10")
+    out = run_script("gamma_family_sweep.py", "--steps", "3")
     probes = [line for line in out.splitlines() if line.startswith("gamma = ")]
     assert len(probes) == 3
     # the interior member has room above its corner cell, the upper end none
