@@ -16,7 +16,6 @@ import numpy as np
 
 from jointmeas import (
     BlochEffect,
-    FeasibilityOptions,
     SimpleQubitObservable,
     pairwise_vs_global,
 )
@@ -39,16 +38,13 @@ def main() -> int:
     ap.add_argument("--lo", type=float, default=0.50)
     ap.add_argument("--hi", type=float, default=0.76)
     ap.add_argument("--steps", type=int, default=14)
-    ap.add_argument("--restarts", type=int, default=2)
-    ap.add_argument("--max-iter", type=int, default=4000)
     ap.add_argument("--json-out", type=str, default=None)
     args = ap.parse_args()
 
-    opts = FeasibilityOptions(max_iter=args.max_iter, restarts=args.restarts)
     rows = []
     print(f"{'l':>8} {'pairwise':>10} {'pair margin':>14} {'global':>12} {'global margin':>14}")
     for l in np.linspace(args.lo, args.hi, args.steps):
-        out = pairwise_vs_global(triple(float(l)), opts)
+        out = pairwise_vs_global(triple(float(l)))
         pair_verdicts = {r.verdict.value for r in out.pairwise.values()}
         pair_margin = max(r.margin for r in out.pairwise.values())
         g = out.global_report

@@ -58,15 +58,6 @@ def _default_tol(args) -> float:
     return 1e-7
 
 
-def _feas_options(args) -> FeasibilityOptions:
-    return FeasibilityOptions(
-        tol=_default_tol(args),
-        max_iter=args.max_iter,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-
-
 def _load_observable(path: str):
     try:
         with open(path) as fh:
@@ -94,7 +85,7 @@ def _cmd_run(args) -> int:
         return EXIT_PARSE
     overrides = {name: getattr(args, name) for name in _SCENARIO_PARAMS}
     try:
-        report = run_scenario(args.name, overrides, _feas_options(args))
+        report = run_scenario(args.name, overrides, FeasibilityOptions(_default_tol(args)))
     except KeyError as err:
         print(err.args[0], file=sys.stderr)
         return EXIT_PARSE
@@ -123,10 +114,10 @@ def _check_expectation(observed: str, args) -> int:
 
 
 def _cmd_check(args) -> int:
-    opts = _feas_options(args)
     inputs = args.inputs
     command = args.command
     try:
+        opts = FeasibilityOptions(_default_tol(args))
         if command == "validate":
             if len(inputs) != 1:
                 raise _ParseError("validate takes exactly one observable file")
@@ -193,9 +184,6 @@ def _cmd_check(args) -> int:
 
 def _add_common_flags(parser):
     parser.add_argument("--tol", type=float, default=None, help="feasibility tolerance (env JM_DEFAULT_TOL, then 1e-7)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iter", type=int, default=20000)
-    parser.add_argument("--restarts", type=int, default=8)
     parser.add_argument("--json-out", type=str, default=None, help="also write the JSON report here")
 
 

@@ -1,4 +1,5 @@
-"""Joint-measurability decisions: exact routes first, then a numerical search.
+"""Joint-measurability decisions: analytic routes first, then the white-noise
+robustness problem on the barrier kernel.
 
 ``decide`` dispatches in a fixed order:
 
@@ -11,8 +12,11 @@
    and otherwise a witness from the planar search below;
 3. orthogonal unbiased triples get the eq6 verdict, with the closed-form
    signed-sum joint on the feasible side;
-4. everything else goes to an alternating-projection search over the joint
-   effects.
+4. everything else goes to the white-noise robustness SDP, solved by the
+   log-det barrier kernel ``operators.barrier_maximize``
+   (``_decide_by_robustness``): FEASIBLE with a witness whose marginals are
+   exact, or INFEASIBLE with a dual certificate (reason ``dual-certificate``)
+   that has been re-checked with ``eigvalsh``.
 
 The planar search (``decide_pair_qubit_numeric``) reduces a qubit pair to
 the question whether four filled ellipses in the plane of the two Bloch
@@ -20,8 +24,9 @@ vectors share a point, and answers it by a deterministic nested bracketing
 of a convex function of two variables.  It also serves as an independent
 numerical check of the qubit criteria.
 
-The alternating-projection search never claims infeasibility: it either
-produces a witness or reports UNDETERMINED with the best residual it reached.
+The barrier route leaves UNDETERMINED only when the robustness eta* lies
+within about ``tol`` of 1, where neither a witness nor a certificate can be
+told from rounding.
 """
 from __future__ import annotations
 
@@ -31,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bloch as _bloch
 from .bloch import (
     BlochEffect,
     CriterionResult,
@@ -46,7 +50,6 @@ from .bloch import (
     three_orthogonal_criterion,
 )
 from .observables import (
-    Observable,
     ProductObservable,
     commute,
     designation_order,
@@ -54,11 +57,11 @@ from .observables import (
     is_trivial,
     label_key,
     observable_to_json,
-    validate,
 )
 from .operators import (
     HermitianOperator,
-    clip_psd,
+    _hermitian_basis,
+    barrier_maximize,
     identity,
     loewner_leq,
     opnorm,
@@ -71,6 +74,7 @@ REASON_LIU = "eq5"
 REASON_TRIPLE = "eq6"
 REASON_COMMUTING_SHARP = "commuting-sharp"
 REASON_QUBIT_PAIR = "qubit-pair"
+REASON_DUAL = "dual-certificate"
 
 _ALPHA_TOL = 1e-9  # tolerance when matching criterion hypotheses on alpha
 
@@ -84,9 +88,10 @@ class Verdict(str, enum.Enum):
 @dataclass(frozen=True)
 class FeasibilityOptions:
     tol: float = 1e-7
-    max_iter: int = 20000
-    restarts: int = 8
-    seed: int = 0
+
+    def __post_init__(self):
+        if not self.tol > 0.0:  # the barrier route runs until its gap is below tol
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +117,9 @@ class FeasibilityReport:
     margin: float | None = None
     residual: float = 0.0
     iterations: int = 0
+    # a ``dual-certificate`` INFEASIBLE's Y[(axis, outcome)]: sum_i Y[(i, z_i)]
+    # >= 0 on every cell z, and <Y, A> = -margin
+    certificate: dict | None = None
 
     def to_json(self) -> dict:
         return {
@@ -452,8 +460,7 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     both variables to 1e-12, stopping early once a point with excess <= 1e-12
     is found.  A least excess within ``opts.tol`` gives FEASIBLE with the
     witness; otherwise the report is UNDETERMINED with that excess as its
-    residual.  Deterministic: of the options only ``tol`` is read, and
-    ``iterations`` counts grid evaluations.
+    residual.  Deterministic; ``iterations`` counts grid evaluations.
     """
     opts = opts or FeasibilityOptions()
     a_obs = _as_observable(a_obs)
@@ -486,79 +493,106 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
 
 
 # ---------------------------------------------------------------------------
-# generic alternating-projection engine
+# general sets: the white-noise robustness problem on the barrier kernel
 # ---------------------------------------------------------------------------
 
 def _marginal_constraints(parents):
-    """Constraint matrix M (one row per parent effect), its pseudo-inverse,
-    and the stacked targets C so that a joint family G satisfies M G = C."""
+    """Cell labels, the constraint matrix M (one row per parent effect) and
+    the stacked targets A, so that a joint family G satisfies M G = A."""
     labels = list(itertools.product(*(p.outcomes for p in parents)))
-    index = {z: k for k, z in enumerate(labels)}
-    dim = parents[0].dim
-    rows = []
-    targets = []
-    for axis, parent in enumerate(parents):
-        for x in parent.outcomes:
-            row = np.zeros(len(labels))
-            for z, k in index.items():
-                if z[axis] == x:
-                    row[k] = 1.0
-            rows.append(row)
-            targets.append(parent.effects[x].matrix)
-    m = np.array(rows)
-    c = np.array(targets)
-    return labels, m, np.linalg.pinv(m), c
+    rows = [[z[i] == x for z in labels] for i, p in enumerate(parents) for x in p.outcomes]
+    targets = [p.effects[x].matrix for p in parents for x in p.outcomes]
+    return labels, np.array(rows, dtype=float), np.array(targets)
 
 
-def _alternating_projection_search(parents, opts: FeasibilityOptions) -> FeasibilityReport:
-    """Alternate between the affine marginal subspace and the PSD cone.
+_ZERO_SHARE = 1e-12  # an effect with tr A / d at most this counts as zero
 
-    The affine projection is exact (precomputed least-squares operator), so
-    the residual is measured right after it: the marginal part is then at
-    float level and the combined residual is dominated by the worst negative
-    eigenvalue.  Convergence within tol returns the affine-projected iterate
-    as witness; stalls and exhausted iteration budgets end UNDETERMINED.
+
+def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
+    """Decide joint measurability through the white-noise robustness SDP
+    (Wolf, Perez-Garcia & Fernandez, PRL 103, 230402, 2009; Designolle,
+    Farkas & Kaniewski, NJP 21, 113053, 2019): the largest eta for which the
+    noisy parents eta A + (1 - eta) N, N(i, x) = tr A_i(x) / d I, have a joint.
+    Cells with a zero-effect outcome must vanish and are left out.  With
+    G0(z) = prod_i tr A_i(z_i) / d I, D = M^+ (A - N) and K a basis of the
+    null space of M, G(eta, y) = G0 + eta D + sum y_lb K_l E_b has the noisy
+    marginals everywhere.  After the point (1, 0), ``barrier_maximize``
+    maximizes eta from G0 (t = 1) and stops at the first of:
+
+    - eta >= 1: FEASIBLE with the witness (1, y / eta), which is
+      G / eta + (1 - 1 / eta) G0;
+    - a centered iterate whose Y = (M^T)^+ G^-1 / t, shifted on parent 0's
+      rows so that sum_i Y_(i, z_i) >= 0 on every cell, has <Y, A> < 0 in an
+      ``eigvalsh`` re-check: INFEASIBLE, reason ``dual-certificate``, margin
+      -<Y, A>, residual the gap k d / t.  A joint G would give
+      <Y, A> = sum_z tr((M^T Y)_z G_z) >= 0;
+    - the gap k d / t <= ``tol`` (eta* within about ``tol`` of 1): FEASIBLE if
+      (1, y / eta) passes the residual test, else UNDETERMINED.
+
+    ``iterations`` counts the start test and the Newton steps.
     """
-    labels, m, m_pinv, c = _marginal_constraints(parents)
+    labels, m, a = _marginal_constraints(parents)
     dim = parents[0].dim
-    k = len(labels)
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(dim)
+    share = np.trace(a, axis1=1, axis2=2).real / dim
+    live_rows = share > _ZERO_SHARE
+    live = ~m[~live_rows].any(axis=0)
+    if not live.any():
+        raise ValueError("a parent observable has no nonzero effect")
+    ml = m[np.ix_(live_rows, live)]
+    g0 = np.prod(np.where(ml.T > 0, share[live_rows], 1.0), axis=1)[:, None, None] * eye
+    u, sv, vt = np.linalg.svd(ml)
+    rank = int(np.count_nonzero(sv > 1e-9 * sv[0]))
+    m_pinv = (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
+    drift = np.tensordot(m_pinv, a[live_rows] - share[live_rows, None, None] * eye, axes=1)
 
-    best_resid = np.inf
-    iterations = 0
-    for restart in range(max(opts.restarts, 1)):
-        rng = np.random.default_rng([opts.seed, restart])
-        g = np.tile(eye / k, (k, 1, 1))
-        if restart > 0:
-            noise = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
-            noise = 0.5 * (noise + noise.conj().transpose(0, 2, 1))
-            scale = np.linalg.norm(noise, axis=(1, 2), keepdims=True)
-            g = g + (0.5 / k) * noise / np.maximum(scale, 1e-12)
+    def settle(cells, iterations):
+        """FEASIBLE with the live cells as witness if a bound on their
+        ``witness_residual`` (marginals in Frobenius norm) is <= tol."""
+        full = np.zeros((len(labels), dim, dim), dtype=complex)
+        full[live] = 0.5 * (cells + cells.conj().swapaxes(-1, -2))
+        resid = float(np.linalg.norm(np.tensordot(m, full, axes=1) - a, axis=(1, 2)).max())
+        resid += max(0.0, -float(np.linalg.eigvalsh(full)[:, 0].min()))
+        if resid > tol:
+            return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
+        effects = {z: HermitianOperator(g) for z, g in zip(labels, full)}
+        g = ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
+        return FeasibilityReport(Verdict.FEASIBLE, g, None, None, resid, iterations)
 
-        window_resid = np.inf
-        for it in range(opts.max_iter):
-            iterations += 1
-            # affine step: restore the marginals exactly
-            gap = np.tensordot(m, g, axes=(1, 0)) - c
-            g = g - np.tensordot(m_pinv, gap, axes=(1, 0))
-            evals = np.linalg.eigvalsh(g)
-            neg = float(max(0.0, -evals[:, 0].min()))
-            marg = float(np.abs(np.tensordot(m, g, axes=(1, 0)) - c).max())
-            resid = neg + marg
-            best_resid = min(best_resid, resid)
-            if resid <= opts.tol:
-                effects = {z: HermitianOperator(g[i], atol=1e-6) for i, z in enumerate(labels)}
-                witness = ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
-                return FeasibilityReport(
-                    Verdict.FEASIBLE, witness, None, None, resid, iterations
-                )
-            # stall detection: no meaningful progress over the last window
-            if it % 500 == 499:
-                if resid > 10.0 * opts.tol and resid > window_resid * (1.0 - 1e-6):
-                    break
-                window_resid = resid
-            g = clip_psd(g)  # cone step
-    return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, best_resid, iterations)
+    start = settle(g0 + drift, 1)  # the affine projection of G0: eta = 1, y = 0
+    if start.verdict is Verdict.FEASIBLE:
+        return start
+    blocks = np.empty((2 + (len(g0) - rank) * dim * dim, *g0.shape), dtype=complex)
+    blocks[0], blocks[1] = g0, drift
+    null = blocks[2:].reshape(len(g0) - rank, dim * dim, *g0.shape)
+    np.einsum("lz,bij->lbzij", vt[rank:], _hermitian_basis(dim), out=null)
+
+    def stop(x, w, t, centered):
+        if x[0] >= 1.0:
+            return True  # (1, y / eta) is a witness
+        if not centered:
+            return None
+        y = np.zeros_like(a)
+        y[live_rows] = np.tensordot(m_pinv.T, w / t, axes=1)
+        low = np.linalg.eigvalsh(np.tensordot(ml.T, y[live_rows], axes=1))[:, 0].min()
+        y[: len(parents[0].outcomes)] += max(0.0, -low) * eye
+        # a cell with a zero-effect outcome is made positive by that outcome's
+        # row alone, at no cost since its effect is zero
+        y[~live_rows] = np.linalg.norm(y[live_rows], axis=(1, 2)).sum() * eye
+        low = np.linalg.eigvalsh(np.tensordot(m.T, y, axes=1))[:, 0].min()
+        value = float(np.einsum("rij,rji->", y, a).real)
+        if value + dim * max(0.0, -low) >= 0.0:  # a joint has sum_z tr G_z = d
+            return None
+        keys = [(i, o) for i, p in enumerate(parents) for o in p.outcomes]
+        return dict(zip(keys, y)), -value, len(g0) * dim / t
+
+    c = np.zeros(len(blocks) - 1)
+    c[0] = 1.0
+    x, steps, found = barrier_maximize(c, blocks, np.zeros_like(c), 1.0, tol, stop)
+    if isinstance(found, tuple):
+        cert, margin, gap = found
+        return FeasibilityReport(Verdict.INFEASIBLE, None, REASON_DUAL, margin, gap, 1 + steps, cert)
+    return settle(g0 + drift + np.tensordot(x[1:] / x[0], blocks[2:], axes=1), 1 + steps)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +645,7 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
                 Verdict.FEASIBLE, witness, match.reason, match.result.margin, resid, 0
             )
 
-    return _alternating_projection_search(parents, opts)
+    return _decide_by_robustness(parents, opts.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,10 +667,9 @@ class PairwiseGlobalReport:
 def pairwise_vs_global(parents, opts: FeasibilityOptions | None = None) -> PairwiseGlobalReport:
     """Decide every pair and the full family.
 
-    When at least n - 1 of the n parents are sharp and every pair is
-    feasible, joint measurability of the whole family follows analytically,
-    so a global UNDETERMINED is upgraded to FEASIBLE in that case (with a
-    product witness whenever the family commutes well enough to build one).
+    Each verdict is ``decide``'s own.  A family of sharp observables that
+    are pairwise compatible commutes, so n - 1 such sharp parents make a
+    commuting family that ``decide`` answers with the product joint.
     """
     opts = opts or FeasibilityOptions()
     parents = tuple(parents)
@@ -646,31 +679,4 @@ def pairwise_vs_global(parents, opts: FeasibilityOptions | None = None) -> Pairw
     for i in range(len(parents)):
         for j in range(i + 1, len(parents)):
             pairwise[(i, j)] = decide(FeasibilityProblem((parents[i], parents[j]), opts))
-    global_report = decide(FeasibilityProblem(parents, opts))
-
-    sharp_count = sum(1 for p in parents if is_sharp(p))
-    all_pairs = all(r.verdict is Verdict.FEASIBLE for r in pairwise.values())
-    if (
-        global_report.verdict is not Verdict.FEASIBLE
-        and all_pairs
-        and sharp_count >= len(parents) - 1
-    ):
-        witness = None
-        resid = global_report.residual
-        try:
-            candidate = product_joint_many(parents)
-        except ValueError:
-            candidate = None
-        if candidate is not None:
-            cand_resid = witness_residual(candidate, parents)
-            if cand_resid <= opts.tol:
-                witness, resid = candidate, cand_resid
-        global_report = FeasibilityReport(
-            Verdict.FEASIBLE,
-            witness,
-            REASON_COMMUTING_SHARP,
-            None,
-            resid,
-            global_report.iterations,
-        )
-    return PairwiseGlobalReport(pairwise, global_report)
+    return PairwiseGlobalReport(pairwise, decide(FeasibilityProblem(parents, opts)))

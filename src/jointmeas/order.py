@@ -17,8 +17,8 @@ lies in S = ran P cap ran Q; conversely C + lambda v v* lies in lb(A, B)
 for any unit v in S and small lambda > 0.  So C is maximal exactly when
 S = {0} (Ando, 1999; Gheondea, Gudder & Jonas, J. Math. Phys. 46, 062102,
 2005).  When S is not zero the largest trace gain is a small convex problem
-on S, solved in closed form when dim S = 1 and by a log-det barrier method
-otherwise.
+on S, solved in closed form when dim S = 1 and otherwise by the log-det
+barrier kernel ``operators.barrier_maximize``.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ import numpy as np
 from .observables import ProductObservable, designation_order, label_key, marginal_deviation
 from .operators import (
     HermitianOperator,
+    _hermitian_basis,
+    barrier_maximize,
     identity,
     is_effect,
     loewner_leq,
@@ -202,65 +204,6 @@ def refute_greatest(
     return None
 
 
-def _hermitian_basis(k: int) -> np.ndarray:
-    """Orthonormal basis of the k x k Hermitian matrices (k^2 of them) for
-    the trace inner product."""
-    out = []
-    for i in range(k):
-        for j in range(k):
-            e = np.zeros((k, k), dtype=complex)
-            if i == j:
-                e[i, i] = 1.0
-            elif i < j:
-                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            else:
-                e[i, j], e[j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
-            out.append(e)
-    return np.array(out)
-
-
-_CENTERING_STEPS = 50  # Newton steps per barrier round; a few suffice
-
-
-def _max_trace_below(p: np.ndarray, q: np.ndarray, gap_tol: float):
-    """Maximize tr X over 0 <= X <= P, X <= Q for positive definite P, Q.
-
-    Returns (X, Newton steps).  One dimension has the answer min(P, Q).
-    Otherwise a log-det barrier method: minimize the self-concordant
-    -t tr X - log det X - log det(P - X) - log det(Q - X) by Newton steps on
-    the k^2 real coordinates of X, from (lambda_min / 2) I, with t growing
-    tenfold per round until the duality-gap bound 3k / t is at most gap_tol.
-    Steps with Newton decrement lambda above 1/4 are damped to 1 / (1 + lambda),
-    which keeps every iterate strictly feasible without a line search.
-    """
-    k = p.shape[0]
-    if k == 1:
-        return np.array([[min(p[0, 0].real, q[0, 0].real)]], dtype=complex), 0
-    basis = _hermitian_basis(k)
-    eye = np.eye(k)
-    lam = min(np.linalg.eigvalsh(p)[0], np.linalg.eigvalsh(q)[0])
-    x = 0.5 * lam * eye.astype(complex)
-    steps = 0
-    t = 3.0 * k / max(float(np.trace(p).real), float(np.trace(q).real))
-    while True:
-        for _ in range(_CENTERING_STEPS):
-            invs = [np.linalg.inv(m) for m in (x, p - x, q - x)]
-            grad = -t * eye - invs[0] + invs[1] + invs[2]
-            g = np.einsum("iba,ab->i", basis, grad).real
-            hess = sum(np.einsum("iba,jab->ij", basis, m @ basis @ m).real for m in invs)
-            dy = -np.linalg.solve(hess, g)
-            decrement = -float(g @ dy)
-            if decrement <= 1e-12:
-                break
-            size = np.sqrt(decrement)
-            step = 1.0 if size < 0.25 else 1.0 / (1.0 + size)
-            x = x + step * np.einsum("i,iab->ab", dy, basis)
-            steps += 1
-        if 3.0 * k / t <= gap_tol:
-            return 0.5 * (x + x.conj().T), steps
-        t *= 10.0
-
-
 def maximality_probe(
     c: HermitianOperator,
     a: HermitianOperator,
@@ -276,7 +219,10 @@ def maximality_probe(
     MAXIMAL_WITHIN with gain 0 and no iterations.  Otherwise, with V a basis
     of S, the members D = C + V Y V* satisfy Y <= (V* P^+ V)^-1 and
     Y <= (V* Q^+ V)^-1, and the largest tr Y under those bounds and Y >= 0
-    is the trace gain, found to ``gain_tol`` (``_max_trace_below``).  Before
+    is the trace gain.  It is the smaller bound when dim S = 1, and otherwise
+    found to ``gain_tol`` by ``barrier_maximize`` on the k^2 real coordinates
+    of Y, with blocks Y, P' - Y and Q' - Y for the two bounds P' and Q', from
+    (lambda_min / 2) I and t = 3k / max(tr P', tr Q').  Before
     NOT_MAXIMAL is reported the witness D is re-checked with ``eigvalsh``:
     D - C, A - D and B - D must each be >= -``membership_tol``.  A failed
     check reports MAXIMAL_WITHIN with gain 0, so the probe may miss a gain,
@@ -291,9 +237,19 @@ def maximality_probe(
     v = _shared_range(vp, vq, mtol)
     if not v.shape[1]:
         return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, opts.eps)
-    y, steps = _max_trace_below(
-        _compressed_bound(wp, vp, v), _compressed_bound(wq, vq, v), opts.gain_tol
-    )
+    p, q = _compressed_bound(wp, vp, v), _compressed_bound(wq, vq, v)
+    k = p.shape[0]
+    if k == 1:
+        y, steps = np.minimum(p.real, q.real), 0
+    else:
+        basis = _hermitian_basis(k)
+        trace = np.trace(basis, axis1=1, axis2=2).real
+        bounds = np.stack([np.zeros_like(p), p, q])
+        blocks = np.concatenate([bounds[None], np.stack([basis, -basis, -basis], axis=1)])
+        lam = min(np.linalg.eigvalsh(p)[0], np.linalg.eigvalsh(q)[0])
+        t = 3.0 * k / max(float(np.trace(p).real), float(np.trace(q).real))
+        x, steps, _ = barrier_maximize(trace, blocks, 0.5 * lam * trace, t, opts.gain_tol)
+        y = np.tensordot(x, basis, axes=1)
     dm = cm + v @ y @ v.conj().T
     low = min(float(np.linalg.eigvalsh(m)[0]) for m in (dm - cm, am - dm, bm - dm))
     if low < -mtol:

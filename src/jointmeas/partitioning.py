@@ -219,9 +219,8 @@ def partition_paradox_audit(
     global verdict on (G, F) comes from the orthogonal-triple criterion when
     ``triple_context`` supplies the three Bloch vectors: a joint observable of
     G and F would marginalize to all three parents, so a violated triple
-    criterion rules it out.  Without that context only the numeric engine
-    runs, and it cannot certify infeasibility: the report then says the
-    global verdict is inconclusive rather than declaring a paradox.
+    criterion rules it out.  Otherwise ``decide`` gives the global verdict
+    (route ``numeric``), an INFEASIBLE one with its dual certificate.
     """
     opts = opts or FeasibilityOptions()
     if len(g.parents) != 2 or len(f.parents) != 2:
@@ -256,20 +255,13 @@ def partition_paradox_audit(
             global_report = FeasibilityReport(
                 Verdict.INFEASIBLE, None, REASON_TRIPLE, result.margin, 0.0, 0
             )
+            notes = (
+                "global verdict from the orthogonal-triple criterion: a joint of G and F "
+                "would have all three context observables as marginals"
+            )
     if global_report is None:
         global_report = decide(FeasibilityProblem((g, f), opts))
+        notes = f"global verdict from decide on (G, F), reason {global_report.reason}"
 
     paradox = matrix.all_feasible and global_report.verdict is Verdict.INFEASIBLE
-    if route == "triple-criterion":
-        notes = (
-            "global verdict from the orthogonal-triple criterion: a joint of G and F "
-            "would have all three context observables as marginals"
-        )
-    elif global_report.verdict is Verdict.UNDETERMINED:
-        notes = (
-            "global verdict inconclusive: the numeric search cannot certify "
-            "infeasibility; supply triple_context for the analytic route"
-        )
-    else:
-        notes = "global verdict from the numeric engine"
     return ParadoxReport(matrix, global_report, route, paradox, notes)

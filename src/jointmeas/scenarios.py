@@ -369,7 +369,7 @@ def _run_partition_paradox(params: dict, opts: FeasibilityOptions):
 
 def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
     dim = int(params["dim"])
-    rng = np.random.default_rng([opts.seed, dim])
+    rng = np.random.default_rng([params["seed"], dim])
     obs_a, obs_b = random_commuting_sharp_pair(dim, rng)
     report = decide(FeasibilityProblem((obs_a, obs_b), opts))
     exps = [
@@ -500,7 +500,7 @@ REGISTRY = {
             "commuting-sharp-product",
             "randomized commuting sharp pair and its product joint",
             _CITE_PRODUCT,
-            {"dim": 4},
+            {"dim": 4, "seed": 0},
             _run_commuting_sharp_product,
         ),
     )

@@ -1,6 +1,8 @@
-"""Shared fixtures: closed-form 2x2 eigenvalue oracle, acceptance recorder."""
+"""Shared fixtures: closed-form 2x2 eigenvalue oracle, acceptance recorder,
+dual-certificate re-check."""
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 
@@ -61,3 +63,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (z + z.conj().T)
+
+
+def assert_dual_certificate(report, parents):
+    """Re-check an INFEASIBLE report's dual certificate from scratch: every
+    cell z gets sum_i Y[(i, z_i)] >= 0, and <Y, A> = -margin < 0, so that no
+    joint G could satisfy 0 <= sum_z tr((sum_i Y[(i, z_i)]) G_z) = <Y, A>."""
+    assert report.reason == "dual-certificate"
+    y = report.certificate
+    for z in itertools.product(*(p.outcomes for p in parents)):
+        cell = sum(y[(i, x)] for i, x in enumerate(z))
+        assert np.linalg.eigvalsh(cell)[0] >= -1e-12, z
+    value = sum(
+        np.trace(y[(i, x)] @ p.effects[x].matrix).real
+        for i, p in enumerate(parents)
+        for x in p.outcomes
+    )
+    assert value < 0.0
+    assert value == pytest.approx(-report.margin, abs=1e-12)

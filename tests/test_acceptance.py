@@ -65,18 +65,18 @@ def orthogonal_triple(l: float):
 
 def test_criterion_1_pairwise_not_triple(criterion):
     with criterion(1, "pairwise vs triple verdict flips"):
-        quick = FeasibilityOptions(max_iter=3000, restarts=2)
+        opts = FeasibilityOptions()
         eps = 1e-9
 
         # pairwise flip at l = 1/sqrt(2)
         below = decide(
             FeasibilityProblem(
-                (unbiased((L2 - eps) * EX), unbiased((L2 - eps) * EY)), quick
+                (unbiased((L2 - eps) * EX), unbiased((L2 - eps) * EY)), opts
             )
         )
         above = decide(
             FeasibilityProblem(
-                (unbiased((L2 + eps) * EX), unbiased((L2 + eps) * EY)), quick
+                (unbiased((L2 + eps) * EX), unbiased((L2 + eps) * EY)), opts
             )
         )
         assert below.verdict is Verdict.FEASIBLE
@@ -84,15 +84,15 @@ def test_criterion_1_pairwise_not_triple(criterion):
         assert above.reason == "eq3"
 
         # triple flip at l = 1/sqrt(3)
-        below3 = decide(FeasibilityProblem(orthogonal_triple(L3 - eps), quick))
-        above3 = decide(FeasibilityProblem(orthogonal_triple(L3 + eps), quick))
+        below3 = decide(FeasibilityProblem(orthogonal_triple(L3 - eps), opts))
+        above3 = decide(FeasibilityProblem(orthogonal_triple(L3 + eps), opts))
         assert below3.verdict is Verdict.FEASIBLE
         assert below3.reason == "eq6"
         assert above3.verdict is Verdict.INFEASIBLE
         assert above3.reason == "eq6"
 
         # the l = 0.6 splitting instance
-        out = pairwise_vs_global(orthogonal_triple(0.6), quick)
+        out = pairwise_vs_global(orthogonal_triple(0.6), opts)
         assert len(out.pairwise) == 3
         for report in out.pairwise.values():
             assert report.verdict is Verdict.FEASIBLE
@@ -190,7 +190,7 @@ def test_criterion_6_commuting_sharp_products(criterion):
 
 def test_criterion_7_oracle_agreement(criterion):
     with criterion(7, "numeric vs analytic criterion agreement"):
-        opts = FeasibilityOptions(restarts=2)
+        opts = FeasibilityOptions()
         band = 1e-3
 
         def params(obs):
@@ -288,16 +288,14 @@ def suite_joints():
 
     # numeric witnesses
     pair = (unbiased(0.5 * EX), unbiased(0.5 * EY))
-    nm = decide_pair_qubit_numeric(*pair, FeasibilityOptions(restarts=3))
+    nm = decide_pair_qubit_numeric(*pair)
     assert nm.verdict is Verdict.FEASIBLE
     add(nm.witness, *pair, "nm-interior")
 
     # slices of the closed-form eq6 triple witness
     l = 0.5
     parents = tuple(unbiased(l * v) for v in (EX, EY, EZ))
-    triple = decide(
-        FeasibilityProblem(parents, FeasibilityOptions(max_iter=6000, restarts=2))
-    )
+    triple = decide(FeasibilityProblem(parents))
     assert triple.verdict is Verdict.FEASIBLE
     k = triple.witness
     for keep in ((0, 1), (1, 2), (0, 2)):
@@ -310,7 +308,7 @@ def suite_joints():
                     z = [None, None, None]
                     z[keep[0]], z[keep[1]], z[drop] = xi, xj, xd
                     total = total + k.effects[tuple(z)].matrix
-                cells[(xi, xj)] = HermitianOperator(total, atol=1e-6)
+                cells[(xi, xj)] = HermitianOperator(total)
         add(
             ProductObservable((("0", "1"), ("0", "1")), cells),
             parents[keep[0]],

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
+import jointmeas
 import numpy as np
 import pytest
 
 from jointmeas import (
+    REGISTRY,
     BlochEffect,
     HermitianOperator,
     Observable,
@@ -77,7 +81,7 @@ def test_run_without_name_is_parse_error(capsys):
 def test_run_busch_boundary_passes_and_writes_json(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(
-        ["run", "busch-boundary", "--restarts", "2", "--json-out", str(out_path)]
+        ["run", "busch-boundary", "--json-out", str(out_path)]
     )
     captured = capsys.readouterr()
     assert code == 0
@@ -164,7 +168,7 @@ def test_check_jm_set_triple_reports_pairs_and_global(tmp_path, capsys):
         for i, v in enumerate((EX, EY, EZ))
     ]
     code = main(
-        ["check", "jm-set", *files, "--restarts", "2", "--expect", "INFEASIBLE"]
+        ["check", "jm-set", *files, "--expect", "INFEASIBLE"]
     )
     assert code == 0
     data = json.loads(capsys.readouterr().out)
@@ -215,6 +219,9 @@ def test_env_tolerance_is_honored(pair_files, monkeypatch, capsys):
     with pytest.raises(SystemExit, match="JM_DEFAULT_TOL"):
         main(["check", "jm-pair", a, b])
 
+    assert main(["check", "jm-pair", a, b, "--tol", "0"]) == 3
+    assert "tol must be positive" in capsys.readouterr().err
+
 
 def test_reports_round_to_twelve_significant_digits(pair_files, capsys):
     a, b = pair_files
@@ -225,15 +232,28 @@ def test_reports_round_to_twelve_significant_digits(pair_files, capsys):
     assert margin == pytest.approx(1.6 * math.sqrt(2.0) - 2.0, abs=1e-11)
 
 
-def test_same_seed_gives_identical_output(tmp_path, capsys):
+def test_same_input_gives_identical_output(tmp_path, capsys):
     a = dump(tmp_path, "a.json", unbiased(0.5 * EX))
     b = dump(tmp_path, "b.json", unbiased(0.5 * EY))
-    argv = ["check", "jm-pair", a, b, "--restarts", "2", "--seed", "4"]
+    argv = ["check", "jm-pair", a, b]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_run_accepts_the_benchmark_flags(name, tmp_path):
+    # the benchmark runs every scenario as a user would, with these flags
+    out = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(jointmeas.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jointmeas.cli", "run", name, "--seed", "7", "--json-out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_module_entry_point():

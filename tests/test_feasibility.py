@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_dual_certificate
 from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
@@ -25,8 +26,10 @@ from jointmeas import (
     decide,
     decide_pair_qubit_numeric,
     identity,
+    max_marginal_deviation,
     pairwise_vs_global,
     random_commuting_sharp_pair,
+    random_unitary,
     trivial_joint_if_sum_leq_identity,
     validate,
     witness_residual,
@@ -128,7 +131,7 @@ def test_unbiased_orthogonal_infeasible_frozen_margin():
 
 def test_unbiased_orthogonal_interior_numeric_witness():
     a, b = unbiased(0.5 * EX), unbiased(0.5 * EY)
-    opts = FeasibilityOptions(restarts=3)
+    opts = FeasibilityOptions()
     report = decide(FeasibilityProblem((a, b), opts))
     assert report.verdict is Verdict.FEASIBLE
     assert report.reason == "eq3"
@@ -158,7 +161,7 @@ def test_numeric_pair_search_undetermined_inside_infeasible_region():
     assert report.verdict is Verdict.INFEASIBLE
     assert report.reason == "eq3"
 
-    numeric = decide_pair_qubit_numeric(a, b, FeasibilityOptions(restarts=3))
+    numeric = decide_pair_qubit_numeric(a, b)
     assert numeric.verdict is Verdict.UNDETERMINED
     assert numeric.witness is None
     assert numeric.residual > 1e-4  # genuinely violated, not a boundary artifact
@@ -175,27 +178,27 @@ def test_orthogonal_triple_analytic_infeasibility():
 
 
 # ---------------------------------------------------------------------------
-# numeric fallbacks
+# general sets: the barrier route
 # ---------------------------------------------------------------------------
 
 
-def test_generic_search_never_claims_infeasible():
-    # non-orthogonal long vectors dodge every criterion hypothesis; with a tiny
-    # iteration budget the search must plateau as UNDETERMINED, not INFEASIBLE
+def test_generic_triple_is_infeasible_with_dual_certificate():
+    # non-orthogonal long vectors dodge every criterion hypothesis, so the
+    # barrier route decides them, and its INFEASIBLE carries a certificate
     parents = (
         unbiased(0.95 * EX),
         unbiased(0.95 * EY),
         unbiased(0.95 * np.array([0.6, 0.8, 0.0])),
     )
-    opts = FeasibilityOptions(max_iter=40, restarts=1)
-    report = decide(FeasibilityProblem(parents, opts))
-    assert report.verdict in (Verdict.FEASIBLE, Verdict.UNDETERMINED)
-    assert report.verdict is Verdict.UNDETERMINED
-    assert report.residual > opts.tol
+    report = decide(FeasibilityProblem(parents))
+    assert report.verdict is Verdict.INFEASIBLE
+    assert report.witness is None
+    assert report.iterations > 1
+    assert_dual_certificate(report, parents)
 
 
 def test_generic_search_finds_triple_witness_in_feasible_region():
-    opts = FeasibilityOptions(tol=1e-7, max_iter=5000, restarts=2)
+    opts = FeasibilityOptions(tol=1e-7)
     # an orthogonal triple below the 1/sqrt(3) threshold: eq6 verdict with
     # the closed-form signed-sum witness, no search
     l = 0.5
@@ -206,7 +209,7 @@ def test_generic_search_finds_triple_witness_in_feasible_region():
     assert report.iterations == 0
     assert_witness_ok(report, parents, opts.tol)
     # a non-orthogonal unbiased triple whose signed sums are all shorter than
-    # 0.85: no criterion applies, so the witness comes from the projection search
+    # 0.85: no criterion applies, so the witness comes from the barrier route
     axes = (EX, np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, 0.8]))
     vecs = [0.35 * v for v in axes]
     assert max(
@@ -248,6 +251,118 @@ def test_orthogonal_triple_gets_closed_form_witness(seed):
     assert report.residual <= 1e-12
 
 
+def noisy_fourier_mubs(d: int, v: float, seed: int = 0):
+    """The computational and Fourier bases of dimension d in a random frame,
+    each mixed with white noise at visibility v."""
+    u = random_unitary(d, np.random.default_rng([47, d, seed]))
+    w = np.exp(2j * math.pi / d)
+    fourier = np.array([[w ** (j * k) for k in range(d)] for j in range(d)]) / math.sqrt(d)
+    labels = tuple(str(i) for i in range(d))
+
+    def noisy(basis):
+        vecs = u @ basis
+        return Observable(labels, {
+            x: HermitianOperator(v * np.outer(vecs[:, i], vecs[:, i].conj()) + (1.0 - v) * np.eye(d) / d)
+            for i, x in enumerate(labels)
+        })
+
+    return noisy(np.eye(d)), noisy(fourier)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("offset", [-1e-3, 1e-3])
+def test_noisy_mubs_flip_at_the_critical_visibility(d, offset):
+    # Carmeli, Heinosaari & Toigo, PRA 85, 012109 (2012): jointly measurable
+    # exactly up to v_c = (1 + 1 / (1 + sqrt d)) / 2, so eta* = v_c / v
+    vc = 0.5 * (1.0 + 1.0 / (1.0 + math.sqrt(d)))
+    parents = noisy_fourier_mubs(d, vc + offset)
+    tol = FeasibilityOptions().tol
+    report = decide(FeasibilityProblem(parents))
+    if offset < 0:
+        assert report.verdict is Verdict.FEASIBLE
+        assert validate(report.witness, tol=tol).passed
+        assert max_marginal_deviation(report.witness, parents) <= tol
+    else:
+        assert report.verdict is Verdict.INFEASIBLE
+        assert_dual_certificate(report, parents)
+        # the certified bound 1 - margin on eta* cannot undercut the truth
+        assert report.margin <= 1.0 - vc / (vc + offset) + 1e-9
+
+
+@pytest.mark.parametrize("offset", [-0.05, 0.05])
+def test_zero_effect_gets_zero_cells(offset):
+    vc = 0.5 * (1.0 + 1.0 / (1.0 + math.sqrt(3.0)))
+    a, b = noisy_fourier_mubs(3, vc + offset)
+    padded = Observable(("0", "1", "2", "none"), {**b.effects, "none": HermitianOperator(np.zeros((3, 3)))})
+    plain = decide(FeasibilityProblem((a, b)))
+    report = decide(FeasibilityProblem((a, padded)))
+    assert report.verdict is plain.verdict is not Verdict.UNDETERMINED
+    if report.verdict is Verdict.FEASIBLE:
+        for x in a.outcomes:
+            assert not report.witness.effects[(x, "none")].matrix.any()
+        assert validate(report.witness, tol=1e-9).passed
+        assert witness_residual(report.witness, (a, padded)) <= FeasibilityOptions().tol
+    else:
+        assert_dual_certificate(report, (a, padded))
+
+
+def _random_povm(dim: int, n: int, v: float, rng) -> Observable:
+    """A projective measurement in a random basis, its basis vectors split
+    into n nonempty outcomes, mixed with white noise at visibility v."""
+    u = random_unitary(dim, rng)
+    owner = np.concatenate([np.arange(n), rng.integers(0, n, dim - n)])
+    labels = tuple(f"o{i}" for i in range(n))
+    effects = {}
+    for i, x in enumerate(labels):
+        proj = u[:, owner == i] @ u[:, owner == i].conj().T
+        effects[x] = HermitianOperator(v * proj + (1.0 - v) * np.trace(proj).real / dim * np.eye(dim))
+    return Observable(labels, effects)
+
+
+def _relabel(obs: Observable) -> Observable:
+    labels = tuple(f"r{x}" for x in reversed(obs.outcomes))
+    return Observable(labels, {f"r{x}": obs.effects[x] for x in obs.outcomes})
+
+
+def _conjugate(obs: Observable, u) -> Observable:
+    return Observable(obs.outcomes, {
+        x: HermitianOperator(u @ e.matrix @ u.conj().T) for x, e in obs.effects.items()
+    })
+
+
+@settings(max_examples=20)
+@given(
+    st.sampled_from([(3, (2, 2)), (3, (2, 3)), (3, (3, 3)), (2, (2, 2, 2)), (3, (2, 2, 2))]),
+    st.floats(0.3, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_barrier_verdict_is_frame_and_label_free(shape, v, seed):
+    # random pairs beyond qubits and random triples: no criterion applies,
+    # so every variant is decided by the barrier route, and all agree
+    dim, counts = shape
+    rng = np.random.default_rng(seed)
+    parents = tuple(_random_povm(dim, n, v, rng) for n in counts)
+    u = random_unitary(dim, rng)
+    variants = (
+        parents,
+        tuple(_conjugate(p, u) for p in parents),
+        tuple(_relabel(p) for p in parents),
+        parents[::-1],
+    )
+    tol = FeasibilityOptions().tol
+    verdicts = set()
+    for family in variants:
+        report = decide(FeasibilityProblem(family))
+        assert report.verdict is not Verdict.UNDETERMINED
+        if report.verdict is Verdict.FEASIBLE:
+            assert validate(report.witness, tol=tol).passed
+            assert witness_residual(report.witness, family) <= tol
+        else:
+            assert_dual_certificate(report, family)
+        verdicts.add(report.verdict)
+    assert len(verdicts) == 1
+
+
 def test_trivial_joint_construction_and_refusal():
     quarter = Observable(("0", "1"), {"1": 0.25 * identity(2), "0": 0.75 * identity(2)})
     g = trivial_joint_if_sum_leq_identity(quarter, quarter)
@@ -267,7 +382,7 @@ def test_trivial_joint_construction_and_refusal():
 
 def test_decide_is_deterministic():
     a, b = unbiased(0.5 * EX), unbiased(0.5 * EY)
-    opts = FeasibilityOptions(restarts=3)
+    opts = FeasibilityOptions()
     r1 = decide(FeasibilityProblem((a, b), opts))
     r2 = decide(FeasibilityProblem((a, b), opts))
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
@@ -281,6 +396,8 @@ def test_problem_validation_errors():
         FeasibilityProblem((a,))
     with pytest.raises(ValueError):
         FeasibilityProblem((a, coin(0.5, 3)))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        FeasibilityOptions(tol=0.0)
 
 
 @st.composite
@@ -367,7 +484,7 @@ def test_import_loads_no_scipy():
 def test_pairwise_vs_global_triple_paradox_region():
     l = 0.6
     parents = tuple(unbiased(l * v) for v in (EX, EY, EZ))
-    out = pairwise_vs_global(parents, FeasibilityOptions(restarts=2))
+    out = pairwise_vs_global(parents)
     assert len(out.pairwise) == 3
     for rep in out.pairwise.values():
         assert rep.verdict is Verdict.FEASIBLE

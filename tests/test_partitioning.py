@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import assert_dual_certificate
 from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
@@ -257,14 +258,18 @@ def test_paradox_audit_boundary_triple():
     assert "orthogonal-triple criterion" in report.notes
 
 
-def test_paradox_audit_without_context_is_inconclusive():
-    g, f, _ = example_joints(L)
-    opts = FeasibilityOptions(max_iter=600, restarts=2)
-    report = partition_paradox_audit(g, f, opts=opts)
+def test_paradox_audit_without_context_is_certified():
+    # (G, F) alone goes to decide, whose barrier route proves it INFEASIBLE;
+    # the analytic route through the triple context must agree
+    g, f, context = example_joints(L)
+    report = partition_paradox_audit(g, f)
     assert report.global_route == "numeric"
-    assert report.global_report.verdict is Verdict.UNDETERMINED
-    assert not report.paradox
-    assert "inconclusive" in report.notes
+    assert report.global_report.verdict is Verdict.INFEASIBLE
+    assert report.paradox
+    assert_dual_certificate(report.global_report, (g, f))
+    analytic = partition_paradox_audit(g, f, triple_context=context)
+    assert analytic.global_report.verdict is report.global_report.verdict
+    assert analytic.paradox is report.paradox
 
 
 def test_paradox_audit_commuting_pair_is_negative():
@@ -283,9 +288,7 @@ def test_paradox_audit_feasible_global_when_triple_exists():
     # built from a genuine triple joint must see a FEASIBLE global verdict
     l = 0.5
     parents = tuple(unbiased(l * v) for v in (EX, EY, EZ))
-    triple = decide(
-        FeasibilityProblem(parents, FeasibilityOptions(max_iter=6000, restarts=2))
-    )
+    triple = decide(FeasibilityProblem(parents))
     assert triple.verdict is Verdict.FEASIBLE
     k = triple.witness
 
@@ -301,14 +304,14 @@ def test_paradox_audit_feasible_global_when_triple_exists():
                     z = [None, None, None]
                     z[keep[0]], z[keep[1]], z[drop] = xi, xj, xd
                     total = total + k.effects[tuple(z)].matrix
-                cells[(xi, xj)] = HermitianOperator(total, atol=1e-6)
+                cells[(xi, xj)] = HermitianOperator(total)
         from jointmeas import ProductObservable
 
         return ProductObservable((("0", "1"), ("0", "1")), cells)
 
     g = slice_joint((0, 1))
     f = slice_joint((1, 2))
-    opts = FeasibilityOptions(tol=1e-6, max_iter=8000, restarts=3)
+    opts = FeasibilityOptions(tol=1e-6)
     report = partition_paradox_audit(g, f, opts=opts)
     assert report.matrix.undetermined_count == 0
     assert report.matrix.all_feasible

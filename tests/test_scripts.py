@@ -33,7 +33,7 @@ def test_gamma_family_sweep_probes_the_corners():
 
 def test_scan_triple_lengths_prints_both_thresholds(tmp_path):
     out = run_script(
-        "scan_triple_lengths.py", "--steps", "3", "--restarts", "1", "--max-iter", "200",
+        "scan_triple_lengths.py", "--steps", "3",
         "--json-out", str(tmp_path / "rows.json"),
     )
     assert "pairwise threshold 1/sqrt(2) = 0.707106781187" in out

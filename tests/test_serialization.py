@@ -8,7 +8,6 @@ import pytest
 
 from jointmeas import (
     BlochEffect,
-    FeasibilityOptions,
     FeasibilityProblem,
     HermitianOperator,
     Observable,
@@ -97,8 +96,7 @@ def test_feasibility_report_json_contract():
     assert data["witness"] is None
     json.dumps(data)
 
-    feasible = decide(FeasibilityProblem((unbiased(0.5 * EX), unbiased(0.5 * EY)),
-                                         FeasibilityOptions(restarts=2)))
+    feasible = decide(FeasibilityProblem((unbiased(0.5 * EX), unbiased(0.5 * EY))))
     data = feasible.to_json()
     assert data["verdict"] == "FEASIBLE"
     assert data["witness"] is not None
