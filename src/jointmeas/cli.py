@@ -2,8 +2,9 @@
 
 ``run`` executes a registered scenario and exits 0 iff every expectation
 holds.  ``check`` routes ad-hoc JSON inputs to the library: validate,
-jm-pair, jm-set, order-audit, partitions.  Exit codes: 0 success, 1 failed
-expectation, 2 parse error, 3 precondition error.
+jm-pair, jm-set, order-audit, partitions; all but validate first require
+every input to pass ``validate`` at the tolerance.  Exit codes: 0 success,
+1 failed expectation, 2 parse error, 3 precondition error.
 """
 from __future__ import annotations
 
@@ -68,6 +69,21 @@ def _load_observable(path: str):
         return observable_from_json(payload)
     except (KeyError, TypeError, ValueError) as err:
         raise _ParseError(f"{path} is not a valid observable: {err}") from err
+
+
+def _load_povms(paths, tol: float) -> tuple:
+    """Load every file (a parse error first), then require each observable
+    to pass ``validate`` at ``tol``; a failure is a precondition error."""
+    loaded = tuple(_load_observable(p) for p in paths)
+    for path, obs in zip(paths, loaded):
+        rep = validate(obs, tol=tol)
+        if not rep.passed:
+            raise ValueError(
+                f"{path} is not a POVM within tol {tol:.1e}: normalization residual "
+                f"{rep.normalization_residual:.3e}, effect eigenvalues in "
+                f"[{min(rep.min_eigenvalues.values()):.3e}, {max(rep.max_eigenvalues.values()):.3e}]"
+            )
+    return loaded
 
 
 class _ParseError(Exception):
@@ -135,7 +151,7 @@ def _cmd_check(args) -> int:
         if command == "jm-pair":
             if len(inputs) != 2:
                 raise _ParseError("jm-pair takes exactly two observable files")
-            a, b = (_load_observable(p) for p in inputs)
+            a, b = _load_povms(inputs, opts.tol)
             report = decide(FeasibilityProblem((a, b), opts))
             _emit({"command": "jm-pair", "report": report.to_json()}, args.json_out)
             return _check_expectation(report.verdict.value, args)
@@ -143,7 +159,7 @@ def _cmd_check(args) -> int:
         if command == "jm-set":
             if len(inputs) < 2:
                 raise _ParseError("jm-set takes at least two observable files")
-            parents = tuple(_load_observable(p) for p in inputs)
+            parents = _load_povms(inputs, opts.tol)
             if len(parents) == 2:
                 report = decide(FeasibilityProblem(parents, opts))
                 payload = report.to_json()
@@ -158,7 +174,7 @@ def _cmd_check(args) -> int:
         if command == "order-audit":
             if len(inputs) != 3:
                 raise _ParseError("order-audit takes a joint observable and its two parents")
-            g, a, b = (_load_observable(p) for p in inputs)
+            g, a, b = _load_povms(inputs, opts.tol)
             audit = joint_observable_order_audit(g, a, b)
             _emit({"command": "order-audit", "report": audit.to_json()}, args.json_out)
             observed = "all-greatest" if audit.all_greatest else "greatest-refuted"
@@ -167,7 +183,7 @@ def _cmd_check(args) -> int:
         if command == "partitions":
             if len(inputs) != 2:
                 raise _ParseError("partitions takes exactly two observable files")
-            a, b = (_load_observable(p) for p in inputs)
+            a, b = _load_povms(inputs, opts.tol)
             matrix = partition_compatibility_matrix(a, b, opts)
             _emit({"command": "partitions", "report": matrix.to_json()}, args.json_out)
             observed = "all-feasible" if matrix.all_feasible else "not-all-feasible"

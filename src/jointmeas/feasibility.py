@@ -60,8 +60,8 @@ from .observables import (
 )
 from .operators import (
     HermitianOperator,
-    _hermitian_basis,
     barrier_maximize,
+    hermitian_basis,
     identity,
     loewner_leq,
     opnorm,
@@ -529,11 +529,22 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     - the gap k d / t <= ``tol`` (eta* within about ``tol`` of 1): FEASIBLE if
       (1, y / eta) passes the residual test, else UNDETERMINED.
 
-    ``iterations`` counts the start test and the Newton steps.
+    ``iterations`` counts the start test and the Newton steps.  Raises
+    ValueError when a parent's effects do not sum to the identity within
+    ``tol`` (Frobenius norm, as in the residual test): no joint can then have
+    its marginals.
     """
     labels, m, a = _marginal_constraints(parents)
     dim = parents[0].dim
     eye = np.eye(dim)
+    starts = np.cumsum([0] + [len(p.outcomes) for p in parents[:-1]])
+    unnormalized = np.linalg.norm(np.add.reduceat(a, starts) - eye, axis=(1, 2))
+    if unnormalized.max() > tol:
+        i = int(unnormalized.argmax())
+        raise ValueError(
+            f"parent {i}'s effects sum to the identity only within "
+            f"{unnormalized[i]:.3e} > tol {tol:.1e}"
+        )
     share = np.trace(a, axis1=1, axis2=2).real / dim
     live_rows = share > _ZERO_SHARE
     live = ~m[~live_rows].any(axis=0)
@@ -565,7 +576,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     blocks = np.empty((2 + (len(g0) - rank) * dim * dim, *g0.shape), dtype=complex)
     blocks[0], blocks[1] = g0, drift
     null = blocks[2:].reshape(len(g0) - rank, dim * dim, *g0.shape)
-    np.einsum("lz,bij->lbzij", vt[rank:], _hermitian_basis(dim), out=null)
+    np.einsum("lz,bij->lbzij", vt[rank:], hermitian_basis(dim), out=null)
 
     def stop(x, w, t, centered):
         if x[0] >= 1.0:

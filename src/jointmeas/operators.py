@@ -5,7 +5,11 @@ Everything downstream works with dense complex matrices.  Operators are
 symmetrized on construction so later eigensolver calls can assume exact
 Hermiticity; the recorded asymmetry keeps track of how much symmetrization
 threw away.  ``barrier_maximize`` serves both the general joint-measurability
-decision and the maximality probe.
+decision and the maximality probe.  It works in real coordinates on the
+orthonormal Hermitian basis ``hermitian_basis(d)``: every direction block
+F_az becomes a vector C_az of d^2 reals once, and each Newton step builds,
+per cell z, the real d^2 x d^2 matrix T_z of X -> W_z X W_z (W = F(x)^-1),
+so that its Hessian is H_ab = sum_z C_az^T T_z C_bz.
 """
 from __future__ import annotations
 
@@ -132,7 +136,7 @@ def loewner_leq(a: HermitianOperator, b: HermitianOperator, tol: float | None = 
     return is_psd(b - a, tol)
 
 
-def _hermitian_basis(k: int) -> np.ndarray:
+def hermitian_basis(k: int) -> np.ndarray:
     """Orthonormal basis of the k x k Hermitian matrices (k^2 of them) for
     the trace inner product."""
     out = np.zeros((k, k, k, k), dtype=complex)
@@ -158,6 +162,16 @@ def barrier_maximize(c, blocks, x, t: float, gap_tol: float, stop=lambda *_: Non
     every iterate strictly feasible without a line search.  A round ends when
     the decrement falls to 1e-12 or after ``_ROUND_STEPS`` steps.
 
+    The Newton system is built in real coordinates: each direction block
+    F_az is written once as its d^2 coordinates C_az on ``hermitian_basis(d)``
+    (exact, since F_az is Hermitian), and F(x) is rebuilt from the coordinates
+    of F_0 + sum_a x_a F_a.  Each step forms, per cell z, the real d^2 x d^2
+    matrix T_z = Re conj(B) (W_z kron W_z^T) B^T of the superoperator
+    X -> W_z X W_z, where W = F(x)^-1 and the rows of B are the basis
+    matrices flattened.  The gradient is -t c_a - sum_z C_az . coords(W_z) and
+    the Hessian is H_ab = Re tr(W F_a W F_b) = sum_z C_az^T T_z C_bz: no
+    product of W with a direction block is formed.
+
     After every step and at the end of each round, ``stop(x, w, t,
     centered)`` sees the iterate, the block inverses W = F(x)^-1 and whether
     the round has ended; anything but None ends the solve.  Otherwise it ends
@@ -165,30 +179,43 @@ def barrier_maximize(c, blocks, x, t: float, gap_tol: float, stop=lambda *_: Non
     ``gap_tol``.  Returns (x, Newton steps, what ``stop`` returned or None).
     """
     f0, fs = blocks[0], blocks[1:]
-    n = len(fs)
-    size = f0.shape[0] * f0.shape[1]
-    w = np.linalg.inv(f0 + np.tensordot(x, fs, axes=1))
+    n, m, d = fs.shape[:3]
+    basis = hermitian_basis(d).reshape(d * d, d * d)
+
+    def coordinates(h):  # (tr(B_k H))_k of each trailing d x d block of h
+        return np.ascontiguousarray((h.reshape(*h.shape[:-2], d * d) @ basis.conj().T).real)
+
+    coords = coordinates(fs)
+    flat = coords.reshape(n, -1)
+    per_cell = coords.swapaxes(0, 1)
+    scaled = np.empty_like(coords)  # C_az T_z, laid out as coords
+    origin = coordinates(f0).ravel()
+
+    def inverse(x):
+        return np.linalg.inv(((origin + x @ flat).reshape(m, d * d) @ basis).reshape(m, d, d))
+
+    w = inverse(x)
     steps = 0
     while True:
         for _ in range(_ROUND_STEPS):
-            wf = w @ fs
-            grad = -t * c - np.einsum("abii->a", wf).real
-            # H_ab = Re tr(W F_a W F_b): one real matmul over (re, im) pairs
-            other = np.conjugate(wf.swapaxes(-1, -2), order="C").reshape(n, -1)
-            hess = wf.reshape(n, -1).view(float) @ other.view(float).T
+            kron = np.einsum("zip,zqj->zijpq", w, w).reshape(m, d * d, d * d)
+            sup = (basis.conj() @ kron @ basis.T).real
+            grad = -t * c - flat @ coordinates(w).ravel()
+            np.matmul(per_cell, sup, out=scaled.swapaxes(0, 1))
+            hess = scaled.reshape(n, -1) @ flat.T
             dx = -np.linalg.solve(hess, grad)
             decrement = -float(grad @ dx)
             if decrement <= 1e-12:
                 break
             lam = np.sqrt(decrement)
             x = x + (1.0 if lam < 0.25 else 1.0 / (1.0 + lam)) * dx
-            w = np.linalg.inv(f0 + np.tensordot(x, fs, axes=1))
+            w = inverse(x)
             steps += 1
             if (found := stop(x, w, t, False)) is not None:
                 return x, steps, found
         if (found := stop(x, w, t, True)) is not None:
             return x, steps, found
-        if size / t <= gap_tol:
+        if m * d / t <= gap_tol:
             return x, steps, None
         t *= 10.0
 

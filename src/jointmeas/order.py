@@ -29,8 +29,8 @@ import numpy as np
 from .observables import ProductObservable, designation_order, label_key, marginal_deviation
 from .operators import (
     HermitianOperator,
-    _hermitian_basis,
     barrier_maximize,
+    hermitian_basis,
     identity,
     is_effect,
     loewner_leq,
@@ -242,7 +242,7 @@ def maximality_probe(
     if k == 1:
         y, steps = np.minimum(p.real, q.real), 0
     else:
-        basis = _hermitian_basis(k)
+        basis = hermitian_basis(k)
         trace = np.trace(basis, axis1=1, axis2=2).real
         bounds = np.stack([np.zeros_like(p), p, q])
         blocks = np.concatenate([bounds[None], np.stack([basis, -basis, -basis], axis=1)])

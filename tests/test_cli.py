@@ -177,6 +177,29 @@ def test_check_jm_set_triple_reports_pairs_and_global(tmp_path, capsys):
     assert data["report"]["global"]["reason"] == "eq6"
 
 
+def test_check_commands_reject_a_non_povm_input(tmp_path, capsys):
+    eye = np.eye(2)
+    short = Observable(
+        ("0", "1"),
+        {"0": HermitianOperator(0.5 * eye), "1": HermitianOperator(0.2 * eye)},
+    )
+    bad = dump(tmp_path, "short.json", short)
+    a = dump(tmp_path, "a.json", unbiased(0.6 * EX))
+    b = dump(tmp_path, "b.json", unbiased(0.6 * EY))
+    for argv in (
+        ["jm-set", a, b, bad],
+        ["jm-pair", a, bad],
+        ["partitions", bad, b],
+        ["order-audit", bad, a, b],
+    ):
+        assert main(["check", *argv]) == 3
+        err = capsys.readouterr().err
+        assert "short.json is not a POVM" in err
+        assert "normalization residual 3.000e-01" in err
+    # a parse error in another file still comes first
+    assert main(["check", "jm-pair", bad, str(tmp_path / "nope.json")]) == 2
+
+
 # ---------------------------------------------------------------------------
 # check: order-audit / partitions
 # ---------------------------------------------------------------------------

@@ -400,6 +400,20 @@ def test_problem_validation_errors():
         FeasibilityOptions(tol=0.0)
 
 
+def test_unnormalized_parent_is_rejected_not_undetermined():
+    # effects 0.5 I and 0.2 I sum to 0.7 I, 0.3 sqrt 2 from I in Frobenius
+    # norm: no joint has that marginal, and the barrier route used to end
+    # UNDETERMINED on it after reaching eta >= 1
+    eye = identity(2)
+    short = Observable(("0", "1"), {"0": 0.5 * eye, "1": 0.2 * eye})
+    parents = (unbiased(0.6 * EX), unbiased(0.6 * EY), short)
+    with pytest.raises(ValueError, match="parent 2's effects sum to the identity only within 4.243e-01"):
+        decide(FeasibilityProblem(parents))
+    # the same family, normalized, is decided
+    fixed = Observable(("0", "1"), {"0": 0.8 * eye, "1": 0.2 * eye})
+    assert decide(FeasibilityProblem(parents[:2] + (fixed,))).verdict is Verdict.FEASIBLE
+
+
 @st.composite
 def qubit_observables(draw):
     vec = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(3)])

@@ -7,8 +7,10 @@ from jointmeas.operators import (
     MAX_DIM,
     HermitianOperator,
     State,
+    barrier_maximize,
     default_psd_tol,
     eigvalsh_checked,
+    hermitian_basis,
     identity,
     is_effect,
     is_psd,
@@ -138,3 +140,80 @@ def test_operator_json_round_trip():
     payload["re"][0][1] = payload["re"][0][1] + 1.0  # break Hermiticity
     with pytest.raises(ValueError):
         operator_from_json(payload)
+
+
+def dense_barrier_maximize(c, blocks, x, t, gap_tol, stop=lambda *_: None):
+    """Reference kernel: the same damped Newton rounds, with the Newton system
+    from the dense products W F_a, H_ab = Re tr(W F_a W F_b)."""
+    f0, fs = blocks[0], blocks[1:]
+    n = len(fs)
+    w = np.linalg.inv(f0 + np.tensordot(x, fs, axes=1))
+    steps = 0
+    while True:
+        for _ in range(50):
+            wf = w @ fs
+            grad = -t * c - np.einsum("abii->a", wf).real
+            hess = np.einsum("azij,bzji->ab", wf, wf).real
+            dx = -np.linalg.solve(hess, grad)
+            decrement = -float(grad @ dx)
+            if decrement <= 1e-12:
+                break
+            lam = np.sqrt(decrement)
+            x = x + (1.0 if lam < 0.25 else 1.0 / (1.0 + lam)) * dx
+            w = np.linalg.inv(f0 + np.tensordot(x, fs, axes=1))
+            steps += 1
+            if (found := stop(x, w, t, False)) is not None:
+                return x, steps, found
+        if (found := stop(x, w, t, True)) is not None:
+            return x, steps, found
+        if f0.shape[0] * f0.shape[1] / t <= gap_tol:
+            return x, steps, None
+        t *= 10.0
+
+
+def random_bounded_lmi(rng, d, m, n):
+    """F_0 = I on every cell and n random Hermitian directions whose traces
+    over the whole stack vanish, so that sum_a x_a F_a >= 0 forces x = 0 and
+    the feasible set is bounded."""
+    z = rng.standard_normal((n, m, d, d)) + 1j * rng.standard_normal((n, m, d, d))
+    fs = 0.5 * (z + z.conj().swapaxes(-1, -2))
+    total = np.trace(fs, axis1=-2, axis2=-1).real.sum(axis=1)
+    fs -= (total / (m * d))[:, None, None, None] * np.eye(d)
+    blocks = np.concatenate([np.broadcast_to(np.eye(d, dtype=complex), (1, m, d, d)), fs])
+    return rng.standard_normal(n), blocks
+
+
+@pytest.mark.parametrize("d, m, n", [(2, 4, 10), (2, 12, 40), (3, 3, 20), (3, 6, 40), (4, 2, 25), (4, 3, 40)])
+def test_barrier_newton_system_matches_the_dense_formula(d, m, n):
+    rng = np.random.default_rng(100 * d + n)
+    c, blocks = random_bounded_lmi(rng, d, m, n)
+    x0 = np.zeros(n)
+    x, steps, found = barrier_maximize(c, blocks, x0, 1.0, 1e-6)
+    x_ref, steps_ref, found_ref = dense_barrier_maximize(c, blocks, x0, 1.0, 1e-6)
+    assert found is None and found_ref is None
+    assert steps == steps_ref > 0
+    assert np.allclose(x, x_ref, rtol=0.0, atol=1e-8)
+
+    # stops that fire mid-round on the objective, or at the end of a round,
+    # and hand back what they saw
+    target = 0.5 * float(c @ x)
+    for fires in (
+        lambda y, t, centered: c @ y >= target,
+        lambda y, t, centered: centered and t >= 100.0,
+    ):
+        stop = lambda y, w, t, centered: (y.copy(), t, centered) if fires(y, t, centered) else None
+        x, steps, found = barrier_maximize(c, blocks, x0, 1.0, 1e-6, stop)
+        x_ref, steps_ref, found_ref = dense_barrier_maximize(c, blocks, x0, 1.0, 1e-6, stop)
+        assert steps == steps_ref > 0
+        assert found is not None and found[1:] == found_ref[1:]
+        assert np.allclose(x, x_ref, rtol=0.0, atol=1e-8)
+        assert np.array_equal(found[0], x)
+
+
+def test_hermitian_basis_is_orthonormal():
+    for k in (1, 2, 3, 4):
+        b = hermitian_basis(k)
+        assert b.shape == (k * k, k, k)
+        assert np.allclose(b, b.conj().swapaxes(-1, -2))
+        gram = np.einsum("aij,bji->ab", b, b)
+        assert np.allclose(gram, np.eye(k * k), atol=1e-15)
