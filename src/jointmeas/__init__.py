@@ -27,7 +27,6 @@ from .feasibility import (
     decide,
     decide_pair_qubit_numeric,
     pairwise_vs_global,
-    product_joint_many,
     trivial_joint_if_sum_leq_identity,
     witness_residual,
 )
@@ -39,6 +38,7 @@ from .observables import (
     is_sharp,
     is_trivial,
     joint_agreement,
+    joint_from_cell,
     label_key,
     marginal,
     marginal_deviation,
@@ -46,6 +46,7 @@ from .observables import (
     observable_from_json,
     observable_to_json,
     product_joint_commuting,
+    product_joint_many,
     subset_key,
     validate,
 )
@@ -70,7 +71,6 @@ from .order import (
     LowerBoundQuery,
     MaximalityReport,
     OrderAudit,
-    OrderSearchOptions,
     Refutation,
     in_lb,
     joint_observable_order_audit,

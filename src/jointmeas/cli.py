@@ -55,7 +55,7 @@ def _default_tol(args) -> float:
         try:
             return float(env)
         except ValueError as err:
-            raise SystemExit(f"JM_DEFAULT_TOL is not a number: {env!r}") from err
+            raise _ParseError(f"JM_DEFAULT_TOL is not a number: {env!r}") from err
     return 1e-7
 
 
@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
     overrides = {name: getattr(args, name) for name in _SCENARIO_PARAMS}
     try:
         report = run_scenario(args.name, overrides, FeasibilityOptions(_default_tol(args)))
-    except KeyError as err:
+    except (KeyError, _ParseError) as err:
         print(err.args[0], file=sys.stderr)
         return EXIT_PARSE
     except ValueError as err:

@@ -55,8 +55,10 @@ from .observables import (
     designation_order,
     is_sharp,
     is_trivial,
-    label_key,
+    joint_from_cell,
+    max_marginal_deviation,
     observable_to_json,
+    product_joint_many,
 )
 from .operators import (
     HermitianOperator,
@@ -64,8 +66,6 @@ from .operators import (
     hermitian_basis,
     identity,
     loewner_leq,
-    opnorm,
-    zero,
 )
 
 REASON_BUSCH = "eq3"
@@ -134,17 +134,10 @@ class FeasibilityReport:
 
 def witness_residual(g: ProductObservable, parents) -> float:
     """Max marginal deviation (spectral norm) plus worst negative-eigenvalue
-    magnitude, over stacked cells."""
-    labels = list(g.outcomes)
-    cells = np.array([g.effects[z].matrix for z in labels])
-    gaps = []
-    for axis, parent in enumerate(parents):
-        for x in parent.outcomes:
-            keep = [z[axis] == x for z in labels]
-            gaps.append(cells[keep].sum(axis=0) - parent.effects[x].matrix)
-    marg = float(np.linalg.norm(np.array(gaps), 2, axis=(1, 2)).max())
+    magnitude over the cells."""
+    cells = np.array([g.effects[z].matrix for z in g.outcomes])
     neg = max(0.0, -float(np.linalg.eigvalsh(cells)[:, 0].min()))
-    return marg + neg
+    return max_marginal_deviation(g, parents) + neg
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +161,6 @@ def _is_commuting_compatible_family(parents, tol: float = 1e-9) -> bool:
             if not commute(parents[i], parents[j], tol):
                 return False
     return True
-
-
-def product_joint_many(parents, tol: float = 1e-9) -> ProductObservable:
-    """Symmetrized ordered product G(x_1..x_n) = A_1(x_1) ... A_n(x_n) for a
-    pairwise commuting family."""
-    dim = parents[0].dim
-    effects = {}
-    for combo in itertools.product(*(p.outcomes for p in parents)):
-        m = np.eye(dim, dtype=complex)
-        for p, x in zip(parents, combo):
-            m = m @ p.effects[x].matrix
-        sym = 0.5 * (m + m.conj().T)
-        resid = opnorm(m - sym)
-        if resid > tol:
-            raise ValueError(
-                f"ordered product at {tuple(label_key(x) for x in combo)} has "
-                f"Hermiticity residual {resid:.3e} > {tol:.1e}"
-            )
-        effects[combo] = HermitianOperator(sym)
-    return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +279,9 @@ def trivial_joint_if_sum_leq_identity(a_obs, b_obs, tol: float = 1e-9) -> Produc
     for obs in (a_obs, b_obs):
         if len(obs.outcomes) != 2 or "1" not in obs.outcomes:
             raise ValueError("expected two-outcome observables with an outcome labeled '1'")
-    return _trivial_joint_designated(a_obs, b_obs, "1", "1", tol)
-
-
-def _trivial_joint_designated(a_obs, b_obs, da, db, tol: float) -> ProductObservable | None:
-    dim = a_obs.dim
-    a1, b1 = a_obs.effects[da], b_obs.effects[db]
-    rest = identity(dim) - a1 - b1
-    if not loewner_leq(a1 + b1, identity(dim), tol):
+    if not loewner_leq(a_obs.effects["1"] + b_obs.effects["1"], identity(a_obs.dim), tol):
         return None
-    ca = next(x for x in a_obs.outcomes if x != da)
-    cb = next(x for x in b_obs.outcomes if x != db)
-    effects = {
-        (da, db): zero(dim),
-        (da, cb): a1,
-        (ca, db): b1,
-        (ca, cb): rest,
-    }
-    return ProductObservable((tuple(a_obs.outcomes), tuple(b_obs.outcomes)), effects)
+    return joint_from_cell(a_obs, b_obs, np.zeros((a_obs.dim, a_obs.dim)), "1", "1")
 
 
 def _signed_sum_joint(parents, designations) -> ProductObservable:
@@ -338,17 +296,6 @@ def _signed_sum_joint(parents, designations) -> ProductObservable:
         )
         effects[combo] = HermitianOperator(bloch_matrix(0.25, 0.25 * vec))
     return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
-
-
-def _relabel_boundary_joint(g: ProductObservable, a_obs, b_obs, da, db) -> ProductObservable:
-    """Map the '0'/'1' cells of a boundary joint onto the parents' own labels,
-    with ('1','1') landing on the designated pair (da, db)."""
-    ca = next(x for x in a_obs.outcomes if x != da)
-    cb = next(x for x in b_obs.outcomes if x != db)
-    to_a = {"1": da, "0": ca}
-    to_b = {"1": db, "0": cb}
-    effects = {(to_a[i], to_b[j]): e for (i, j), e in g.effects.items()}
-    return ProductObservable((tuple(a_obs.outcomes), tuple(b_obs.outcomes)), effects)
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +425,7 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     g = s * avec + t * bvec
     lo = max(float(np.linalg.norm(g)), float(np.linalg.norm(g - absum)) + alpha + beta - 2.0)
     hi = min(alpha - float(np.linalg.norm(avec - g)), beta - float(np.linalg.norm(bvec - g)))
-    gamma = 0.5 * (lo + hi)
-    ca = next(x for x in a_obs.outcomes if x != da)
-    cb = next(x for x in b_obs.outcomes if x != db)
-    effects = {
-        (da, db): HermitianOperator(bloch_matrix(gamma, g)),
-        (da, cb): HermitianOperator(bloch_matrix(alpha - gamma, avec - g)),
-        (ca, db): HermitianOperator(bloch_matrix(beta - gamma, bvec - g)),
-        (ca, cb): HermitianOperator(bloch_matrix(2.0 - alpha - beta + gamma, g - absum)),
-    }
-    witness = ProductObservable((tuple(a_obs.outcomes), tuple(b_obs.outcomes)), effects)
+    witness = joint_from_cell(a_obs, b_obs, bloch_matrix(0.5 * (lo + hi), g), da, db)
     resid = witness_residual(witness, (a_obs, b_obs))
     return FeasibilityReport(Verdict.FEASIBLE, witness, None, None, resid, evaluations)
 
@@ -618,7 +556,8 @@ def _decide_qubit_pair(a_obs, b_obs, match: _CriterionMatch, opts: FeasibilityOp
         return FeasibilityReport(Verdict.INFEASIBLE, None, match.reason, margin, 0.0, 0)
     (da, _, avec), (db, _, bvec) = match.designations
     if match.reason == REASON_BUSCH and abs(match.result.value - 2.0) <= 1e-9:
-        witness = _relabel_boundary_joint(boundary_joint(avec, bvec), a_obs, b_obs, da, db)
+        corner = boundary_joint(avec, bvec).effects[("1", "1")].matrix
+        witness = joint_from_cell(a_obs, b_obs, corner, da, db)
         resid = witness_residual(witness, (a_obs, b_obs))
         return FeasibilityReport(Verdict.FEASIBLE, witness, match.reason, margin, resid, 0)
     search = decide_pair_qubit_numeric(a_obs, b_obs, opts)

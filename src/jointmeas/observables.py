@@ -1,4 +1,6 @@
-"""Finite-outcome observables (POVMs), marginals, and product joints.
+"""Finite-outcome observables (POVMs), marginals and the marginal check, and
+the joint constructions: product joints and the two-outcome joint fixed by
+one cell.
 
 An outcome label is either a plain string or, for observables living on a
 product outcome space, a tuple of parent labels.
@@ -7,14 +9,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (
     HermitianOperator,
     eigvalsh_checked,
-    identity,
     operator_from_json,
     operator_to_json,
     opnorm,
@@ -196,27 +197,89 @@ def marginal(g: ProductObservable, axis: int):
     return Observable(tuple(g.parents[axis]), effects)
 
 
+def _marginal_gaps(g: ProductObservable, axes) -> np.ndarray:
+    """Spectral norms of G's marginal minus the parent effect, one per
+    (axis, parent, outcome) in ``axes``: the cells are stacked once and the
+    norms taken in one batch."""
+    labels = list(g.outcomes)
+    cells = np.array([g.effects[z].matrix for z in labels])
+    gaps = []
+    for axis, parent in axes:
+        if not 0 <= axis < len(g.parents):
+            raise ValueError(f"axis {axis} out of range for {len(g.parents)} factors")
+        if set(parent.outcomes) != set(g.parents[axis]):
+            raise ValueError(f"axis {axis} labels do not match the parent observable")
+        for x in parent.outcomes:
+            keep = [z[axis] == x for z in labels]
+            gaps.append(cells[keep].sum(axis=0) - parent.effects[x].matrix)
+    return np.linalg.norm(np.array(gaps), 2, axis=(1, 2))
+
+
 def marginal_deviation(g: ProductObservable, axis: int, parent) -> float:
     """Largest spectral-norm distance between an effect of the ``axis``
     marginal of g and the same outcome's effect of ``parent``."""
-    got = marginal(g, axis)
-    return max(opnorm(got.effects[x].matrix - parent.effects[x].matrix) for x in parent.outcomes)
+    return float(_marginal_gaps(g, [(axis, parent)]).max())
 
 
 def max_marginal_deviation(g: ProductObservable, parents) -> float:
     """``marginal_deviation`` maximized over the axes, with ``parents[i]``
     the observable that axis i should reproduce."""
-    return max(marginal_deviation(g, axis, p) for axis, p in enumerate(parents))
+    return float(_marginal_gaps(g, enumerate(parents)).max())
+
+
+def joint_from_cell(a, b, cell, x, y) -> ProductObservable:
+    """The joint of two two-outcome observables fixed by its (x, y) cell D:
+    the marginals force G(x, y') = A(x) - D, G(x', y) = B(y) - D and
+    G(x', y') = I - A(x) - B(y) + D, with x', y' the other outcomes.  The
+    marginals hold by construction; positivity of the cells is the
+    caller's to check."""
+    if len(a.outcomes) != 2 or len(b.outcomes) != 2:
+        raise ValueError("a joint fixed by one cell needs two two-outcome parents")
+    if x not in a.outcomes or y not in b.outcomes:
+        raise ValueError(
+            f"cell ({label_key(x)}, {label_key(y)}) is not an outcome pair of the parents"
+        )
+    d = np.asarray(cell, dtype=complex)
+    ax, by = a.effects[x].matrix, b.effects[y].matrix
+    xc = next(o for o in a.outcomes if o != x)
+    yc = next(o for o in b.outcomes if o != y)
+    effects = {
+        (x, y): HermitianOperator(d),
+        (x, yc): HermitianOperator(ax - d),
+        (xc, y): HermitianOperator(by - d),
+        (xc, yc): HermitianOperator(np.eye(a.dim) - ax - by + d),
+    }
+    return ProductObservable((tuple(a.outcomes), tuple(b.outcomes)), effects)
+
+
+def product_joint_many(parents, tol: float = 1e-9) -> ProductObservable:
+    """Symmetrized ordered product G(x_1..x_n) = A_1(x_1) ... A_n(x_n) for a
+    pairwise commuting family."""
+    dim = parents[0].dim
+    effects = {}
+    for combo in itertools.product(*(p.outcomes for p in parents)):
+        m = np.eye(dim, dtype=complex)
+        for p, x in zip(parents, combo):
+            m = m @ p.effects[x].matrix
+        sym = 0.5 * (m + m.conj().T)
+        resid = opnorm(m - sym)
+        if resid > tol:
+            raise ValueError(
+                f"ordered product at {tuple(label_key(x) for x in combo)} has "
+                f"Hermiticity residual {resid:.3e} > {tol:.1e}"
+            )
+        effects[combo] = HermitianOperator(sym)
+    return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
 
 
 def product_joint_commuting(a, b, tol: float = 1e-9) -> ProductObservable:
     """Joint observable of a commuting pair via symmetrized products.
 
-    G(x, y) = (A(x)B(y) + B(y)A(x)) / 2.  Rejects non-commuting input; for
-    commuting pairs the skew part of A(x)B(y) is exactly half the commutator,
-    so the symmetrization residual stays below tol.  When neither factor is
-    sharp the joint exists but need not be the only one, which is flagged
-    with a warning.
+    G(x, y) = (A(x)B(y) + B(y)A(x)) / 2, built by ``product_joint_many``.
+    Rejects non-commuting input; for commuting pairs the skew part of
+    A(x)B(y) is exactly half the commutator, so the symmetrization residual
+    stays below tol.  When neither factor is sharp the joint exists but need
+    not be the only one, which is flagged with a warning.
     """
     if not commute(a, b, tol):
         raise ValueError("effects do not commute within tol; no product joint built")
@@ -226,19 +289,7 @@ def product_joint_commuting(a, b, tol: float = 1e-9) -> ProductObservable:
             "is not guaranteed",
             stacklevel=2,
         )
-    effects = {}
-    for x in a.outcomes:
-        for y in b.outcomes:
-            p = a.effects[x].matrix @ b.effects[y].matrix
-            sym = 0.5 * (p + p.conj().T)
-            resid = opnorm(p - sym)
-            if resid > tol:
-                raise ValueError(
-                    f"product of effects ({label_key(x)}, {label_key(y)}) has "
-                    f"Hermiticity residual {resid:.3e} > {tol:.1e}"
-                )
-            effects[(x, y)] = HermitianOperator(sym)
-    return ProductObservable((tuple(a.outcomes), tuple(b.outcomes)), effects)
+    return product_joint_many((a, b), tol)
 
 
 def joint_agreement(g: ProductObservable, f: ProductObservable, tol: float = 1e-9) -> bool:

@@ -26,24 +26,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import ProductObservable, designation_order, label_key, marginal_deviation
+from .observables import (
+    ProductObservable,
+    designation_order,
+    joint_from_cell,
+    label_key,
+    marginal_deviation,
+)
 from .operators import (
     HermitianOperator,
     barrier_maximize,
     hermitian_basis,
-    identity,
     is_effect,
     loewner_leq,
 )
 
 
-@dataclass(frozen=True)
-class OrderSearchOptions:
-    eps: float = 1e-6              # strict-violation / trace-gain threshold
-    membership_tol: float = 1e-9   # range cut-off and lb slack for witnesses
-    # duality-gap target of the barrier solve: the reported maximality gain
-    # is within gain_tol of the largest one
-    gain_tol: float = 1e-8
+EPS = 1e-6  # strict-violation / trace-gain threshold
+MEMBERSHIP_TOL = 1e-9  # range cut-off and lb slack for witnesses
+# duality-gap target of the barrier solve: the reported maximality gain is
+# within GAIN_TOL of the largest one
+GAIN_TOL = 1e-8
+MARGINAL_TOL = 1e-8  # the audit's bound on the joint's marginal deviation
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +103,8 @@ class MaximalityReport:
         }
 
 
-def _check_in_lb_pre(c, a, b, eps: float, who: str):
-    ok = (
-        loewner_leq(c, a, eps)
-        and loewner_leq(c, b, eps)
-        and is_effect(c, eps)
-    )
+def _check_in_lb_pre(c, a, b, who: str):
+    ok = loewner_leq(c, a, EPS) and loewner_leq(c, b, EPS) and is_effect(c, EPS)
     if not ok:
         raise ValueError(f"{who}: candidate is not in lb(A, B)")
 
@@ -168,10 +168,7 @@ def _greatest_candidates(ap: np.ndarray, bp: np.ndarray, cp: np.ndarray, tol: fl
 
 
 def refute_greatest(
-    c: HermitianOperator,
-    a: HermitianOperator,
-    b: HermitianOperator,
-    opts: OrderSearchOptions | None = None,
+    c: HermitianOperator, a: HermitianOperator, b: HermitianOperator
 ) -> Refutation | None:
     """Decide whether C is the greatest element of lb(A, B), and if it is not,
     return a member D of lb(A, B) not below C.
@@ -181,62 +178,55 @@ def refute_greatest(
     make V min(A', B') V* the witness; incomparable ones leave no greatest
     member, and the witness is a closed-form rank-one member.  A witness is
     returned only after ``eigvalsh`` confirms D, A - D, B - D >=
-    -``membership_tol`` and a top eigenvalue of D - C (the violation, with
-    the unit vector as its eigenvector) above ``eps``.  So None means that C
-    is the infimum of A and B up to ``eps``; a refutation is never invented.
+    -``MEMBERSHIP_TOL`` and a top eigenvalue of D - C (the violation, with
+    the unit vector as its eigenvector) above ``EPS``.  So None means that C
+    is the infimum of A and B up to ``EPS``; a refutation is never invented.
     """
-    opts = opts or OrderSearchOptions()
-    _check_in_lb_pre(c, a, b, opts.eps, "refute_greatest")
+    _check_in_lb_pre(c, a, b, "refute_greatest")
     am, bm, cm = a.matrix, b.matrix, c.matrix
-    mtol = opts.membership_tol
-    wa, va = _range(am, mtol)
-    wb, vb = _range(bm, mtol)
-    v = _shared_range(va, vb, mtol)
+    wa, va = _range(am, MEMBERSHIP_TOL)
+    wb, vb = _range(bm, MEMBERSHIP_TOL)
+    v = _shared_range(va, vb, MEMBERSHIP_TOL)
     if not v.shape[1]:
         return None
     ap, bp = _compressed_bound(wa, va, v), _compressed_bound(wb, vb, v)
-    for y in _greatest_candidates(ap, bp, v.conj().T @ cm @ v, mtol):
+    for y in _greatest_candidates(ap, bp, v.conj().T @ cm @ v, MEMBERSHIP_TOL):
         dm = v @ y @ v.conj().T
         low = min(float(np.linalg.eigvalsh(m)[0]) for m in (dm, am - dm, bm - dm))
         w, u = np.linalg.eigh(dm - cm)
-        if low >= -mtol and w[-1] > opts.eps:
+        if low >= -MEMBERSHIP_TOL and w[-1] > EPS:
             return Refutation(HermitianOperator(dm), u[:, -1], float(w[-1]))
     return None
 
 
 def maximality_probe(
-    c: HermitianOperator,
-    a: HermitianOperator,
-    b: HermitianOperator,
-    opts: OrderSearchOptions | None = None,
+    c: HermitianOperator, a: HermitianOperator, b: HermitianOperator
 ) -> MaximalityReport:
     """Decide whether C is maximal in lb(A, B), with the largest trace gain.
 
     With P = A - C and Q = B - C, C is maximal exactly when ran P and ran Q
     share no nonzero vector.  Both ranges come from ``eigh`` (eigenvalues
-    above ``membership_tol``) and their intersection S from the singular
-    values of Vp* Vq that reach 1 - ``membership_tol``; S = {0} gives
+    above ``MEMBERSHIP_TOL``) and their intersection S from the singular
+    values of Vp* Vq that reach 1 - ``MEMBERSHIP_TOL``; S = {0} gives
     MAXIMAL_WITHIN with gain 0 and no iterations.  Otherwise, with V a basis
     of S, the members D = C + V Y V* satisfy Y <= (V* P^+ V)^-1 and
     Y <= (V* Q^+ V)^-1, and the largest tr Y under those bounds and Y >= 0
     is the trace gain.  It is the smaller bound when dim S = 1, and otherwise
-    found to ``gain_tol`` by ``barrier_maximize`` on the k^2 real coordinates
+    found to ``GAIN_TOL`` by ``barrier_maximize`` on the k^2 real coordinates
     of Y, with blocks Y, P' - Y and Q' - Y for the two bounds P' and Q', from
     (lambda_min / 2) I and t = 3k / max(tr P', tr Q').  Before
     NOT_MAXIMAL is reported the witness D is re-checked with ``eigvalsh``:
-    D - C, A - D and B - D must each be >= -``membership_tol``.  A failed
+    D - C, A - D and B - D must each be >= -``MEMBERSHIP_TOL``.  A failed
     check reports MAXIMAL_WITHIN with gain 0, so the probe may miss a gain,
-    never invent one.  A gain of at most ``eps`` is also MAXIMAL_WITHIN.
+    never invent one.  A gain of at most ``EPS`` is also MAXIMAL_WITHIN.
     """
-    opts = opts or OrderSearchOptions()
-    _check_in_lb_pre(c, a, b, opts.eps, "maximality_probe")
+    _check_in_lb_pre(c, a, b, "maximality_probe")
     cm, am, bm = c.matrix, a.matrix, b.matrix
-    mtol = opts.membership_tol
-    wp, vp = _range(am - cm, mtol)
-    wq, vq = _range(bm - cm, mtol)
-    v = _shared_range(vp, vq, mtol)
+    wp, vp = _range(am - cm, MEMBERSHIP_TOL)
+    wq, vq = _range(bm - cm, MEMBERSHIP_TOL)
+    v = _shared_range(vp, vq, MEMBERSHIP_TOL)
     if not v.shape[1]:
-        return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, opts.eps)
+        return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, EPS)
     p, q = _compressed_bound(wp, vp, v), _compressed_bound(wq, vq, v)
     k = p.shape[0]
     if k == 1:
@@ -248,16 +238,16 @@ def maximality_probe(
         blocks = np.concatenate([bounds[None], np.stack([basis, -basis, -basis], axis=1)])
         lam = min(np.linalg.eigvalsh(p)[0], np.linalg.eigvalsh(q)[0])
         t = 3.0 * k / max(float(np.trace(p).real), float(np.trace(q).real))
-        x, steps, _ = barrier_maximize(trace, blocks, 0.5 * lam * trace, t, opts.gain_tol)
+        x, steps, _ = barrier_maximize(trace, blocks, 0.5 * lam * trace, t, GAIN_TOL)
         y = np.tensordot(x, basis, axes=1)
     dm = cm + v @ y @ v.conj().T
     low = min(float(np.linalg.eigvalsh(m)[0]) for m in (dm - cm, am - dm, bm - dm))
-    if low < -mtol:
-        return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, opts.eps, steps)
+    if low < -MEMBERSHIP_TOL:
+        return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, EPS, steps)
     gain = float(np.trace(y).real)
-    if gain > opts.eps:
-        return MaximalityReport("NOT_MAXIMAL", HermitianOperator(dm), gain, opts.eps, steps)
-    return MaximalityReport("MAXIMAL_WITHIN", None, gain, opts.eps, steps)
+    if gain > EPS:
+        return MaximalityReport("NOT_MAXIMAL", HermitianOperator(dm), gain, EPS, steps)
+    return MaximalityReport("MAXIMAL_WITHIN", None, gain, EPS, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,31 +289,24 @@ class OrderAudit:
         }
 
 
-def joint_observable_order_audit(
-    g: ProductObservable,
-    a_obs,
-    b_obs,
-    opts: OrderSearchOptions | None = None,
-    marginal_tol: float = 1e-8,
-) -> OrderAudit:
+def joint_observable_order_audit(g: ProductObservable, a_obs, b_obs) -> OrderAudit:
     """Order-theoretic audit of a joint observable, cell by cell.
 
-    Every cell effect is confirmed to lie in the lower-bound set of its
-    marginal effects, then put to the exact greatestness decision
+    g must be a two-parent ``ProductObservable`` whose marginals reproduce
+    a_obs and b_obs within ``MARGINAL_TOL``; anything else raises
+    ValueError.  Every cell effect is confirmed to lie in the lower-bound set
+    of its marginal effects, then put to the exact greatestness decision
     (``refute_greatest``) and the maximality probe.  ``all_greatest`` is
     conclusive: it is True exactly when every cell is the infimum of its
-    marginal effects, up to ``eps``.  For two-outcome parents a refuted maximality at the designated
-    cell is converted into an explicit second joint observable, refuting
-    uniqueness.
+    marginal effects, up to ``EPS``.  For two-outcome parents a refuted
+    maximality at the designated cell is converted into an explicit second
+    joint observable (``joint_from_cell``), refuting uniqueness.
     """
-    opts = opts or OrderSearchOptions()
-    if len(g.parents) != 2:
+    if not isinstance(g, ProductObservable) or len(g.parents) != 2:
         raise ValueError("audit expects a joint observable of two parents")
     for axis, parent in enumerate((a_obs, b_obs)):
-        if set(g.parents[axis]) != set(parent.outcomes):
-            raise ValueError(f"axis {axis} labels do not match the parent observable")
         dev = marginal_deviation(g, axis, parent)
-        if dev > marginal_tol:
+        if dev > MARGINAL_TOL:
             raise ValueError(f"marginal mismatch on axis {axis}: {dev:.3e}")
 
     cells = {}
@@ -331,10 +314,10 @@ def joint_observable_order_audit(
         for y in b_obs.outcomes:
             c = g.effects[(x, y)]
             fa, fb = a_obs.effects[x], b_obs.effects[y]
-            member = loewner_leq(c, fa, opts.eps) and loewner_leq(c, fb, opts.eps)
+            member = loewner_leq(c, fa, EPS) and loewner_leq(c, fb, EPS)
             if member:
-                refutation = refute_greatest(c, fa, fb, opts)
-                probe = maximality_probe(c, fa, fb, opts)
+                refutation = refute_greatest(c, fa, fb)
+                probe = maximality_probe(c, fa, fb)
             else:
                 refutation, probe = None, None
             cells[(x, y)] = CellAudit(member, refutation, probe)
@@ -351,17 +334,6 @@ def joint_observable_order_audit(
         da, db = designation_order(a_obs)[0], designation_order(b_obs)[0]
         probe = cells[(da, db)].maximality
         if probe is not None and probe.verdict == "NOT_MAXIMAL":
-            d = probe.witness
-            ca = next(x for x in a_obs.outcomes if x != da)
-            cb = next(y for y in b_obs.outcomes if y != db)
-            alternative = ProductObservable(
-                (tuple(a_obs.outcomes), tuple(b_obs.outcomes)),
-                {
-                    (da, db): d,
-                    (da, cb): a_obs.effects[da] - d,
-                    (ca, db): b_obs.effects[db] - d,
-                    (ca, cb): identity(g.dim) + d - a_obs.effects[da] - b_obs.effects[db],
-                },
-            )
+            alternative = joint_from_cell(a_obs, b_obs, probe.witness.matrix, da, db)
             uniqueness_refuted = True
     return OrderAudit(cells, all_greatest, all_maximal, uniqueness_refuted, alternative)

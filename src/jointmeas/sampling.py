@@ -30,7 +30,10 @@ def _nonconstant_bits(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_commuting_sharp_pair(dim: int, rng: np.random.Generator):
-    """Two sharp two-outcome observables diagonal in a common random basis."""
+    """Two sharp two-outcome observables diagonal in a common random basis.
+    Raises ValueError for dim < 2, where no projection is nontrivial."""
+    if dim < 2:
+        raise ValueError(f"a nontrivial sharp pair needs dim >= 2, got {dim}")
     u = random_unitary(dim, rng)
 
     def sharp(bits):

@@ -218,6 +218,14 @@ def test_check_order_audit_boundary_joint(tmp_path, capsys):
     assert data["report"]["all_maximal"] is True
 
 
+def test_check_order_audit_rejects_a_plain_observable_as_joint(tmp_path, capsys):
+    g = dump(tmp_path, "g.json", unbiased(L * EZ))
+    a = dump(tmp_path, "ea.json", unbiased(L * EX))
+    b = dump(tmp_path, "eb.json", unbiased(L * EY))
+    assert main(["check", "order-audit", g, a, b]) == 3
+    assert "joint observable of two parents" in capsys.readouterr().err
+
+
 def test_check_partitions_matrix(tmp_path, capsys):
     a = dump(tmp_path, "sz.json", unbiased(EZ))
     b = dump(tmp_path, "sx.json", unbiased(EX))
@@ -239,11 +247,17 @@ def test_env_tolerance_is_honored(pair_files, monkeypatch, capsys):
     capsys.readouterr()
 
     monkeypatch.setenv("JM_DEFAULT_TOL", "not-a-number")
-    with pytest.raises(SystemExit, match="JM_DEFAULT_TOL"):
-        main(["check", "jm-pair", a, b])
+    assert main(["check", "jm-pair", a, b]) == 2
+    assert "JM_DEFAULT_TOL" in capsys.readouterr().err
 
     assert main(["check", "jm-pair", a, b, "--tol", "0"]) == 3
     assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_run_rejects_a_non_numeric_env_tolerance(monkeypatch, capsys):
+    monkeypatch.setenv("JM_DEFAULT_TOL", "abc")
+    assert main(["run", "busch-boundary"]) == 2
+    assert "JM_DEFAULT_TOL" in capsys.readouterr().err
 
 
 def test_reports_round_to_twelve_significant_digits(pair_files, capsys):
@@ -277,6 +291,18 @@ def test_run_accepts_the_benchmark_flags(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_run_commuting_sharp_product_rejects_dim_below_two(dim):
+    # a subprocess with a timeout, so that a hang fails instead of stalling the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(jointmeas.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jointmeas.cli", "run", "commuting-sharp-product", "--dim", dim],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "dim >= 2" in proc.stderr
 
 
 def test_module_entry_point():

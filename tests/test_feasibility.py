@@ -155,6 +155,25 @@ def test_unbiased_boundary_uses_closed_form_witness():
     assert witness_residual(report.witness, (a, b)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "avec, bvec",
+    [(0.6 * EX, 0.8 * EY), (np.array([0.3, 0.7, 0.0]), np.array([0.3, -0.7, 0.0]))],
+)
+def test_boundary_witness_is_the_closed_form_relabeled(avec, bvec):
+    # outcome labels other than "0"/"1": the designated outcome is "plus"
+    def labeled(vec):
+        one = SimpleQubitObservable(BlochEffect(1.0, vec)).as_observable()
+        return Observable(("minus", "plus"), {"plus": one.effects["1"], "minus": one.effects["0"]})
+
+    report = decide(FeasibilityProblem((labeled(avec), labeled(bvec))))
+    assert report.verdict is Verdict.FEASIBLE and report.reason == "eq3"
+    closed = boundary_joint(avec, bvec)
+    name = {"1": "plus", "0": "minus"}
+    for (i, j), effect in closed.effects.items():
+        got = report.witness.effects[(name[i], name[j])].matrix
+        assert np.abs(got - effect.matrix).max() <= 1e-12
+
+
 def test_numeric_pair_search_undetermined_inside_infeasible_region():
     a, b = unbiased(0.72 * EX), unbiased(0.72 * EY)
     report = decide(FeasibilityProblem((a, b)))

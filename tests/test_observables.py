@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,15 +12,19 @@ from jointmeas.observables import (
     is_sharp,
     is_trivial,
     joint_agreement,
+    joint_from_cell,
     label_key,
     marginal,
+    marginal_deviation,
+    max_marginal_deviation,
     observable_from_json,
     observable_to_json,
     product_joint_commuting,
+    product_joint_many,
     subset_key,
     validate,
 )
-from jointmeas.operators import HermitianOperator, identity, opnorm
+from jointmeas.operators import HermitianOperator, identity, opnorm, zero
 from jointmeas.sampling import random_commuting_sharp_pair, random_effect
 
 
@@ -158,3 +164,69 @@ def test_observable_json_round_trip():
     back_g = observable_from_json(observable_to_json(g))
     assert isinstance(back_g, ProductObservable)
     assert joint_agreement(g, back_g, tol=1e-12)
+
+
+def _reference_marginal_deviation(g, axis, parent) -> float:
+    """The marginal check as it read before the stacked kernel: build the
+    axis marginal with ``marginal`` and compare effect by effect."""
+    got = marginal(g, axis)
+    return max(opnorm(got.effects[x].matrix - parent.effects[x].matrix) for x in parent.outcomes)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_marginal_deviation_matches_the_marginal_formula(seed):
+    rng = np.random.default_rng([23, seed])
+    dim = int(rng.integers(2, 5))
+    sizes = rng.integers(2, 4, size=int(rng.integers(2, 4)))
+    parents = []
+    for k, n in enumerate(sizes):
+        labels = tuple(f"{k}{x}" for x in range(n))
+        parents.append(Observable(labels, {x: random_effect(dim, rng) for x in labels}))
+    g = ProductObservable(
+        tuple(p.outcomes for p in parents),
+        {z: random_effect(dim, rng) for z in itertools.product(*(p.outcomes for p in parents))},
+    )
+    want = [_reference_marginal_deviation(g, i, p) for i, p in enumerate(parents)]
+    for i, p in enumerate(parents):
+        assert abs(marginal_deviation(g, i, p) - want[i]) <= 1e-12
+    assert abs(max_marginal_deviation(g, parents) - max(want)) <= 1e-12
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_joint_from_cell_has_exact_marginals(seed, dim):
+    rng = np.random.default_rng(seed)
+    ea, eb = random_effect(dim, rng), random_effect(dim, rng)
+    a = Observable(("x", "y"), {"y": ea, "x": identity(dim) - ea})
+    b = Observable(("0", "1"), {"1": eb, "0": identity(dim) - eb})
+    cell = random_effect(dim, rng).matrix
+    g = joint_from_cell(a, b, cell, "y", "1")
+    assert g.parents == (("x", "y"), ("0", "1"))
+    assert np.array_equal(g.effects[("y", "1")].matrix, cell)
+    assert max_marginal_deviation(g, (a, b)) <= 1e-12
+
+
+def test_joint_from_cell_refuses_parents_without_two_outcomes():
+    two = _coin(2)
+    three = Observable(("a", "b", "c"), {x: identity(2) * (1 / 3) for x in "abc"})
+    with pytest.raises(ValueError, match="two two-outcome parents"):
+        joint_from_cell(two, three, zero(2).matrix, "1", "a")
+    with pytest.raises(ValueError, match="two two-outcome parents"):
+        joint_from_cell(three, two, zero(2).matrix, "a", "1")
+    with pytest.raises(ValueError, match="not an outcome pair"):
+        joint_from_cell(two, two, zero(2).matrix, "1", "2")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_joint_commuting_is_product_joint_many(seed):
+    a, b = random_commuting_sharp_pair(3 + seed % 2, np.random.default_rng([29, seed]))
+    g = product_joint_commuting(a, b)
+    many = product_joint_many((a, b))
+    assert g.parents == many.parents
+    for z in many.outcomes:
+        assert np.array_equal(g.effects[z].matrix, many.effects[z].matrix)
+
+
+@pytest.mark.parametrize("dim", [-1, 0, 1])
+def test_commuting_sharp_pair_needs_dimension_two(dim):
+    with pytest.raises(ValueError, match="dim >= 2"):
+        random_commuting_sharp_pair(dim, np.random.default_rng(0))

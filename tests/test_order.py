@@ -12,7 +12,6 @@ from jointmeas import (
     HermitianOperator,
     LowerBoundQuery,
     Observable,
-    OrderSearchOptions,
     SimpleQubitObservable,
     bloch_matrix,
     boundary_joint,
@@ -31,6 +30,7 @@ from jointmeas import (
     validate,
     zero,
 )
+from jointmeas.order import EPS
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -222,7 +222,7 @@ def _verdicts_agree(c, a, b, seed):
     if ref is not None:
         d = ref.witness
         assert in_lb(LowerBoundQuery(ops[1], ops[2], d, 1e-9))
-        assert ref.violation > OrderSearchOptions().eps
+        assert ref.violation > EPS
         psi = ref.vector
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
         quad = float(np.real(psi.conj() @ (d.matrix - c) @ psi))
@@ -471,3 +471,9 @@ def test_audit_rejects_foreign_labels(boundary_setup):
     )
     with pytest.raises(ValueError, match="labels do not match"):
         joint_observable_order_audit(g, relabeled, b_obs)
+
+
+def test_audit_rejects_a_joint_that_is_not_a_two_parent_product(boundary_setup):
+    a_obs, b_obs, _ = boundary_setup
+    with pytest.raises(ValueError, match="joint observable of two parents"):
+        joint_observable_order_audit(a_obs, a_obs, b_obs)
