@@ -31,6 +31,11 @@ from .observables import Observable, ProductObservable
 from .operators import PAULI, HermitianOperator
 
 AXIS_TOL = 1e-10  # tolerance on normalized dot products for (anti)parallel / orthogonal tests
+# a criterion holds when value <= threshold + CRITERION_TOL; an unbiased pair
+# with | ||a+b|| + ||a-b|| - 2 | <= CRITERION_TOL is on the eq3 boundary
+CRITERION_TOL = 1e-9
+PROJECTION_TOL = 1e-10  # |alpha - 1| and | ||a|| - 1 | bound for a projection
+EFFECT_TOL = 1e-12  # slack of the effect test on criterion inputs and gamma-family cells
 
 
 def bloch_matrix(alpha: float, a) -> np.ndarray:
@@ -57,9 +62,6 @@ class BlochEffect:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.a))
-
-    def is_valid(self, tol: float = 0.0) -> bool:
-        return is_valid_effect_params(self.alpha, self.a, tol)
 
     def to_operator(self) -> HermitianOperator:
         return HermitianOperator(bloch_matrix(self.alpha, self.a))
@@ -102,10 +104,10 @@ def is_valid_effect_params(alpha: float, a, tol: float = 0.0) -> bool:
     return n <= alpha + tol and alpha <= 2.0 - n + tol
 
 
-def is_nontrivial_projection_params(alpha: float, a, tol: float = 1e-10) -> bool:
+def is_nontrivial_projection_params(alpha: float, a) -> bool:
     """Projection condition in Bloch form: alpha = ||a|| = 1."""
     n = float(np.linalg.norm(np.asarray(a, dtype=float)))
-    return abs(alpha - 1.0) <= tol and abs(n - 1.0) <= tol
+    return abs(alpha - 1.0) <= PROJECTION_TOL and abs(n - 1.0) <= PROJECTION_TOL
 
 
 def _unit_dot(u, v) -> float:
@@ -116,21 +118,21 @@ def _unit_dot(u, v) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def are_orthogonal(u, v, tol: float = AXIS_TOL) -> bool:
-    return abs(_unit_dot(u, v)) <= tol
+def are_orthogonal(u, v) -> bool:
+    return abs(_unit_dot(u, v)) <= AXIS_TOL
 
 
-def are_parallel(u, v, tol: float = AXIS_TOL) -> bool:
+def are_parallel(u, v) -> bool:
     """Parallel or antiparallel; zero vectors count as parallel to everything."""
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return True
-    return abs(abs(_unit_dot(u, v)) - 1.0) <= tol
+    return abs(abs(_unit_dot(u, v)) - 1.0) <= AXIS_TOL
 
 
 @dataclass(frozen=True)
 class CriterionResult:
-    """Outcome of an analytic criterion: jm iff value <= threshold (+ tol).
+    """Outcome of an analytic criterion: jm iff value <= threshold + CRITERION_TOL.
 
     ``margin`` is value - threshold: positive means the criterion is violated
     by that amount.  For the asymmetric Liu inequality ``value`` is the left
@@ -155,54 +157,54 @@ class CriterionResult:
         return self.threshold
 
 
-def busch_criterion(a, b, tol: float = 1e-9) -> CriterionResult:
+def busch_criterion(a, b) -> CriterionResult:
     """Pair of unbiased qubit effects: jm iff ||a+b|| + ||a-b|| <= 2."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):
-        if not is_valid_effect_params(1.0, v, 1e-12):
+        if not is_valid_effect_params(1.0, v, EFFECT_TOL):
             raise ValueError(f"(1, {name}) is not a valid effect: ||{name}|| > 1")
     value = float(np.linalg.norm(a + b) + np.linalg.norm(a - b))
-    return CriterionResult(value, 2.0, value <= 2.0 + tol)
+    return CriterionResult(value, 2.0, value <= 2.0 + CRITERION_TOL)
 
 
-def molnar_criterion(a, b, tol: float = 1e-9) -> CriterionResult:
+def molnar_criterion(a, b) -> CriterionResult:
     """Pair of scaled rank-one projections: jm iff ||a+b|| + ||a|| + ||b|| <= 2."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):
-        if not is_valid_effect_params(float(np.linalg.norm(v)), v, 1e-12):
+        if not is_valid_effect_params(float(np.linalg.norm(v)), v, EFFECT_TOL):
             raise ValueError(f"(||{name}||, {name}) is not a valid effect")
     if are_parallel(a, b):
         raise ValueError("criterion requires non-parallel (and nonzero) vectors")
     value = float(np.linalg.norm(a + b) + np.linalg.norm(a) + np.linalg.norm(b))
-    return CriterionResult(value, 2.0, value <= 2.0 + tol)
+    return CriterionResult(value, 2.0, value <= 2.0 + CRITERION_TOL)
 
 
-def liu_criterion(a, beta: float, b, tol: float = 1e-9) -> CriterionResult:
+def liu_criterion(a, beta: float, b) -> CriterionResult:
     """Unbiased effect vs an effect along an orthogonal axis.
 
     jm iff 2||a|| <= sqrt(beta^2 - ||b||^2) + sqrt((2-beta)^2 - ||b||^2).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not is_valid_effect_params(1.0, a, 1e-12):
+    if not is_valid_effect_params(1.0, a, EFFECT_TOL):
         raise ValueError("(1, a) is not a valid effect: ||a|| > 1")
-    if not is_valid_effect_params(float(beta), b, 1e-12):
+    if not is_valid_effect_params(float(beta), b, EFFECT_TOL):
         raise ValueError("(beta, b) is not a valid effect")
     if not are_orthogonal(a, b):
         raise ValueError("criterion requires a orthogonal to b")
     nb2 = float(np.dot(b, b))
     lhs = 2.0 * float(np.linalg.norm(a))
     rhs = float(np.sqrt(max(beta**2 - nb2, 0.0)) + np.sqrt(max((2.0 - beta) ** 2 - nb2, 0.0)))
-    return CriterionResult(lhs, rhs, lhs <= rhs + tol)
+    return CriterionResult(lhs, rhs, lhs <= rhs + CRITERION_TOL)
 
 
-def three_orthogonal_criterion(a, b, c, tol: float = 1e-9) -> CriterionResult:
+def three_orthogonal_criterion(a, b, c) -> CriterionResult:
     """Unbiased triple along pairwise orthogonal axes: jm iff sum of ||.||^2 <= 1."""
     vecs = [np.asarray(v, dtype=float) for v in (a, b, c)]
     for name, v in zip("abc", vecs):
-        if not is_valid_effect_params(1.0, v, 1e-12):
+        if not is_valid_effect_params(1.0, v, EFFECT_TOL):
             raise ValueError(f"(1, {name}) is not a valid effect: ||{name}|| > 1")
     for (n1, v1), (n2, v2) in (
         (("a", vecs[0]), ("b", vecs[1])),
@@ -212,7 +214,7 @@ def three_orthogonal_criterion(a, b, c, tol: float = 1e-9) -> CriterionResult:
         if not are_orthogonal(v1, v2):
             raise ValueError(f"criterion requires {n1} orthogonal to {n2}")
     value = float(sum(np.dot(v, v) for v in vecs))
-    return CriterionResult(value, 1.0, value <= 1.0 + tol)
+    return CriterionResult(value, 1.0, value <= 1.0 + CRITERION_TOL)
 
 
 def _f_term(alpha: float, n: float) -> float:
@@ -223,7 +225,7 @@ def _f_term(alpha: float, n: float) -> float:
     return 0.5 * (math.sqrt(lower) + math.sqrt(upper))
 
 
-def qubit_pair_criterion(alpha: float, a, beta: float, b, tol: float = 1e-9) -> CriterionResult:
+def qubit_pair_criterion(alpha: float, a, beta: float, b) -> CriterionResult:
     """Any pair of qubit effects (alpha, a) and (beta, b).
 
     With x = alpha - 1, y = beta - 1 and F_A, F_B the ``_f_term`` of each
@@ -254,13 +256,13 @@ def qubit_pair_criterion(alpha: float, a, beta: float, b, tol: float = 1e-9) -> 
     ratio_b = (y / fb) ** 2 if fb > 0.0 else 0.0
     lhs = (1.0 - fa * fa - fb * fb) * (1.0 - ratio_a - ratio_b)
     rhs = (float(np.dot(a, b)) - x * y) ** 2
-    return CriterionResult(lhs, rhs, lhs <= rhs + tol)
+    return CriterionResult(lhs, rhs, lhs <= rhs + CRITERION_TOL)
 
 
-def boundary_joint(a, b, boundary_tol: float = 1e-9) -> ProductObservable:
+def boundary_joint(a, b) -> ProductObservable:
     """The unique joint observable of an unbiased pair on the compatibility boundary.
 
-    Requires ||a+b|| + ||a-b|| = 2 (within boundary_tol).  The joint effect for
+    Requires ||a+b|| + ||a-b|| = 2 (within ``CRITERION_TOL``).  The joint effect for
     outcome pair (i, j) points along n_ij = ((-1)^(i+1) a + (-1)^(j+1) b) / 2
     and equals ||n_ij|| (I + n_ij.sigma/||n_ij||) / 2; each n_ij must be
     nonzero, which excludes a = +-b.
@@ -268,7 +270,7 @@ def boundary_joint(a, b, boundary_tol: float = 1e-9) -> ProductObservable:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     value = float(np.linalg.norm(a + b) + np.linalg.norm(a - b))
-    if abs(value - 2.0) > boundary_tol:
+    if abs(value - 2.0) > CRITERION_TOL:
         raise ValueError(
             f"pair is not on the compatibility boundary: ||a+b|| + ||a-b|| = {value!r}"
         )
@@ -318,7 +320,7 @@ def gamma_interval(a, beta: float) -> Interval:
     return Interval(beta - half_gap, half_gap)
 
 
-def gamma_family_member(a, beta: float, b_hat, gamma: float, tol: float = 1e-12) -> ProductObservable:
+def gamma_family_member(a, beta: float, b_hat, gamma: float) -> ProductObservable:
     """One member of the joint-observable family for the pair
     A = (unbiased, axis a) and B = (beta, beta * b_hat) with b_hat orthogonal to a.
 
@@ -341,7 +343,9 @@ def gamma_family_member(a, beta: float, b_hat, gamma: float, tol: float = 1e-12)
         ("0", "0"): (1.0 - beta + gamma, -a - (beta - gamma) * b_hat),
     }
     bad = [
-        (i, j) for (i, j), (al, v) in cells.items() if not is_valid_effect_params(al, v, tol)
+        (i, j)
+        for (i, j), (al, v) in cells.items()
+        if not is_valid_effect_params(al, v, EFFECT_TOL)
     ]
     if bad:
         names = ", ".join(f"({i},{j})" for i, j in sorted(bad))

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import (
+    CRITERION_TOL,
     BlochEffect,
     CriterionResult,
     are_orthogonal,
@@ -90,8 +91,10 @@ class FeasibilityOptions:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not self.tol > 0.0:  # the barrier route runs until its gap is below tol
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        # the barrier route runs until its gap is below tol; an infinite tol
+        # would pass any witness residual and any input to ``validate``
+        if not 0.0 < self.tol < float("inf"):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +147,9 @@ def witness_residual(g: ProductObservable, parents) -> float:
 # route 1: commuting families
 # ---------------------------------------------------------------------------
 
-def _sharp_or_scalar_flags(parents, tol: float) -> list:
-    return [is_sharp(p, tol) or is_trivial(p, tol) for p in parents]
-
-
-def _is_commuting_compatible_family(parents, tol: float = 1e-9) -> bool:
+def _is_commuting_compatible_family(parents) -> bool:
     """All pairs commute and each pair contains a sharp or scalar member."""
-    flags = _sharp_or_scalar_flags(parents, tol)
+    flags = [is_sharp(p) or is_trivial(p) for p in parents]
     n = len(parents)
     for i in range(n):
         for j in range(i + 1, n):
@@ -158,7 +157,7 @@ def _is_commuting_compatible_family(parents, tol: float = 1e-9) -> bool:
                 return False
     for i in range(n):
         for j in range(i + 1, n):
-            if not commute(parents[i], parents[j], tol):
+            if not commute(parents[i], parents[j]):
                 return False
     return True
 
@@ -272,14 +271,14 @@ def _match_triple_criterion(parents) -> _CriterionMatch | None:
 # witnesses for analytically feasible cases
 # ---------------------------------------------------------------------------
 
-def trivial_joint_if_sum_leq_identity(a_obs, b_obs, tol: float = 1e-9) -> ProductObservable | None:
+def trivial_joint_if_sum_leq_identity(a_obs, b_obs) -> ProductObservable | None:
     """If A(1) + B(1) <= identity, the joint with an empty (1,1) cell:
     G(1,1) = 0, G(1,0) = A(1), G(0,1) = B(1), G(0,0) = 1 - A(1) - B(1).
     Returns None when the sum condition fails."""
     for obs in (a_obs, b_obs):
         if len(obs.outcomes) != 2 or "1" not in obs.outcomes:
             raise ValueError("expected two-outcome observables with an outcome labeled '1'")
-    if not loewner_leq(a_obs.effects["1"] + b_obs.effects["1"], identity(a_obs.dim), tol):
+    if not loewner_leq(a_obs.effects["1"] + b_obs.effects["1"], identity(a_obs.dim)):
         return None
     return joint_from_cell(a_obs, b_obs, np.zeros((a_obs.dim, a_obs.dim)), "1", "1")
 
@@ -315,14 +314,6 @@ def _designated_pair_params(obs):
     d = designation_order(obs)[0]
     alpha, avec = params[d]
     return d, alpha, avec
-
-
-def _as_observable(obs):
-    from .bloch import SimpleQubitObservable
-
-    if isinstance(obs, SimpleQubitObservable):
-        return obs.as_observable()
-    return obs
 
 
 def _narrow(lo, width, best):
@@ -410,8 +401,6 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     residual.  Deterministic; ``iterations`` counts grid evaluations.
     """
     opts = opts or FeasibilityOptions()
-    a_obs = _as_observable(a_obs)
-    b_obs = _as_observable(b_obs)
     if a_obs.dim != 2 or b_obs.dim != 2:
         raise ValueError("the pair search is specific to qubit observables")
     da, alpha, avec = _designated_pair_params(a_obs)
@@ -555,7 +544,7 @@ def _decide_qubit_pair(a_obs, b_obs, match: _CriterionMatch, opts: FeasibilityOp
     if not match.result.jm:
         return FeasibilityReport(Verdict.INFEASIBLE, None, match.reason, margin, 0.0, 0)
     (da, _, avec), (db, _, bvec) = match.designations
-    if match.reason == REASON_BUSCH and abs(match.result.value - 2.0) <= 1e-9:
+    if match.reason == REASON_BUSCH and abs(match.result.value - 2.0) <= CRITERION_TOL:
         corner = boundary_joint(avec, bvec).effects[("1", "1")].matrix
         witness = joint_from_cell(a_obs, b_obs, corner, da, db)
         resid = witness_residual(witness, (a_obs, b_obs))

@@ -23,6 +23,14 @@ from .operators import (
 
 Label = "str | tuple[str, ...]"
 
+# spectral-norm bound of the structural tests: ||E^2 - E|| for ``is_sharp``,
+# ||E - (tr E / d) I|| for ``is_trivial``, ||[A, B]|| for ``commute``, and the
+# skew part of an ordered product in ``product_joint_many``
+STRUCTURE_TOL = 1e-9
+# largest ``marginal_deviation`` at which a joint's marginal counts as a given
+# parent (the order audit and the paradox audit)
+MARGINAL_TOL = 1e-8
+
 
 def label_key(label) -> str:
     """Canonical string form of an outcome label for JSON keys and reports."""
@@ -74,9 +82,6 @@ class Observable:
     def dim(self) -> int:
         return self.effects[self.outcomes[0]].dim
 
-    def effect(self, label) -> HermitianOperator:
-        return self.effects[label]
-
 
 @dataclass(frozen=True, eq=False)
 class ProductObservable:
@@ -109,9 +114,6 @@ class ProductObservable:
     @property
     def dim(self) -> int:
         return next(iter(self.effects.values())).dim
-
-    def effect(self, label) -> HermitianOperator:
-        return self.effects[label]
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def validate(obs, tol: float = 1e-9) -> ValidationReport:
     return ValidationReport(lows, highs, resid, tol)
 
 
-def is_sharp(obs, tol: float = 1e-9) -> bool:
+def is_sharp(obs, tol: float = STRUCTURE_TOL) -> bool:
     """True iff every effect is a projection: ||E^2 - E|| <= tol for all outcomes."""
     for x in obs.outcomes:
         m = obs.effects[x].matrix
@@ -161,24 +163,25 @@ def is_sharp(obs, tol: float = 1e-9) -> bool:
     return True
 
 
-def is_trivial(obs, tol: float = 1e-9) -> bool:
+def is_trivial(obs) -> bool:
     """True iff every effect is a multiple of the identity."""
     for x in obs.outcomes:
         m = obs.effects[x].matrix
         scale = np.trace(m).real / obs.dim
-        if opnorm(m - scale * np.eye(obs.dim)) > tol:
+        if opnorm(m - scale * np.eye(obs.dim)) > STRUCTURE_TOL:
             return False
     return True
 
 
-def commute(a, b, tol: float = 1e-9) -> bool:
-    """True iff every effect of a commutes with every effect of b within tol."""
+def commute(a, b) -> bool:
+    """True iff every effect of a commutes with every effect of b within
+    ``STRUCTURE_TOL``."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     for x in a.outcomes:
         for y in b.outcomes:
             ma, mb = a.effects[x].matrix, b.effects[y].matrix
-            if opnorm(ma @ mb - mb @ ma) > tol:
+            if opnorm(ma @ mb - mb @ ma) > STRUCTURE_TOL:
                 return False
     return True
 
@@ -252,7 +255,7 @@ def joint_from_cell(a, b, cell, x, y) -> ProductObservable:
     return ProductObservable((tuple(a.outcomes), tuple(b.outcomes)), effects)
 
 
-def product_joint_many(parents, tol: float = 1e-9) -> ProductObservable:
+def product_joint_many(parents) -> ProductObservable:
     """Symmetrized ordered product G(x_1..x_n) = A_1(x_1) ... A_n(x_n) for a
     pairwise commuting family."""
     dim = parents[0].dim
@@ -263,33 +266,33 @@ def product_joint_many(parents, tol: float = 1e-9) -> ProductObservable:
             m = m @ p.effects[x].matrix
         sym = 0.5 * (m + m.conj().T)
         resid = opnorm(m - sym)
-        if resid > tol:
+        if resid > STRUCTURE_TOL:
             raise ValueError(
                 f"ordered product at {tuple(label_key(x) for x in combo)} has "
-                f"Hermiticity residual {resid:.3e} > {tol:.1e}"
+                f"Hermiticity residual {resid:.3e} > {STRUCTURE_TOL:.1e}"
             )
         effects[combo] = HermitianOperator(sym)
     return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
 
 
-def product_joint_commuting(a, b, tol: float = 1e-9) -> ProductObservable:
+def product_joint_commuting(a, b) -> ProductObservable:
     """Joint observable of a commuting pair via symmetrized products.
 
     G(x, y) = (A(x)B(y) + B(y)A(x)) / 2, built by ``product_joint_many``.
     Rejects non-commuting input; for commuting pairs the skew part of
     A(x)B(y) is exactly half the commutator, so the symmetrization residual
-    stays below tol.  When neither factor is sharp the joint exists but need
-    not be the only one, which is flagged with a warning.
+    stays below ``STRUCTURE_TOL``.  When neither factor is sharp the joint
+    exists but need not be the only one, which is flagged with a warning.
     """
-    if not commute(a, b, tol):
-        raise ValueError("effects do not commute within tol; no product joint built")
-    if not (is_sharp(a, tol) or is_sharp(b, tol)):
+    if not commute(a, b):
+        raise ValueError("effects do not commute; no product joint built")
+    if not (is_sharp(a) or is_sharp(b)):
         warnings.warn(
             "neither factor is sharp: the product joint exists but uniqueness "
             "is not guaranteed",
             stacklevel=2,
         )
-    return product_joint_many((a, b), tol)
+    return product_joint_many((a, b))
 
 
 def joint_agreement(g: ProductObservable, f: ProductObservable, tol: float = 1e-9) -> bool:

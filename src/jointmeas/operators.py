@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_DIM = 64
+ASYMMETRY_TOL = 1e-8  # largest skew part (spectral norm) that symmetrization may discard
+TRACE_TOL = 1e-12  # largest |tr rho - 1| of a State
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -41,11 +43,10 @@ class HermitianOperator:
 
     The input is replaced by (M + M*)/2; the spectral norm of the discarded
     skew part is stored as ``asymmetry``.  Inputs with asymmetry above
-    ``atol`` are rejected rather than silently repaired.
+    ``ASYMMETRY_TOL`` are rejected rather than silently repaired.
     """
 
     matrix: np.ndarray
-    atol: float = 1e-8
     asymmetry: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -58,8 +59,8 @@ class HermitianOperator:
             raise ValueError("operator entries must be finite")
         skew = 0.5 * (m - m.conj().T)
         asym = float(np.linalg.norm(skew, 2)) if skew.any() else 0.0
-        if asym > self.atol:
-            raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {self.atol:.3e}")
+        if asym > ASYMMETRY_TOL:
+            raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:.3e}")
         herm = 0.5 * (m + m.conj().T)
         herm.flags.writeable = False
         object.__setattr__(self, "matrix", herm)
@@ -230,31 +231,30 @@ def is_effect(e: HermitianOperator, tol: float | None = None) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """A density operator: positive semidefinite with unit trace."""
+    """A density operator: positive semidefinite (``is_psd`` at its default
+    tolerance) with trace 1 within ``TRACE_TOL``."""
 
     operator: HermitianOperator
-    psd_tol: float | None = None
-    trace_tol: float = 1e-12
 
     def __post_init__(self):
-        if not is_psd(self.operator, self.psd_tol):
+        if not is_psd(self.operator):
             raise ValueError(
                 f"state is not positive semidefinite (min eig {min_eigenvalue(self.operator):.3e})"
             )
         tr = self.operator.trace()
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ValueError(f"state trace {tr!r} is not 1 within {self.trace_tol:.1e}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"state trace {tr!r} is not 1 within {TRACE_TOL:.1e}")
 
     @property
     def dim(self) -> int:
         return self.operator.dim
 
 
-def outcome_probability(e: HermitianOperator, rho: State, tol: float | None = None) -> float:
+def outcome_probability(e: HermitianOperator, rho: State) -> float:
     """Born probability tr(rho e) for an effect e in the state rho."""
     if e.dim != rho.dim:
         raise ValueError(f"dimension mismatch: effect {e.dim} vs state {rho.dim}")
-    if not is_effect(e, tol):
+    if not is_effect(e):
         raise ValueError("operator is not an effect (fails 0 <= E <= 1)")
     return float(np.trace(rho.operator.matrix @ e.matrix).real)
 

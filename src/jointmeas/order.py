@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import (
+    MARGINAL_TOL,
     ProductObservable,
     designation_order,
     joint_from_cell,
@@ -47,7 +48,6 @@ MEMBERSHIP_TOL = 1e-9  # range cut-off and lb slack for witnesses
 # duality-gap target of the barrier solve: the reported maximality gain is
 # within GAIN_TOL of the largest one
 GAIN_TOL = 1e-8
-MARGINAL_TOL = 1e-8  # the audit's bound on the joint's marginal deviation
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import three_orthogonal_criterion
+from .bloch import BlochEffect, SimpleQubitObservable, three_orthogonal_criterion
 from .feasibility import (
     REASON_TRIPLE,
     FeasibilityOptions,
@@ -21,8 +21,16 @@ from .feasibility import (
     Verdict,
     decide,
 )
-from .observables import Observable, ProductObservable, label_key, marginal, subset_key
-from .operators import HermitianOperator, opnorm, zero
+from .observables import (
+    MARGINAL_TOL,
+    Observable,
+    ProductObservable,
+    label_key,
+    marginal,
+    marginal_deviation,
+    subset_key,
+)
+from .operators import HermitianOperator, zero
 
 ENUMERATION_GUARD = 20  # 2^|outcomes| subsets; refuse beyond this
 
@@ -174,12 +182,12 @@ def partition_compatibility_matrix(
     opts = opts or FeasibilityOptions()
     rows = _nontrivial_half(enumerate_partitionings(a))
     cols = _nontrivial_half(enumerate_partitionings(b))
+    col_obs = [pb.observable for pb in cols]
     cells = {}
     for pa in rows:
         oa = pa.observable
-        for pb in cols:
-            problem = FeasibilityProblem((oa, pb.observable), opts)
-            cells[(pa.key, pb.key)] = decide(problem)
+        for pb, ob in zip(cols, col_obs):
+            cells[(pa.key, pb.key)] = decide(FeasibilityProblem((oa, ob), opts))
     return PartitionMatrix(rows, cols, cells)
 
 
@@ -201,12 +209,6 @@ class ParadoxReport:
         }
 
 
-def _marginals_match(m1, m2, tol: float = 1e-8) -> bool:
-    if set(m1.outcomes) != set(m2.outcomes):
-        return False
-    return all(opnorm(m1.effects[x].matrix - m2.effects[x].matrix) <= tol for x in m1.outcomes)
-
-
 def partition_paradox_audit(
     g: ProductObservable,
     f: ProductObservable,
@@ -225,13 +227,11 @@ def partition_paradox_audit(
     opts = opts or FeasibilityOptions()
     if len(g.parents) != 2 or len(f.parents) != 2:
         raise ValueError("expected two joint observables of qubit pairs")
-    shared = [
-        (i, j)
-        for i in (0, 1)
+    if not any(
+        set(gi.outcomes) == set(f.parents[j]) and marginal_deviation(f, j, gi) <= MARGINAL_TOL
+        for gi in (marginal(g, 0), marginal(g, 1))
         for j in (0, 1)
-        if _marginals_match(marginal(g, i), marginal(f, j))
-    ]
-    if not shared:
+    ):
         raise ValueError("the joints share no common parent (no marginals match)")
 
     matrix = partition_compatibility_matrix(g, f, opts)
@@ -241,11 +241,12 @@ def partition_paradox_audit(
     if triple_context is not None:
         va, vb, vc = (np.asarray(v, dtype=float) for v in triple_context)
         expect = [(g, 0, va), (g, 1, vb), (f, 0, vb), (f, 1, vc)]
-        from .bloch import BlochEffect, SimpleQubitObservable
-
         for obs, axis, vec in expect:
             want = SimpleQubitObservable(BlochEffect(1.0, vec)).as_observable()
-            if not _marginals_match(marginal(obs, axis), want):
+            if (
+                set(obs.parents[axis]) != set(want.outcomes)
+                or marginal_deviation(obs, axis, want) > MARGINAL_TOL
+            ):
                 raise ValueError(
                     f"triple_context vector does not match a joint marginal (axis {axis})"
                 )

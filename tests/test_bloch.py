@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jointmeas.bloch import (
+    CRITERION_TOL,
     BlochEffect,
     SimpleQubitObservable,
     bloch_matrix,
@@ -228,6 +229,36 @@ def test_qubit_pair_criterion_agrees_with_eq3_eq4_eq5(instance):
     assert general.jm == special.jm, (special.margin, general.margin)
 
 
+# Each entry returns the criterion's result on an input whose value sits
+# delta above its threshold.
+_CRITERION_AT = {
+    "eq3": lambda delta: busch_criterion(
+        (2.0 + delta) / (2.0 * math.sqrt(2.0)) * EX, (2.0 + delta) / (2.0 * math.sqrt(2.0)) * EY
+    ),
+    "eq4": lambda delta: molnar_criterion(
+        (2.0 + delta) / (2.0 + math.sqrt(2.0)) * EX, (2.0 + delta) / (2.0 + math.sqrt(2.0)) * EY
+    ),
+    "eq5": lambda delta: liu_criterion((0.8 + 0.5 * delta) * EX, 1.0, 0.6 * EY),
+    "eq6": lambda delta: three_orthogonal_criterion(
+        *(math.sqrt((1.0 + delta) / 3.0) * e for e in (EX, EY, EZ))
+    ),
+    # unbiased orthogonal pair: value ||a||^2 + ||b||^2 - 1 against (a.b)^2 = 0
+    "qubit-pair": lambda delta: qubit_pair_criterion(
+        1.0, math.sqrt((1.0 + delta) / 2.0) * EX, 1.0, math.sqrt((1.0 + delta) / 2.0) * EY
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CRITERION_AT))
+def test_criteria_hold_exactly_up_to_criterion_tol(name):
+    inside = _CRITERION_AT[name](0.5 * CRITERION_TOL)
+    outside = _CRITERION_AT[name](2.0 * CRITERION_TOL)
+    assert inside.margin == pytest.approx(0.5 * CRITERION_TOL, rel=1e-5)
+    assert outside.margin == pytest.approx(2.0 * CRITERION_TOL, rel=1e-5)
+    assert inside.jm
+    assert not outside.jm
+
+
 # --- boundary joint ------------------------------------------------------
 
 
@@ -258,6 +289,17 @@ def test_boundary_joint_rejects_bad_input():
         boundary_joint(0.5 * EX, 0.5 * EY)  # off boundary
     with pytest.raises(ValueError):
         boundary_joint(EX, EX)  # a = b, two corner cells vanish
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_boundary_joint_accepts_pairs_within_criterion_tol_of_the_boundary(sign):
+    def at(delta):  # ||a+b|| + ||a-b|| = 2 + delta
+        r = (2.0 + delta) / (2.0 * math.sqrt(2.0))
+        return boundary_joint(r * EX, r * EY)
+
+    assert len(at(sign * 0.5 * CRITERION_TOL).effects) == 4
+    with pytest.raises(ValueError, match="not on the compatibility boundary"):
+        at(sign * 2.0 * CRITERION_TOL)
 
 
 def test_boundary_joint_non_orthogonal_instance():

@@ -254,6 +254,31 @@ def test_env_tolerance_is_honored(pair_files, monkeypatch, capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
+def test_an_infinite_tolerance_is_a_precondition_error(tmp_path, monkeypatch, capsys):
+    # at tol = inf, validate passed these effects (they sum to diag(2, 5, 0)),
+    # and jm-pair called the sharp Fourier pair in d = 3 FEASIBLE with a
+    # witness that fails validate
+    def povm(effects):
+        return Observable(tuple("012"[: len(effects)]), {
+            str(k): HermitianOperator(e) for k, e in enumerate(effects)
+        })
+
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    big = dump(tmp_path, "big.json", povm([np.diag([2.0, 0.0, 0.0]), np.diag([0.0, 5.0, 0.0])]))
+    z = dump(tmp_path, "z.json", povm([np.diag(row) for row in np.eye(3)]))
+    x = dump(tmp_path, "x.json", povm([np.outer(f, f.conj()) for f in fourier.T]))
+    assert main(["check", "validate", big]) == 3
+    assert main(["check", "jm-pair", z, x, "--expect", "INFEASIBLE"]) == 0
+    capsys.readouterr()
+    for argv in (["check", "validate", big], ["check", "jm-pair", z, x], ["run", "busch-boundary"]):
+        assert main([*argv, "--tol", "inf"]) == 3
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        monkeypatch.setenv("JM_DEFAULT_TOL", "inf")
+        assert main(argv) == 3
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        monkeypatch.delenv("JM_DEFAULT_TOL")
+
+
 def test_run_rejects_a_non_numeric_env_tolerance(monkeypatch, capsys):
     monkeypatch.setenv("JM_DEFAULT_TOL", "abc")
     assert main(["run", "busch-boundary"]) == 2

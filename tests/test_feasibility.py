@@ -419,6 +419,13 @@ def test_problem_validation_errors():
         FeasibilityOptions(tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_options_reject_a_tolerance_that_is_not_finite(tol):
+    # an infinite tol passes every input to validate and every witness residual
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        FeasibilityOptions(tol=tol)
+
+
 def test_unnormalized_parent_is_rejected_not_undetermined():
     # effects 0.5 I and 0.2 I sum to 0.7 I, 0.3 sqrt 2 from I in Frobenius
     # norm: no joint has that marginal, and the barrier route used to end

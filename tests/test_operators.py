@@ -4,7 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jointmeas.operators import (
+    ASYMMETRY_TOL,
     MAX_DIM,
+    TRACE_TOL,
     HermitianOperator,
     State,
     barrier_maximize,
@@ -38,6 +40,16 @@ def test_rejects_gross_asymmetry():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         HermitianOperator(m)
+
+
+def test_asymmetry_bound_is_asymmetry_tol():
+    def skewed(eps):  # skew part [[0, eps], [-eps, 0]], spectral norm eps
+        return np.array([[0.0, 1.0 + eps], [1.0 - eps, 0.0]])
+
+    h = HermitianOperator(skewed(0.5 * ASYMMETRY_TOL))
+    assert h.asymmetry == pytest.approx(0.5 * ASYMMETRY_TOL, rel=1e-6)
+    with pytest.raises(ValueError, match="asymmetry"):
+        HermitianOperator(skewed(2.0 * ASYMMETRY_TOL))
 
 
 def test_rejects_oversized_matrix():
@@ -128,6 +140,16 @@ def test_state_validation_and_probability():
         State(HermitianOperator(np.diag([0.7, 0.7])))
     with pytest.raises(ValueError):
         outcome_probability(HermitianOperator(np.diag([2.0, 0.0])), rho)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_state_trace_bound_is_trace_tol(sign):
+    def with_trace(tr):
+        return State(HermitianOperator(np.diag([0.5 * tr, 0.5 * tr])))
+
+    assert with_trace(1.0 + sign * 0.5 * TRACE_TOL).dim == 2
+    with pytest.raises(ValueError, match="trace"):
+        with_trace(1.0 + sign * 2.0 * TRACE_TOL)
 
 
 def test_operator_json_round_trip():
