@@ -11,7 +11,6 @@ from .bloch import (
     busch_criterion,
     gamma_family_member,
     gamma_interval,
-    is_nontrivial_projection_params,
     is_valid_effect_params,
     liu_criterion,
     molnar_criterion,
@@ -27,7 +26,6 @@ from .feasibility import (
     decide,
     decide_pair_qubit_numeric,
     pairwise_vs_global,
-    trivial_joint_if_sum_leq_identity,
     witness_residual,
 )
 from .observables import (
@@ -37,15 +35,14 @@ from .observables import (
     commute,
     is_sharp,
     is_trivial,
-    joint_agreement,
     joint_from_cell,
     label_key,
     marginal,
     marginal_deviation,
+    max_cell_deviation,
     max_marginal_deviation,
     observable_from_json,
     observable_to_json,
-    product_joint_commuting,
     product_joint_many,
     subset_key,
     validate,
@@ -54,7 +51,6 @@ from .operators import (
     MAX_DIM,
     EigensolverError,
     HermitianOperator,
-    State,
     identity,
     is_effect,
     is_psd,
@@ -63,8 +59,6 @@ from .operators import (
     operator_from_json,
     operator_to_json,
     opnorm,
-    outcome_probability,
-    zero,
 )
 from .order import (
     CellAudit,
@@ -83,7 +77,6 @@ from .partitioning import (
     PartitionMatrix,
     enumerate_partitionings,
     forward_partition_joint,
-    partition,
     partition_compatibility_matrix,
     partition_paradox_audit,
 )

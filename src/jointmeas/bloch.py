@@ -34,7 +34,6 @@ AXIS_TOL = 1e-10  # tolerance on normalized dot products for (anti)parallel / or
 # a criterion holds when value <= threshold + CRITERION_TOL; an unbiased pair
 # with | ||a+b|| + ||a-b|| - 2 | <= CRITERION_TOL is on the eq3 boundary
 CRITERION_TOL = 1e-9
-PROJECTION_TOL = 1e-10  # |alpha - 1| and | ||a|| - 1 | bound for a projection
 EFFECT_TOL = 1e-12  # slack of the effect test on criterion inputs and gamma-family cells
 
 
@@ -59,10 +58,6 @@ class BlochEffect:
         object.__setattr__(self, "a", vec)
         object.__setattr__(self, "alpha", float(self.alpha))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.a))
-
     def to_operator(self) -> HermitianOperator:
         return HermitianOperator(bloch_matrix(self.alpha, self.a))
 
@@ -76,13 +71,6 @@ class BlochEffect:
 
     def complement(self) -> "BlochEffect":
         return BlochEffect(2.0 - self.alpha, -self.a)
-
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "a": self.a.tolist()}
-
-    @staticmethod
-    def from_json(data: dict) -> "BlochEffect":
-        return BlochEffect(float(data["alpha"]), np.asarray(data["a"], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,12 +90,6 @@ def is_valid_effect_params(alpha: float, a, tol: float = 0.0) -> bool:
     """Effect condition in Bloch form: ||a|| <= alpha <= 2 - ||a||."""
     n = float(np.linalg.norm(np.asarray(a, dtype=float)))
     return n <= alpha + tol and alpha <= 2.0 - n + tol
-
-
-def is_nontrivial_projection_params(alpha: float, a) -> bool:
-    """Projection condition in Bloch form: alpha = ||a|| = 1."""
-    n = float(np.linalg.norm(np.asarray(a, dtype=float)))
-    return abs(alpha - 1.0) <= PROJECTION_TOL and abs(n - 1.0) <= PROJECTION_TOL
 
 
 def _unit_dot(u, v) -> float:
@@ -146,15 +128,6 @@ class CriterionResult:
     @property
     def margin(self) -> float:
         return self.value - self.threshold
-
-    # aliases for the inequality-shaped reading lhs <= rhs
-    @property
-    def lhs(self) -> float:
-        return self.value
-
-    @property
-    def rhs(self) -> float:
-        return self.threshold
 
 
 def busch_criterion(a, b) -> CriterionResult:
@@ -291,13 +264,6 @@ def boundary_joint(a, b) -> ProductObservable:
 class Interval:
     lo: float
     hi: float
-
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def gamma_interval(a, beta: float) -> Interval:

@@ -61,13 +61,7 @@ from .observables import (
     observable_to_json,
     product_joint_many,
 )
-from .operators import (
-    HermitianOperator,
-    barrier_maximize,
-    hermitian_basis,
-    identity,
-    loewner_leq,
-)
+from .operators import HermitianOperator, barrier_maximize, hermitian_basis
 
 REASON_BUSCH = "eq3"
 REASON_MOLNAR = "eq4"
@@ -78,6 +72,9 @@ REASON_QUBIT_PAIR = "qubit-pair"
 REASON_DUAL = "dual-certificate"
 
 _ALPHA_TOL = 1e-9  # tolerance when matching criterion hypotheses on alpha
+# loosest residual (or planar ellipse excess) at which a numeric witness is
+# accepted: ``tol`` can tighten acceptance to min(tol, WITNESS_TOL), never loosen it
+WITNESS_TOL = 1e-7
 
 
 class Verdict(str, enum.Enum):
@@ -92,7 +89,7 @@ class FeasibilityOptions:
 
     def __post_init__(self):
         # the barrier route runs until its gap is below tol; an infinite tol
-        # would pass any witness residual and any input to ``validate``
+        # would end it after one round and pass any input to ``validate``
         if not 0.0 < self.tol < float("inf"):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
@@ -271,18 +268,6 @@ def _match_triple_criterion(parents) -> _CriterionMatch | None:
 # witnesses for analytically feasible cases
 # ---------------------------------------------------------------------------
 
-def trivial_joint_if_sum_leq_identity(a_obs, b_obs) -> ProductObservable | None:
-    """If A(1) + B(1) <= identity, the joint with an empty (1,1) cell:
-    G(1,1) = 0, G(1,0) = A(1), G(0,1) = B(1), G(0,0) = 1 - A(1) - B(1).
-    Returns None when the sum condition fails."""
-    for obs in (a_obs, b_obs):
-        if len(obs.outcomes) != 2 or "1" not in obs.outcomes:
-            raise ValueError("expected two-outcome observables with an outcome labeled '1'")
-    if not loewner_leq(a_obs.effects["1"] + b_obs.effects["1"], identity(a_obs.dim)):
-        return None
-    return joint_from_cell(a_obs, b_obs, np.zeros((a_obs.dim, a_obs.dim)), "1", "1")
-
-
 def _signed_sum_joint(parents, designations) -> ProductObservable:
     """Joint of unbiased qubit observables with designated Bloch vectors v_i:
     G(s) = (1 + (sum_i s_i v_i).sigma) / 8, with s_i = +1 on the designated
@@ -396,9 +381,10 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     [0, 1].  The largest ellipse excess (sum of focal distances minus the
     bound) is convex in (s, t); nested bracketing on a 17-point grid narrows
     both variables to 1e-12, stopping early once a point with excess <= 1e-12
-    is found.  A least excess within ``opts.tol`` gives FEASIBLE with the
-    witness; otherwise the report is UNDETERMINED with that excess as its
-    residual.  Deterministic; ``iterations`` counts grid evaluations.
+    is found.  A least excess within min(``opts.tol``, ``WITNESS_TOL``) gives
+    FEASIBLE with the witness; otherwise the report is UNDETERMINED with that
+    excess as its residual.  Deterministic; ``iterations`` counts grid
+    evaluations.
     """
     opts = opts or FeasibilityOptions()
     if a_obs.dim != 2 or b_obs.dim != 2:
@@ -407,7 +393,7 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     db, beta, bvec = _designated_pair_params(b_obs)
 
     value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec)
-    if value > opts.tol:
+    if value > min(opts.tol, WITNESS_TOL):
         return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, value, evaluations)
 
     absum = avec + bvec
@@ -456,16 +442,22 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     - the gap k d / t <= ``tol`` (eta* within about ``tol`` of 1): FEASIBLE if
       (1, y / eta) passes the residual test, else UNDETERMINED.
 
+    The residual test accepts a witness at min(``tol``, ``WITNESS_TOL``).
     ``iterations`` counts the start test and the Newton steps.  Raises
     ValueError when a parent's effects do not sum to the identity within
-    ``tol`` (Frobenius norm, as in the residual test): no joint can then have
-    its marginals.
+    ``tol`` (spectral norm, as in ``validate``): no joint can then have its
+    marginals.
     """
     labels, m, a = _marginal_constraints(parents)
     dim = parents[0].dim
     eye = np.eye(dim)
     starts = np.cumsum([0] + [len(p.outcomes) for p in parents[:-1]])
-    unnormalized = np.linalg.norm(np.add.reduceat(a, starts) - eye, axis=(1, 2))
+    gaps = np.add.reduceat(a, starts) - eye
+    # the Frobenius norm bounds the spectral norm and is cheaper, so the
+    # spectral norm is taken only when the Frobenius norm exceeds tol
+    unnormalized = np.linalg.norm(gaps, axis=(1, 2))
+    if unnormalized.max() > tol:
+        unnormalized = np.linalg.norm(gaps, 2, axis=(1, 2))
     if unnormalized.max() > tol:
         i = int(unnormalized.argmax())
         raise ValueError(
@@ -486,12 +478,13 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 
     def settle(cells, iterations):
         """FEASIBLE with the live cells as witness if a bound on their
-        ``witness_residual`` (marginals in Frobenius norm) is <= tol."""
+        ``witness_residual`` (marginals in Frobenius norm) is within
+        min(tol, WITNESS_TOL)."""
         full = np.zeros((len(labels), dim, dim), dtype=complex)
         full[live] = 0.5 * (cells + cells.conj().swapaxes(-1, -2))
         resid = float(np.linalg.norm(np.tensordot(m, full, axes=1) - a, axis=(1, 2)).max())
         resid += max(0.0, -float(np.linalg.eigvalsh(full)[:, 0].min()))
-        if resid > tol:
+        if resid > min(tol, WITNESS_TOL):
             return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
         effects = {z: HermitianOperator(g) for z, g in zip(labels, full)}
         g = ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
@@ -591,10 +584,6 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
 class PairwiseGlobalReport:
     pairwise: dict
     global_report: FeasibilityReport
-
-    @property
-    def all_pairs_feasible(self) -> bool:
-        return all(r.verdict is Verdict.FEASIBLE for r in self.pairwise.values())
 
     def to_json(self) -> dict:
         return {

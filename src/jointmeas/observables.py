@@ -8,7 +8,6 @@ product outcome space, a tuple of parent labels.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from .operators import (
     operator_to_json,
     opnorm,
 )
-
-Label = "str | tuple[str, ...]"
 
 # spectral-norm bound of the structural tests: ||E^2 - E|| for ``is_sharp``,
 # ||E - (tr E / d) I|| for ``is_trivial``, ||[A, B]|| for ``commute``, and the
@@ -275,28 +272,9 @@ def product_joint_many(parents) -> ProductObservable:
     return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
 
 
-def product_joint_commuting(a, b) -> ProductObservable:
-    """Joint observable of a commuting pair via symmetrized products.
-
-    G(x, y) = (A(x)B(y) + B(y)A(x)) / 2, built by ``product_joint_many``.
-    Rejects non-commuting input; for commuting pairs the skew part of
-    A(x)B(y) is exactly half the commutator, so the symmetrization residual
-    stays below ``STRUCTURE_TOL``.  When neither factor is sharp the joint
-    exists but need not be the only one, which is flagged with a warning.
-    """
-    if not commute(a, b):
-        raise ValueError("effects do not commute; no product joint built")
-    if not (is_sharp(a) or is_sharp(b)):
-        warnings.warn(
-            "neither factor is sharp: the product joint exists but uniqueness "
-            "is not guaranteed",
-            stacklevel=2,
-        )
-    return product_joint_many((a, b))
-
-
-def joint_agreement(g: ProductObservable, f: ProductObservable, tol: float = 1e-9) -> bool:
-    """True iff g and f have the same parents and agree effect-by-effect within tol."""
+def max_cell_deviation(g: ProductObservable, f: ProductObservable) -> float:
+    """Largest spectral-norm distance between the same cell of two joints
+    with the same parent outcome sets."""
     if len(g.parents) != len(f.parents):
         raise ValueError("different number of factors")
     for pg, pf in zip(g.parents, f.parents):
@@ -304,9 +282,7 @@ def joint_agreement(g: ProductObservable, f: ProductObservable, tol: float = 1e-
             raise ValueError("parent outcome sets differ")
     if g.dim != f.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {f.dim}")
-    return all(
-        opnorm(g.effects[z].matrix - f.effects[z].matrix) <= tol for z in g.outcomes
-    )
+    return max(opnorm(g.effects[z].matrix - f.effects[z].matrix) for z in g.outcomes)
 
 
 def _label_to_json(label):

@@ -19,7 +19,6 @@ import numpy as np
 
 MAX_DIM = 64
 ASYMMETRY_TOL = 1e-8  # largest skew part (spectral norm) that symmetrization may discard
-TRACE_TOL = 1e-12  # largest |tr rho - 1| of a State
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -97,10 +96,6 @@ class HermitianOperator:
 
 def identity(dim: int) -> HermitianOperator:
     return HermitianOperator(np.eye(dim, dtype=complex))
-
-
-def zero(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.zeros((dim, dim), dtype=complex))
 
 
 def eigvalsh_checked(h: HermitianOperator) -> np.ndarray:
@@ -227,36 +222,6 @@ def is_effect(e: HermitianOperator, tol: float | None = None) -> bool:
         tol = default_psd_tol(e)
     evals = eigvalsh_checked(e)
     return evals[0] >= -tol and evals[-1] <= 1.0 + tol
-
-
-@dataclass(frozen=True, eq=False)
-class State:
-    """A density operator: positive semidefinite (``is_psd`` at its default
-    tolerance) with trace 1 within ``TRACE_TOL``."""
-
-    operator: HermitianOperator
-
-    def __post_init__(self):
-        if not is_psd(self.operator):
-            raise ValueError(
-                f"state is not positive semidefinite (min eig {min_eigenvalue(self.operator):.3e})"
-            )
-        tr = self.operator.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"state trace {tr!r} is not 1 within {TRACE_TOL:.1e}")
-
-    @property
-    def dim(self) -> int:
-        return self.operator.dim
-
-
-def outcome_probability(e: HermitianOperator, rho: State) -> float:
-    """Born probability tr(rho e) for an effect e in the state rho."""
-    if e.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: effect {e.dim} vs state {rho.dim}")
-    if not is_effect(e):
-        raise ValueError("operator is not an effect (fails 0 <= E <= 1)")
-    return float(np.trace(rho.operator.matrix @ e.matrix).real)
 
 
 def operator_to_json(h: HermitianOperator) -> dict:

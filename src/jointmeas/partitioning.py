@@ -8,7 +8,7 @@ partitionings is compatible, which is the paradox the audit detects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +30,17 @@ from .observables import (
     marginal_deviation,
     subset_key,
 )
-from .operators import HermitianOperator, zero
+from .operators import HermitianOperator
 
 ENUMERATION_GUARD = 20  # 2^|outcomes| subsets; refuse beyond this
 
 
 def _subset_sum(parent, labels) -> HermitianOperator:
-    total = zero(parent.dim)
-    for x in parent.outcomes:
-        if x in labels:
-            total = total + parent.effects[x]
-    return total
+    """A(X): the effects of the labels in X, summed in outcome order."""
+    start = np.zeros((parent.dim, parent.dim), dtype=complex)
+    return HermitianOperator(
+        sum((parent.effects[x].matrix for x in parent.outcomes if x in labels), start)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +72,6 @@ class Partitioning:
         one = _subset_sum(self.parent, self.subset)
         rest = frozenset(self.parent.outcomes) - self.subset
         return Observable(("0", "1"), {"1": one, "0": _subset_sum(self.parent, rest)})
-
-    def __iter__(self):
-        # unpacks as (subset, observable)
-        yield self.subset
-        yield self.observable
-
-
-def partition(a: Observable, x) -> Observable:
-    """The two-outcome observable with effects A(X) and A(not X)."""
-    return Partitioning(a, frozenset(x)).observable
 
 
 def enumerate_partitionings(a: Observable) -> list:
@@ -115,14 +105,14 @@ def forward_partition_joint(g: ProductObservable, x, y) -> ProductObservable:
     cells = {}
     for i in ("0", "1"):
         for j in ("0", "1"):
-            total = zero(g.dim)
+            total = np.zeros((g.dim, g.dim), dtype=complex)
             for xx in ax:
                 if (xx in x) != (i == "1"):
                     continue
                 for yy in ay:
                     if (yy in y) == (j == "1"):
-                        total = total + g.effects[(xx, yy)]
-            cells[(i, j)] = total
+                        total = total + g.effects[(xx, yy)].matrix
+            cells[(i, j)] = HermitianOperator(total)
     return ProductObservable((("0", "1"), ("0", "1")), cells)
 
 

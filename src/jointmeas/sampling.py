@@ -1,4 +1,6 @@
-"""Seeded random instance generators used by scripts and the test suite."""
+"""Seeded random instance generators.  The ``commuting-sharp-product``
+scenario draws its pair with ``random_commuting_sharp_pair``; the other
+generators serve the test suite."""
 from __future__ import annotations
 
 import numpy as np

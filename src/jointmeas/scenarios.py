@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
+    CRITERION_TOL,
     BlochEffect,
     SimpleQubitObservable,
     bloch_matrix,
@@ -32,8 +33,8 @@ from .feasibility import (
     decide_pair_qubit_numeric,
     pairwise_vs_global,
 )
-from .observables import max_marginal_deviation, validate
-from .operators import HermitianOperator, loewner_leq, opnorm
+from .observables import max_cell_deviation, max_marginal_deviation, validate
+from .operators import HermitianOperator, loewner_leq
 from .order import LowerBoundQuery, in_lb, refute_greatest
 from .partitioning import enumerate_partitionings, forward_partition_joint, partition_paradox_audit
 from .sampling import random_commuting_sharp_pair
@@ -106,10 +107,6 @@ def _unbiased(vec) -> "Observable":
     return SimpleQubitObservable(BlochEffect(1.0, np.asarray(vec, dtype=float))).as_observable()
 
 
-def _max_cell_deviation(g, h) -> float:
-    return max(opnorm(g.effects[key].matrix - h.effects[key].matrix) for key in g.effects)
-
-
 _CITE_PAIR = "unbiased qubit pair criterion: |a+b| + |a-b| <= 2"
 _CITE_TRIPLE = "orthogonal unbiased triple criterion: |a|^2 + |b|^2 + |c|^2 <= 1"
 _CITE_BOUNDARY = "closed-form joint observable on the pair-criterion boundary"
@@ -150,12 +147,12 @@ def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
                 citation=_CITE_BOUNDARY,
             )
         )
-    if abs(crit.value - 2.0) <= 1e-9:
+    if abs(crit.value - 2.0) <= CRITERION_TOL:
         closed = boundary_joint(a, b)
         nm = decide_pair_qubit_numeric(obs_a, obs_b, opts)
         dev = None
         if nm.witness is not None:
-            dev = _max_cell_deviation(nm.witness, closed)
+            dev = max_cell_deviation(nm.witness, closed)
         exps.append(
             Expectation(
                 "numeric-witness-matches-closed-form",
@@ -235,7 +232,7 @@ def _run_unique_not_greatest(params: dict, opts: FeasibilityOptions):
     below = loewner_leq(c, g11)
     top = float(np.linalg.eigvalsh(c.matrix - g11.matrix)[-1])
     nm = decide_pair_qubit_numeric(obs_a, obs_b, opts)
-    dev = _max_cell_deviation(nm.witness, g) if nm.witness is not None else None
+    dev = max_cell_deviation(nm.witness, g) if nm.witness is not None else None
     search = refute_greatest(g11, ea1, eb1)
     exps = [
         Expectation("candidate-in-lb", "is_true", True, member, citation=_CITE_LB),

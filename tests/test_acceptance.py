@@ -36,9 +36,9 @@ from jointmeas import (
     molnar_criterion,
     opnorm,
     pairwise_vs_global,
-    partition,
+    Partitioning,
     partition_paradox_audit,
-    product_joint_commuting,
+    product_joint_many,
     qubit_pair_criterion,
     random_commuting_sharp_pair,
     random_orthogonal_unbiased_vs_biased_pair,
@@ -179,7 +179,7 @@ def test_criterion_6_commuting_sharp_products(criterion):
             dim = 2 + (i % 7)
             rng = np.random.default_rng([60, i])
             a, b = random_commuting_sharp_pair(dim, rng)
-            g = product_joint_commuting(a, b)
+            g = product_joint_many((a, b))
             assert validate(g, tol=1e-10).passed
             assert max_marginal_deviation(g, (a, b)) <= 1e-10
             for x in a.outcomes:
@@ -284,7 +284,7 @@ def suite_joints():
     for i in range(10):
         rng = np.random.default_rng([80, i])
         a, b = random_commuting_sharp_pair(2 + (i % 7), rng)
-        add(product_joint_commuting(a, b), a, b, f"product-{i}")
+        add(product_joint_many((a, b)), a, b, f"product-{i}")
 
     # numeric witnesses
     pair = (unbiased(0.5 * EX), unbiased(0.5 * EY))
@@ -329,7 +329,7 @@ def test_criterion_8_partitionings_of_every_joint(criterion):
                     y = {lab for lab, keep in zip(ay, y_bits) if keep}
                     h = forward_partition_joint(g, x, y)
                     assert validate(h, tol=1e-9).passed, tag
-                    want_a = partition(a_marg, x)
-                    want_b = partition(b_marg, y)
+                    want_a = Partitioning(a_marg, frozenset(x)).observable
+                    want_b = Partitioning(b_marg, frozenset(y)).observable
                     resid = max_marginal_deviation(h, (want_a, want_b))
                     assert resid <= 1e-10, (tag, sorted(x), sorted(y), resid)

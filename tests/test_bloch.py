@@ -14,7 +14,6 @@ from jointmeas.bloch import (
     busch_criterion,
     gamma_family_member,
     gamma_interval,
-    is_nontrivial_projection_params,
     is_valid_effect_params,
     liu_criterion,
     molnar_criterion,
@@ -40,12 +39,6 @@ def test_effect_validity_region():
     assert not is_valid_effect_params(0.4, 0.5 * EX)  # alpha below the norm
     assert not is_valid_effect_params(1.8, 0.5 * EX)  # complement fails
     assert is_valid_effect_params(2.0, np.zeros(3))  # identity
-
-
-def test_projection_params():
-    assert is_nontrivial_projection_params(1.0, EX)
-    assert not is_nontrivial_projection_params(1.0, 0.9 * EX)
-    assert not is_nontrivial_projection_params(0.9, 0.9 * EX)
 
 
 @given(st.floats(0.0, 1.9), vectors)
@@ -124,20 +117,20 @@ def test_molnar_rejects_parallel():
 
 
 def test_liu_values():
-    # boundary instance: lhs = sqrt(2) and rhs = 0 + sqrt(2)
+    # boundary instance: value = sqrt(2) and threshold = 0 + sqrt(2)
     l = 1 / math.sqrt(2)
     r = liu_criterion(l * EX, 0.5, 0.5 * EY)
-    assert r.lhs == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert r.rhs == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert r.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert r.threshold == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert r.jm
     r2 = liu_criterion(0.9 * EX, 0.5, 0.3 * EY)
-    assert r2.lhs == pytest.approx(1.8, abs=1e-14)
-    assert r2.rhs == pytest.approx(0.4 + math.sqrt(2.16), abs=1e-12)
+    assert r2.value == pytest.approx(1.8, abs=1e-14)
+    assert r2.threshold == pytest.approx(0.4 + math.sqrt(2.16), abs=1e-12)
     assert r2.jm
     # trivial coin partner
     r3 = liu_criterion(EX, 1.0, np.zeros(3))
-    assert r3.lhs == pytest.approx(2.0)
-    assert r3.rhs == pytest.approx(2.0)
+    assert r3.value == pytest.approx(2.0)
+    assert r3.threshold == pytest.approx(2.0)
     assert r3.jm
 
 
@@ -167,7 +160,7 @@ def test_qubit_pair_criterion_values():
     # the ROADMAP example no eq criterion covers: incompatible
     r = qubit_pair_criterion(0.9, 0.85 * EX, 1.1, 0.85 * (EX + EY) / math.sqrt(2.0))
     assert not r.jm
-    assert r.margin == pytest.approx(r.lhs - r.rhs, abs=0.0)
+    assert r.margin == pytest.approx(r.value - r.threshold, abs=0.0)
     assert r.margin > 0.1
     # a projection is compatible exactly with the partners parallel to it
     assert qubit_pair_criterion(1.0, EZ, 0.3, -0.2 * EZ).jm
@@ -184,8 +177,8 @@ def test_qubit_pair_criterion_complement_invariance():
     r = qubit_pair_criterion(0.8, a, 1.3, b)
     for alpha, va, beta, vb in ((1.2, -a, 1.3, b), (0.8, a, 0.7, -b), (1.3, b, 0.8, a)):
         other = qubit_pair_criterion(alpha, va, beta, vb)
-        assert other.lhs == pytest.approx(r.lhs, abs=1e-14)
-        assert other.rhs == pytest.approx(r.rhs, abs=1e-14)
+        assert other.value == pytest.approx(r.value, abs=1e-14)
+        assert other.threshold == pytest.approx(r.threshold, abs=1e-14)
 
 
 def test_qubit_pair_criterion_rejects_invalid_effect():
@@ -321,9 +314,7 @@ def test_gamma_interval_endpoints():
     iv = gamma_interval(0.6 * EZ, 0.4)
     assert iv.lo == pytest.approx(0.08, abs=1e-12)
     assert iv.hi == pytest.approx(0.32, abs=1e-12)
-    assert iv.width == pytest.approx(0.24, abs=1e-12)
-    assert 0.2 in iv
-    assert 0.4 not in iv
+    assert iv.hi - iv.lo == pytest.approx(0.24, abs=1e-12)
 
 
 def test_gamma_interval_precondition_names():

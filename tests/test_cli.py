@@ -254,19 +254,29 @@ def test_env_tolerance_is_honored(pair_files, monkeypatch, capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
-def test_an_infinite_tolerance_is_a_precondition_error(tmp_path, monkeypatch, capsys):
+def _povm(effects) -> Observable:
+    return Observable(tuple("012"[: len(effects)]), {
+        str(k): HermitianOperator(e) for k, e in enumerate(effects)
+    })
+
+
+@pytest.fixture()
+def fourier_pair_files(tmp_path):
+    """The sharp Z and Fourier bases in d = 3: not jointly measurable."""
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    z = dump(tmp_path, "z.json", _povm([np.diag(row) for row in np.eye(3)]))
+    x = dump(tmp_path, "x.json", _povm([np.outer(f, f.conj()) for f in fourier.T]))
+    return z, x
+
+
+def test_an_infinite_tolerance_is_a_precondition_error(
+    tmp_path, fourier_pair_files, monkeypatch, capsys
+):
     # at tol = inf, validate passed these effects (they sum to diag(2, 5, 0)),
     # and jm-pair called the sharp Fourier pair in d = 3 FEASIBLE with a
     # witness that fails validate
-    def povm(effects):
-        return Observable(tuple("012"[: len(effects)]), {
-            str(k): HermitianOperator(e) for k, e in enumerate(effects)
-        })
-
-    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
-    big = dump(tmp_path, "big.json", povm([np.diag([2.0, 0.0, 0.0]), np.diag([0.0, 5.0, 0.0])]))
-    z = dump(tmp_path, "z.json", povm([np.diag(row) for row in np.eye(3)]))
-    x = dump(tmp_path, "x.json", povm([np.outer(f, f.conj()) for f in fourier.T]))
+    big = dump(tmp_path, "big.json", _povm([np.diag([2.0, 0.0, 0.0]), np.diag([0.0, 5.0, 0.0])]))
+    z, x = fourier_pair_files
     assert main(["check", "validate", big]) == 3
     assert main(["check", "jm-pair", z, x, "--expect", "INFEASIBLE"]) == 0
     capsys.readouterr()
@@ -277,6 +287,14 @@ def test_an_infinite_tolerance_is_a_precondition_error(tmp_path, monkeypatch, ca
         assert main(argv) == 3
         assert "tol must be positive and finite" in capsys.readouterr().err
         monkeypatch.delenv("JM_DEFAULT_TOL")
+
+
+def test_a_loose_tolerance_does_not_make_the_fourier_pair_feasible(fourier_pair_files, capsys):
+    # --tol 0.12 used to accept the barrier route's start point (residual
+    # 0.111) as a witness; tol now loosens only the barrier's stopping gap
+    z, x = fourier_pair_files
+    assert main(["check", "jm-pair", z, x, "--tol", "0.12"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] != "FEASIBLE"
 
 
 def test_run_rejects_a_non_numeric_env_tolerance(monkeypatch, capsys):

@@ -26,14 +26,15 @@ from jointmeas import (
     decide,
     decide_pair_qubit_numeric,
     identity,
+    joint_from_cell,
     max_marginal_deviation,
     pairwise_vs_global,
     random_commuting_sharp_pair,
     random_unitary,
-    trivial_joint_if_sum_leq_identity,
     validate,
     witness_residual,
 )
+from jointmeas.feasibility import WITNESS_TOL
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -384,14 +385,10 @@ def test_barrier_verdict_is_frame_and_label_free(shape, v, seed):
 
 def test_trivial_joint_construction_and_refusal():
     quarter = Observable(("0", "1"), {"1": 0.25 * identity(2), "0": 0.75 * identity(2)})
-    g = trivial_joint_if_sum_leq_identity(quarter, quarter)
-    assert g is not None
+    g = joint_from_cell(quarter, quarter, np.zeros((2, 2)), "1", "1")
     assert np.allclose(g.effects[("1", "1")].matrix, np.zeros((2, 2)), atol=1e-15)
     assert np.allclose(g.effects[("0", "0")].matrix, 0.5 * np.eye(2), atol=1e-15)
     assert validate(g, tol=1e-12).passed
-
-    z_heavy = SimpleQubitObservable(BlochEffect(0.75, 0.75 * EZ)).as_observable()
-    assert trivial_joint_if_sum_leq_identity(z_heavy, z_heavy) is None
 
 
 # ---------------------------------------------------------------------------
@@ -421,23 +418,59 @@ def test_problem_validation_errors():
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
 def test_options_reject_a_tolerance_that_is_not_finite(tol):
-    # an infinite tol passes every input to validate and every witness residual
+    # an infinite tol passes every input to validate
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         FeasibilityOptions(tol=tol)
 
 
 def test_unnormalized_parent_is_rejected_not_undetermined():
-    # effects 0.5 I and 0.2 I sum to 0.7 I, 0.3 sqrt 2 from I in Frobenius
-    # norm: no joint has that marginal, and the barrier route used to end
-    # UNDETERMINED on it after reaching eta >= 1
+    # effects 0.5 I and 0.2 I sum to 0.7 I, 0.3 from I in spectral norm: no
+    # joint has that marginal, and the barrier route used to end UNDETERMINED
+    # on it after reaching eta >= 1
     eye = identity(2)
     short = Observable(("0", "1"), {"0": 0.5 * eye, "1": 0.2 * eye})
     parents = (unbiased(0.6 * EX), unbiased(0.6 * EY), short)
-    with pytest.raises(ValueError, match="parent 2's effects sum to the identity only within 4.243e-01"):
+    with pytest.raises(ValueError, match="parent 2's effects sum to the identity only within 3.000e-01"):
         decide(FeasibilityProblem(parents))
     # the same family, normalized, is decided
     fixed = Observable(("0", "1"), {"0": 0.8 * eye, "1": 0.2 * eye})
     assert decide(FeasibilityProblem(parents[:2] + (fixed,))).verdict is Verdict.FEASIBLE
+
+
+def test_a_parent_that_passes_validate_is_decided():
+    # the Z basis scaled by 1 + 8e-8 sums to the identity within 8e-8 in the
+    # spectral norm, as validate measures it, but within 1.386e-7 in the
+    # Frobenius norm, which decide used to apply and refuse at tol 1e-7
+    z, x = noisy_fourier_mubs(3, 0.6)
+    scaled = Observable(z.outcomes, {k: (1.0 + 8e-8) * e for k, e in z.effects.items()})
+    tol = FeasibilityOptions().tol
+    assert validate(scaled, tol=tol).passed
+    report = decide(FeasibilityProblem((scaled, x)))
+    assert report.verdict is Verdict.FEASIBLE
+    assert validate(report.witness, tol=tol).passed
+    assert witness_residual(report.witness, (scaled, x)) <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-3, 0.12, 0.5])
+def test_a_loose_tol_never_accepts_an_invalid_witness(tol):
+    # tol bounds the barrier's gap; a witness is accepted only within
+    # min(tol, WITNESS_TOL).  At tol 0.12 the sharp Fourier pair used to come
+    # out FEASIBLE with the barrier's start point as witness (residual 0.111)
+    vc = 0.5 * (1.0 + 1.0 / (1.0 + math.sqrt(3.0)))
+    opts = FeasibilityOptions(tol)
+    sharp = noisy_fourier_mubs(3, 1.0)
+    checked = [
+        (f, decide(FeasibilityProblem(f, opts)))
+        for f in (sharp, noisy_fourier_mubs(3, vc - 0.05), noisy_fourier_mubs(3, vc + 0.05))
+    ]
+    assert checked[0][1].verdict is not Verdict.FEASIBLE
+    for l in (0.7, 0.72, 0.8):  # the planar search, inside and past the eq3 boundary
+        pair = (unbiased(l * EX), unbiased(l * EY))
+        checked.append((pair, decide_pair_qubit_numeric(*pair, opts)))
+    for family, report in checked:
+        if report.verdict is Verdict.FEASIBLE:
+            assert validate(report.witness, tol=WITNESS_TOL).passed
+            assert witness_residual(report.witness, family) <= WITNESS_TOL
 
 
 @st.composite
@@ -529,7 +562,7 @@ def test_pairwise_vs_global_triple_paradox_region():
     for rep in out.pairwise.values():
         assert rep.verdict is Verdict.FEASIBLE
         assert rep.reason == "eq3"
-    assert out.all_pairs_feasible
+    assert all(r.verdict is Verdict.FEASIBLE for r in out.pairwise.values())
     assert out.global_report.verdict is Verdict.INFEASIBLE
     assert out.global_report.reason == "eq6"
     assert out.global_report.margin == pytest.approx(0.08, abs=1e-9)
@@ -560,7 +593,7 @@ def test_pairwise_vs_global_two_sharp_one_unsharp_commuting():
     b = diag({"0": [1, 1, 0], "1": [0, 0, 1]})
     c = diag({"0": [0.3, 0.6, 0.2], "1": [0.7, 0.4, 0.8]})  # unsharp, commutes
     out = pairwise_vs_global((a, b, c))
-    assert out.all_pairs_feasible
+    assert all(r.verdict is Verdict.FEASIBLE for r in out.pairwise.values())
     assert out.global_report.verdict is Verdict.FEASIBLE
     assert out.global_report.reason == "commuting-sharp"
     assert_witness_ok(out.global_report, (a, b, c), 1e-9)

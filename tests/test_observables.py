@@ -11,20 +11,19 @@ from jointmeas.observables import (
     commute,
     is_sharp,
     is_trivial,
-    joint_agreement,
     joint_from_cell,
     label_key,
     marginal,
     marginal_deviation,
+    max_cell_deviation,
     max_marginal_deviation,
     observable_from_json,
     observable_to_json,
-    product_joint_commuting,
     product_joint_many,
     subset_key,
     validate,
 )
-from jointmeas.operators import HermitianOperator, identity, opnorm, zero
+from jointmeas.operators import HermitianOperator, identity, opnorm
 from jointmeas.sampling import random_commuting_sharp_pair, random_effect
 
 
@@ -86,7 +85,7 @@ def test_sharp_and_trivial_predicates():
 def test_marginals_of_product():
     a = _diag_sharp([1, 0])
     b = _coin(2, 0.3)
-    g = product_joint_commuting(a, b)
+    g = product_joint_many((a, b))
     for axis, parent in enumerate((a, b)):
         got = marginal(g, axis)
         for x in parent.outcomes:
@@ -98,7 +97,7 @@ def test_marginal_normalization_property(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     a, b = random_commuting_sharp_pair(dim, rng)
-    g = product_joint_commuting(a, b)
+    g = product_joint_many((a, b))
     total = sum(e.matrix for e in g.effects.values())
     assert opnorm(total - np.eye(dim)) <= 1e-12
     for axis in (0, 1):
@@ -110,7 +109,7 @@ def test_product_joint_oracle_on_diagonal_pair():
     # hand-computed product of commuting diagonal effects
     a = _diag_sharp([1, 1, 0])
     b = _diag_sharp([1, 0, 0])
-    g = product_joint_commuting(a, b)
+    g = product_joint_many((a, b))
     expected_11 = np.diag([1.0, 0.0, 0.0])
     assert opnorm(g.effects[("1", "1")].matrix - expected_11) <= 1e-14
     expected_10 = np.diag([0.0, 1.0, 0.0])
@@ -122,26 +121,19 @@ def test_product_joint_rejects_noncommuting():
     a = Observable(("0", "1"), {"1": x, "0": identity(2) - x})
     b = _diag_sharp([1, 0])
     with pytest.raises(ValueError):
-        product_joint_commuting(a, b)
+        product_joint_many((a, b))
     assert not commute(a, b)
-
-
-def test_product_joint_warns_when_neither_parent_sharp():
-    a = _coin(2, 0.4)
-    b = _coin(2, 0.7)
-    with pytest.warns(UserWarning):
-        product_joint_commuting(a, b)
 
 
 def test_joint_agreement():
     rng = np.random.default_rng(7)
     a, b = random_commuting_sharp_pair(3, rng)
-    g = product_joint_commuting(a, b)
-    assert joint_agreement(g, g)
+    g = product_joint_many((a, b))
+    assert max_cell_deviation(g, g) <= 1e-9
     other = ProductObservable(
         g.parents, {k: v for k, v in g.effects.items()}
     )
-    assert joint_agreement(g, other)
+    assert max_cell_deviation(g, other) <= 1e-9
 
 
 def test_product_observable_requires_full_grid():
@@ -160,10 +152,10 @@ def test_observable_json_round_trip():
         assert opnorm(back.effects[x].matrix - obs.effects[x].matrix) <= 1e-12
 
     a, b = random_commuting_sharp_pair(2, rng)
-    g = product_joint_commuting(a, b)
+    g = product_joint_many((a, b))
     back_g = observable_from_json(observable_to_json(g))
     assert isinstance(back_g, ProductObservable)
-    assert joint_agreement(g, back_g, tol=1e-12)
+    assert max_cell_deviation(g, back_g) <= 1e-12
 
 
 def _reference_marginal_deviation(g, axis, parent) -> float:
@@ -209,21 +201,11 @@ def test_joint_from_cell_refuses_parents_without_two_outcomes():
     two = _coin(2)
     three = Observable(("a", "b", "c"), {x: identity(2) * (1 / 3) for x in "abc"})
     with pytest.raises(ValueError, match="two two-outcome parents"):
-        joint_from_cell(two, three, zero(2).matrix, "1", "a")
+        joint_from_cell(two, three, np.zeros((2, 2)), "1", "a")
     with pytest.raises(ValueError, match="two two-outcome parents"):
-        joint_from_cell(three, two, zero(2).matrix, "a", "1")
+        joint_from_cell(three, two, np.zeros((2, 2)), "a", "1")
     with pytest.raises(ValueError, match="not an outcome pair"):
-        joint_from_cell(two, two, zero(2).matrix, "1", "2")
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_product_joint_commuting_is_product_joint_many(seed):
-    a, b = random_commuting_sharp_pair(3 + seed % 2, np.random.default_rng([29, seed]))
-    g = product_joint_commuting(a, b)
-    many = product_joint_many((a, b))
-    assert g.parents == many.parents
-    for z in many.outcomes:
-        assert np.array_equal(g.effects[z].matrix, many.effects[z].matrix)
+        joint_from_cell(two, two, np.zeros((2, 2)), "1", "2")
 
 
 @pytest.mark.parametrize("dim", [-1, 0, 1])

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from jointmeas.operators import (
     ASYMMETRY_TOL,
     MAX_DIM,
-    TRACE_TOL,
     HermitianOperator,
-    State,
     barrier_maximize,
     default_psd_tol,
     eigvalsh_checked,
@@ -21,8 +19,6 @@ from jointmeas.operators import (
     operator_from_json,
     operator_to_json,
     opnorm,
-    outcome_probability,
-    zero,
 )
 from jointmeas.sampling import random_unitary
 
@@ -95,7 +91,7 @@ def test_min_eigenvalue_unitary_invariance(seed):
 
 
 def test_psd_and_effect_tests():
-    assert is_psd(zero(3))
+    assert is_psd(HermitianOperator(np.zeros((3, 3))))
     assert is_psd(identity(3))
     assert not is_psd(HermitianOperator(np.diag([1.0, -0.1])))
     assert is_effect(HermitianOperator(np.diag([0.0, 1.0])))
@@ -128,28 +124,6 @@ def test_loewner_shift_property(seed):
 def test_opnorm_is_spectral():
     m = np.array([[0.0, 3.0], [3.0, 0.0]])
     assert opnorm(m) == pytest.approx(3.0)
-
-
-def test_state_validation_and_probability():
-    rho = State(HermitianOperator(np.diag([0.5, 0.5])))
-    e = HermitianOperator(np.diag([1.0, 0.0]))
-    assert outcome_probability(e, rho) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        State(HermitianOperator(np.diag([1.5, -0.5])))
-    with pytest.raises(ValueError):
-        State(HermitianOperator(np.diag([0.7, 0.7])))
-    with pytest.raises(ValueError):
-        outcome_probability(HermitianOperator(np.diag([2.0, 0.0])), rho)
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_state_trace_bound_is_trace_tol(sign):
-    def with_trace(tr):
-        return State(HermitianOperator(np.diag([0.5 * tr, 0.5 * tr])))
-
-    assert with_trace(1.0 + sign * 0.5 * TRACE_TOL).dim == 2
-    with pytest.raises(ValueError, match="trace"):
-        with_trace(1.0 + sign * 2.0 * TRACE_TOL)
 
 
 def test_operator_json_round_trip():

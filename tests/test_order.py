@@ -18,17 +18,16 @@ from jointmeas import (
     gamma_family_member,
     identity,
     in_lb,
-    joint_agreement,
     joint_observable_order_audit,
     loewner_leq,
     marginal,
+    max_cell_deviation,
     maximality_probe,
-    product_joint_commuting,
+    product_joint_many,
     random_effect,
     random_unitary,
     refute_greatest,
     validate,
-    zero,
 )
 from jointmeas.order import EPS
 
@@ -62,7 +61,7 @@ def boundary_setup():
 def test_zero_is_always_a_lower_bound():
     a = bloch_op(0.9, 0.4 * EX)
     b = bloch_op(0.7, 0.5 * EY)
-    assert in_lb(LowerBoundQuery(a, b, zero(2)))
+    assert in_lb(LowerBoundQuery(a, b, HermitianOperator(np.zeros((2, 2)))))
 
 
 def test_joint_cells_lie_below_their_marginals(boundary_setup):
@@ -282,12 +281,12 @@ def test_greatest_decision_is_exact_and_frame_free(dim, drop, seed):
 
 def test_probe_zero_below_half_identities():
     half = HermitianOperator(0.5 * np.eye(2))
-    report = maximality_probe(zero(2), half, half)
+    report = maximality_probe(HermitianOperator(np.zeros((2, 2))), half, half)
     assert report.verdict == "NOT_MAXIMAL"
     assert report.trace_gain == pytest.approx(1.0, abs=1e-6)
     d = report.witness
     assert in_lb(LowerBoundQuery(half, half, d, 1e-8))
-    assert loewner_leq(zero(2), d, 1e-9)
+    assert loewner_leq(HermitianOperator(np.zeros((2, 2))), d, 1e-9)
     assert d.trace() > report.eps
     # a two-dimensional shared range goes to the barrier solve
     assert report.iterations > 0
@@ -301,7 +300,7 @@ def test_probe_gain_below_commuting_bounds_is_sum_of_minima():
     u = random_unitary(3, np.random.default_rng(23))
     a = HermitianOperator((u * np.array([0.7, 0.3, 0.0])) @ u.conj().T)
     b = HermitianOperator((u * np.array([0.4, 0.6, 0.0])) @ u.conj().T)
-    report = maximality_probe(zero(3), a, b)
+    report = maximality_probe(HermitianOperator(np.zeros((3, 3))), a, b)
     assert report.verdict == "NOT_MAXIMAL"
     assert report.trace_gain == pytest.approx(0.7, abs=1e-8)
     assert report.iterations > 0
@@ -414,7 +413,7 @@ def test_audit_commuting_sharp_product_joint():
 
     a = diag_obs({"0": (0,), "1": (1, 2)})
     b = diag_obs({"0": (0, 1), "1": (2,)})
-    g = product_joint_commuting(a, b)
+    g = product_joint_many((a, b))
     audit = joint_observable_order_audit(g, a, b)
     assert all(cell.in_lb for cell in audit.cells.values())
     assert audit.all_greatest
@@ -453,7 +452,7 @@ def test_audit_gamma_family_member_refutes_uniqueness():
         for x in parent.outcomes:
             dev = np.abs(got.effects[x].matrix - parent.effects[x].matrix).max()
             assert dev <= 1e-7
-    assert not joint_agreement(g, alt, tol=1e-3)
+    assert max_cell_deviation(g, alt) > 1e-3
 
 
 def test_audit_rejects_marginal_mismatch(boundary_setup):

@@ -13,6 +13,7 @@ from jointmeas import (
     FeasibilityOptions,
     HermitianOperator,
     Observable,
+    Partitioning,
     SimpleQubitObservable,
     Verdict,
     boundary_joint,
@@ -20,10 +21,9 @@ from jointmeas import (
     enumerate_partitionings,
     forward_partition_joint,
     is_sharp,
-    partition,
     partition_compatibility_matrix,
     partition_paradox_audit,
-    product_joint_commuting,
+    product_joint_many,
     validate,
     witness_residual,
 )
@@ -87,8 +87,9 @@ def test_enumeration_guard():
 
 
 def test_partitioning_unpacks_as_subset_and_observable(four_outcome_sharp):
-    for subset, obs in enumerate_partitionings(four_outcome_sharp):
-        assert isinstance(subset, frozenset)
+    for p in enumerate_partitionings(four_outcome_sharp):
+        obs = p.observable
+        assert isinstance(p.subset, frozenset)
         assert obs.outcomes == ("0", "1")
         assert validate(obs, tol=1e-12).passed
 
@@ -101,27 +102,26 @@ def test_complement_swap_is_bit_exact():
     }
     parent = Observable(tuple(effects), effects)
     outcomes = set(parent.outcomes)
-    for subset, _ in enumerate_partitionings(parent):
-        comp = outcomes - subset
-        direct = partition(parent, subset)
-        swapped = partition(parent, comp)
+    for p in enumerate_partitionings(parent):
+        direct = p.observable
+        swapped = Partitioning(parent, outcomes - p.subset).observable
         assert np.array_equal(direct.effects["1"].matrix, swapped.effects["0"].matrix)
         assert np.array_equal(direct.effects["0"].matrix, swapped.effects["1"].matrix)
 
 
 def test_sharp_parent_gives_sharp_partitionings(four_outcome_sharp):
-    for _, obs in enumerate_partitionings(four_outcome_sharp):
-        assert is_sharp(obs, tol=1e-10)
+    for p in enumerate_partitionings(four_outcome_sharp):
+        assert is_sharp(p.observable, tol=1e-10)
 
 
 def test_partition_rejects_unknown_labels(four_outcome_sharp):
     with pytest.raises(ValueError, match="labels not in the parent"):
-        partition(four_outcome_sharp, {"zz"})
+        Partitioning(four_outcome_sharp, frozenset({"zz"}))
 
 
 def test_partition_of_joint_recovers_marginal():
     g = boundary_joint(L * EX, L * EY)
-    coarse = partition(g, {("1", "1"), ("1", "0")})
+    coarse = Partitioning(g, frozenset({("1", "1"), ("1", "0")})).observable
     want = unbiased(L * EX)
     assert np.allclose(coarse.effects["1"].matrix, want.effects["1"].matrix, atol=1e-15)
     assert np.allclose(coarse.effects["0"].matrix, want.effects["0"].matrix, atol=1e-15)
@@ -151,10 +151,10 @@ def test_forward_partition_full_axis_collapses_to_marginal():
 def test_forward_partition_matches_operator_products_for_diagonal_joints():
     a = diag_obs({"p": (0,), "q": (1,), "r": (2, 3)}, 4)
     b = diag_obs({"u": (0, 2), "v": (1, 3)}, 4)
-    g = product_joint_commuting(a, b)
+    g = product_joint_many((a, b))
     x, y = {"p", "r"}, {"v"}
     h = forward_partition_joint(g, x, y)
-    pa, pb = partition(a, x), partition(b, y)
+    pa, pb = Partitioning(a, frozenset(x)).observable, Partitioning(b, frozenset(y)).observable
     for i in ("0", "1"):
         for j in ("0", "1"):
             want = pa.effects[i].matrix @ pb.effects[j].matrix
@@ -275,7 +275,7 @@ def test_paradox_audit_without_context_is_certified():
 def test_paradox_audit_commuting_pair_is_negative():
     a = diag_obs({"0": (0,), "1": (1,)}, 2)
     b = diag_obs({"0": (0,), "1": (1,)}, 2)
-    g = product_joint_commuting(a, b)
+    g = product_joint_many((a, b))
     report = partition_paradox_audit(g, g)
     assert report.matrix.all_feasible
     assert report.global_report.verdict is Verdict.FEASIBLE

@@ -79,13 +79,6 @@ def test_observable_json_missing_effect():
         observable_from_json(data)
 
 
-def test_bloch_effect_round_trip():
-    e = BlochEffect(0.8, np.array([0.1, -0.2, 0.3]))
-    back = BlochEffect.from_json(json.loads(json.dumps(e.to_json())))
-    assert back.alpha == e.alpha
-    assert np.allclose(back.a, e.a, atol=0)
-
-
 def test_feasibility_report_json_contract():
     a, b = unbiased(0.8 * EX), unbiased(0.8 * EY)
     report = decide(FeasibilityProblem((a, b)))
