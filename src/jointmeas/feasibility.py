@@ -8,8 +8,7 @@ robustness problem on the barrier kernel.
 2. pairs of two-outcome qubit observables are decided exactly: eq3, eq4 or
    eq5 where its hypotheses hold, else the general qubit criterion (reason
    ``qubit-pair``).  A violated criterion gives INFEASIBLE with its margin;
-   a satisfied one gets the closed-form boundary joint on the eq3 boundary
-   and otherwise a witness from the planar search below;
+   a satisfied one gets its witness from the planar search below;
 3. orthogonal unbiased triples get the eq6 verdict, with the closed-form
    signed-sum joint on the feasible side;
 4. everything else goes to the white-noise robustness SDP, solved by the
@@ -25,8 +24,8 @@ of a convex function of two variables.  It also serves as an independent
 numerical check of the qubit criteria.
 
 The barrier route leaves UNDETERMINED only when the robustness eta* lies
-within about ``tol`` of 1, where neither a witness nor a certificate can be
-told from rounding.
+within about min(``tol``, ``WITNESS_TOL``) of 1, where neither a witness nor
+a certificate can be told from rounding.
 """
 from __future__ import annotations
 
@@ -37,13 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import (
-    CRITERION_TOL,
     BlochEffect,
     CriterionResult,
     are_orthogonal,
     are_parallel,
     bloch_matrix,
-    boundary_joint,
     busch_criterion,
     liu_criterion,
     molnar_criterion,
@@ -57,11 +54,12 @@ from .observables import (
     is_sharp,
     is_trivial,
     joint_from_cell,
+    label_key,
     max_marginal_deviation,
     observable_to_json,
     product_joint_many,
 )
-from .operators import HermitianOperator, barrier_maximize, hermitian_basis
+from .operators import HermitianOperator, barrier_maximize, hermitian_basis, operator_to_json
 
 REASON_BUSCH = "eq3"
 REASON_MOLNAR = "eq4"
@@ -73,7 +71,8 @@ REASON_DUAL = "dual-certificate"
 
 _ALPHA_TOL = 1e-9  # tolerance when matching criterion hypotheses on alpha
 # loosest residual (or planar ellipse excess) at which a numeric witness is
-# accepted: ``tol`` can tighten acceptance to min(tol, WITNESS_TOL), never loosen it
+# accepted, and the barrier route's loosest stopping gap: ``tol`` can tighten
+# both to min(tol, WITNESS_TOL), never loosen them
 WITNESS_TOL = 1e-7
 
 
@@ -88,8 +87,8 @@ class FeasibilityOptions:
     tol: float = 1e-7
 
     def __post_init__(self):
-        # the barrier route runs until its gap is below tol; an infinite tol
-        # would end it after one round and pass any input to ``validate``
+        # tol bounds how far a parent's effects may sum from the identity; an
+        # infinite tol would pass any input to ``validate``
         if not 0.0 < self.tol < float("inf"):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
@@ -122,6 +121,7 @@ class FeasibilityReport:
     certificate: dict | None = None
 
     def to_json(self) -> dict:
+        cert = self.certificate
         return {
             "verdict": self.verdict.value,
             "residual": self.residual,
@@ -129,6 +129,11 @@ class FeasibilityReport:
             "reason": self.reason,
             "margin": self.margin,
             "witness": observable_to_json(self.witness) if self.witness is not None else None,
+            # keyed "<axis>:<outcome key>"
+            "certificate": None if cert is None else {
+                f"{i}:{label_key(x)}": operator_to_json(HermitianOperator(y))
+                for (i, x), y in cert.items()
+            },
         }
 
 
@@ -174,17 +179,10 @@ def _qubit_binary_params(obs) -> dict | None:
     return params
 
 
-@dataclass(frozen=True)
-class _CriterionMatch:
-    reason: str
-    result: CriterionResult
-    designations: tuple  # ((label, alpha, a), ...) per parent, criterion order
-
-
-def _match_pair_criterion(a_obs, b_obs) -> _CriterionMatch | None:
-    """The criterion deciding a pair of two-outcome qubit observables: eq3,
-    eq4 or eq5 where its hypotheses hold, else the general qubit criterion.
-    None for any other pair."""
+def _match_pair_criterion(a_obs, b_obs) -> tuple[str, CriterionResult] | None:
+    """The criterion deciding a pair of two-outcome qubit observables, as
+    (reason, result): eq3, eq4 or eq5 where its hypotheses hold, else the
+    general qubit criterion.  None for any other pair."""
     pa = _qubit_binary_params(a_obs)
     pb = _qubit_binary_params(b_obs)
     if pa is None or pb is None:
@@ -203,49 +201,32 @@ def _match_pair_criterion(a_obs, b_obs) -> _CriterionMatch | None:
     if unbiased(pa) and unbiased(pb):
         da = designation_order(a_obs)[0]
         db = designation_order(b_obs)[0]
-        av, bv = pa[da][1], pb[db][1]
-        result = busch_criterion(av, bv)
-        return _CriterionMatch(
-            REASON_BUSCH, result, ((da, 1.0, av), (db, 1.0, bv))
-        )
+        return REASON_BUSCH, busch_criterion(pa[da][1], pb[db][1])
 
     ra, rb = rank_one_label(a_obs, pa), rank_one_label(b_obs, pb)
     if ra is not None and rb is not None:
         av, bv = pa[ra][1], pb[rb][1]
         if not are_parallel(av, bv):
-            result = molnar_criterion(av, bv)
-            return _CriterionMatch(
-                REASON_MOLNAR, result, ((ra, pa[ra][0], av), (rb, pb[rb][0], bv))
-            )
+            return REASON_MOLNAR, molnar_criterion(av, bv)
 
-    for sharp_side, other_side, flip in (((a_obs, pa), (b_obs, pb), False),
-                                         ((b_obs, pb), (a_obs, pa), True)):
-        s_obs, s_par = sharp_side
-        o_obs, o_par = other_side
+    for (s_obs, s_par), (o_obs, o_par) in (((a_obs, pa), (b_obs, pb)),
+                                           ((b_obs, pb), (a_obs, pa))):
         if not unbiased(s_par):
             continue
-        ds = designation_order(s_obs)[0]
-        do = designation_order(o_obs)[0]
-        avec = s_par[ds][1]
-        beta, bvec = o_par[do]
-        if not are_orthogonal(avec, bvec):
-            continue
-        result = liu_criterion(avec, beta, bvec)
-        desig = ((ds, 1.0, avec), (do, beta, bvec))
-        if flip:
-            desig = (desig[1], desig[0])
-        return _CriterionMatch(REASON_LIU, result, desig)
+        avec = s_par[designation_order(s_obs)[0]][1]
+        beta, bvec = o_par[designation_order(o_obs)[0]]
+        if are_orthogonal(avec, bvec):
+            return REASON_LIU, liu_criterion(avec, beta, bvec)
 
     da = designation_order(a_obs)[0]
     db = designation_order(b_obs)[0]
     (alpha, avec), (beta, bvec) = pa[da], pb[db]
-    result = qubit_pair_criterion(alpha, avec, beta, bvec)
-    return _CriterionMatch(
-        REASON_QUBIT_PAIR, result, ((da, alpha, avec), (db, beta, bvec))
-    )
+    return REASON_QUBIT_PAIR, qubit_pair_criterion(alpha, avec, beta, bvec)
 
 
-def _match_triple_criterion(parents) -> _CriterionMatch | None:
+def _match_triple_criterion(parents) -> tuple[CriterionResult, tuple] | None:
+    """The eq6 result and the designations ((label, a) per parent) of an
+    orthogonal unbiased triple; None for any other family."""
     params = [_qubit_binary_params(p) for p in parents]
     if any(p is None for p in params):
         return None
@@ -254,14 +235,13 @@ def _match_triple_criterion(parents) -> _CriterionMatch | None:
         if not all(abs(al - 1.0) <= _ALPHA_TOL for al, _ in par.values()):
             return None
         d = designation_order(obs)[0]
-        desigs.append((d, 1.0, par[d][1]))
-    vecs = [d[2] for d in desigs]
+        desigs.append((d, par[d][1]))
+    vecs = [v for _, v in desigs]
     for i in range(3):
         for j in range(i + 1, 3):
             if not are_orthogonal(vecs[i], vecs[j]):
                 return None
-    result = three_orthogonal_criterion(*vecs)
-    return _CriterionMatch(REASON_TRIPLE, result, tuple(desigs))
+    return three_orthogonal_criterion(*vecs), tuple(desigs)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +256,7 @@ def _signed_sum_joint(parents, designations) -> ProductObservable:
     effects = {}
     for combo in itertools.product(*(p.outcomes for p in parents)):
         vec = sum(
-            (1.0 if x == d else -1.0) * v for x, (d, _, v) in zip(combo, designations)
+            (1.0 if x == d else -1.0) * v for x, (d, v) in zip(combo, designations)
         )
         effects[combo] = HermitianOperator(bloch_matrix(0.25, 0.25 * vec))
     return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
@@ -439,8 +419,9 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
       ``eigvalsh`` re-check: INFEASIBLE, reason ``dual-certificate``, margin
       -<Y, A>, residual the gap k d / t.  A joint G would give
       <Y, A> = sum_z tr((M^T Y)_z G_z) >= 0;
-    - the gap k d / t <= ``tol`` (eta* within about ``tol`` of 1): FEASIBLE if
-      (1, y / eta) passes the residual test, else UNDETERMINED.
+    - the gap k d / t <= min(``tol``, ``WITNESS_TOL``) (eta* within about that
+      of 1): FEASIBLE if (1, y / eta) passes the residual test, else
+      UNDETERMINED.
 
     The residual test accepts a witness at min(``tol``, ``WITNESS_TOL``).
     ``iterations`` counts the start test and the Newton steps.  Raises
@@ -475,16 +456,17 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     rank = int(np.count_nonzero(sv > 1e-9 * sv[0]))
     m_pinv = (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
     drift = np.tensordot(m_pinv, a[live_rows] - share[live_rows, None, None] * eye, axes=1)
+    accept = min(tol, WITNESS_TOL)  # the barrier's stopping gap and the residual test's bound
 
     def settle(cells, iterations):
         """FEASIBLE with the live cells as witness if a bound on their
         ``witness_residual`` (marginals in Frobenius norm) is within
-        min(tol, WITNESS_TOL)."""
+        ``accept``."""
         full = np.zeros((len(labels), dim, dim), dtype=complex)
         full[live] = 0.5 * (cells + cells.conj().swapaxes(-1, -2))
         resid = float(np.linalg.norm(np.tensordot(m, full, axes=1) - a, axis=(1, 2)).max())
         resid += max(0.0, -float(np.linalg.eigvalsh(full)[:, 0].min()))
-        if resid > min(tol, WITNESS_TOL):
+        if resid > accept:
             return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
         effects = {z: HermitianOperator(g) for z, g in zip(labels, full)}
         g = ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
@@ -519,7 +501,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 
     c = np.zeros(len(blocks) - 1)
     c[0] = 1.0
-    x, steps, found = barrier_maximize(c, blocks, np.zeros_like(c), 1.0, tol, stop)
+    x, steps, found = barrier_maximize(c, blocks, np.zeros_like(c), 1.0, accept, stop)
     if isinstance(found, tuple):
         cert, margin, gap = found
         return FeasibilityReport(Verdict.INFEASIBLE, None, REASON_DUAL, margin, gap, 1 + steps, cert)
@@ -529,24 +511,6 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 # ---------------------------------------------------------------------------
 # the dispatcher
 # ---------------------------------------------------------------------------
-
-def _decide_qubit_pair(a_obs, b_obs, match: _CriterionMatch, opts: FeasibilityOptions):
-    """Exact verdict for a pair of two-outcome qubit observables, with a
-    witness on the feasible side."""
-    margin = match.result.margin
-    if not match.result.jm:
-        return FeasibilityReport(Verdict.INFEASIBLE, None, match.reason, margin, 0.0, 0)
-    (da, _, avec), (db, _, bvec) = match.designations
-    if match.reason == REASON_BUSCH and abs(match.result.value - 2.0) <= CRITERION_TOL:
-        corner = boundary_joint(avec, bvec).effects[("1", "1")].matrix
-        witness = joint_from_cell(a_obs, b_obs, corner, da, db)
-        resid = witness_residual(witness, (a_obs, b_obs))
-        return FeasibilityReport(Verdict.FEASIBLE, witness, match.reason, margin, resid, 0)
-    search = decide_pair_qubit_numeric(a_obs, b_obs, opts)
-    return FeasibilityReport(
-        search.verdict, search.witness, match.reason, margin, search.residual, search.iterations
-    )
-
 
 def decide(problem: FeasibilityProblem) -> FeasibilityReport:
     """Decide joint measurability of the problem's parent observables."""
@@ -563,18 +527,26 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
     if len(parents) == 2:
         match = _match_pair_criterion(*parents)
         if match is not None:
-            return _decide_qubit_pair(parents[0], parents[1], match, opts)
+            reason, result = match
+            if not result.jm:
+                return FeasibilityReport(Verdict.INFEASIBLE, None, reason, result.margin, 0.0, 0)
+            search = decide_pair_qubit_numeric(*parents, opts)
+            return FeasibilityReport(
+                search.verdict, search.witness, reason, result.margin, search.residual,
+                search.iterations,
+            )
     elif len(parents) == 3:
         match = _match_triple_criterion(parents)
         if match is not None:
-            if not match.result.jm:
+            result, designations = match
+            if not result.jm:
                 return FeasibilityReport(
-                    Verdict.INFEASIBLE, None, match.reason, match.result.margin, 0.0, 0
+                    Verdict.INFEASIBLE, None, REASON_TRIPLE, result.margin, 0.0, 0
                 )
-            witness = _signed_sum_joint(parents, match.designations)
+            witness = _signed_sum_joint(parents, designations)
             resid = witness_residual(witness, parents)
             return FeasibilityReport(
-                Verdict.FEASIBLE, witness, match.reason, match.result.margin, resid, 0
+                Verdict.FEASIBLE, witness, REASON_TRIPLE, result.margin, resid, 0
             )
 
     return _decide_by_robustness(parents, opts.tol)

@@ -183,17 +183,19 @@ def commute(a, b) -> bool:
     return True
 
 
+def effect_sum(obs, labels) -> HermitianOperator:
+    """The effects of the outcomes in ``labels``, summed in outcome order."""
+    start = np.zeros((obs.dim, obs.dim), dtype=complex)
+    return HermitianOperator(
+        sum((obs.effects[x].matrix for x in obs.outcomes if x in labels), start)
+    )
+
+
 def marginal(g: ProductObservable, axis: int):
     """Sum the product effects over every factor except ``axis``."""
     if not 0 <= axis < len(g.parents):
         raise ValueError(f"axis {axis} out of range for {len(g.parents)} factors")
-    effects = {}
-    for x in g.parents[axis]:
-        total = np.zeros((g.dim, g.dim), dtype=complex)
-        for z in g.outcomes:
-            if z[axis] == x:
-                total = total + g.effects[z].matrix
-        effects[x] = HermitianOperator(total)
+    effects = {x: effect_sum(g, {z for z in g.outcomes if z[axis] == x}) for x in g.parents[axis]}
     return Observable(tuple(g.parents[axis]), effects)
 
 

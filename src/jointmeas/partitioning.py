@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bloch import BlochEffect, SimpleQubitObservable, three_orthogonal_criterion
 from .feasibility import (
-    REASON_TRIPLE,
     FeasibilityOptions,
     FeasibilityProblem,
     FeasibilityReport,
@@ -25,22 +21,14 @@ from .observables import (
     MARGINAL_TOL,
     Observable,
     ProductObservable,
+    effect_sum,
     label_key,
     marginal,
     marginal_deviation,
     subset_key,
 )
-from .operators import HermitianOperator
 
 ENUMERATION_GUARD = 20  # 2^|outcomes| subsets; refuse beyond this
-
-
-def _subset_sum(parent, labels) -> HermitianOperator:
-    """A(X): the effects of the labels in X, summed in outcome order."""
-    start = np.zeros((parent.dim, parent.dim), dtype=complex)
-    return HermitianOperator(
-        sum((parent.effects[x].matrix for x in parent.outcomes if x in labels), start)
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +57,9 @@ class Partitioning:
 
     @property
     def observable(self) -> Observable:
-        one = _subset_sum(self.parent, self.subset)
+        one = effect_sum(self.parent, self.subset)
         rest = frozenset(self.parent.outcomes) - self.subset
-        return Observable(("0", "1"), {"1": one, "0": _subset_sum(self.parent, rest)})
+        return Observable(("0", "1"), {"1": one, "0": effect_sum(self.parent, rest)})
 
 
 def enumerate_partitionings(a: Observable) -> list:
@@ -102,17 +90,13 @@ def forward_partition_joint(g: ProductObservable, x, y) -> ProductObservable:
         if unknown:
             keys = ", ".join(sorted(label_key(lab) for lab in unknown))
             raise ValueError(f"labels not on the joint observable axis: {keys}")
-    cells = {}
-    for i in ("0", "1"):
-        for j in ("0", "1"):
-            total = np.zeros((g.dim, g.dim), dtype=complex)
-            for xx in ax:
-                if (xx in x) != (i == "1"):
-                    continue
-                for yy in ay:
-                    if (yy in y) == (j == "1"):
-                        total = total + g.effects[(xx, yy)].matrix
-            cells[(i, j)] = HermitianOperator(total)
+    cells = {
+        (i, j): effect_sum(
+            g, {z for z in g.outcomes if (z[0] in x) == (i == "1") and (z[1] in y) == (j == "1")}
+        )
+        for i in ("0", "1")
+        for j in ("0", "1")
+    }
     return ProductObservable((("0", "1"), ("0", "1")), cells)
 
 
@@ -185,34 +169,24 @@ def partition_compatibility_matrix(
 class ParadoxReport:
     matrix: PartitionMatrix
     global_report: FeasibilityReport
-    global_route: str  # "triple-criterion" | "numeric"
     paradox: bool
-    notes: str
 
     def to_json(self) -> dict:
         return {
             "matrix": self.matrix.to_json(),
             "global": self.global_report.to_json(),
-            "global_route": self.global_route,
             "paradox": self.paradox,
-            "notes": self.notes,
         }
 
 
 def partition_paradox_audit(
-    g: ProductObservable,
-    f: ProductObservable,
-    triple_context=None,
-    opts: FeasibilityOptions | None = None,
+    g: ProductObservable, f: ProductObservable, opts: FeasibilityOptions | None = None
 ) -> ParadoxReport:
     """Check whether pairwise-compatible partitionings mask a global failure.
 
-    The matrix decides all nontrivial partitioning pairs of G and F.  The
-    global verdict on (G, F) comes from the orthogonal-triple criterion when
-    ``triple_context`` supplies the three Bloch vectors: a joint observable of
-    G and F would marginalize to all three parents, so a violated triple
-    criterion rules it out.  Otherwise ``decide`` gives the global verdict
-    (route ``numeric``), an INFEASIBLE one with its dual certificate.
+    The matrix decides all nontrivial partitioning pairs of G and F, and
+    ``decide`` on (G, F) gives the global verdict, an INFEASIBLE one with its
+    dual certificate.
     """
     opts = opts or FeasibilityOptions()
     if len(g.parents) != 2 or len(f.parents) != 2:
@@ -225,34 +199,6 @@ def partition_paradox_audit(
         raise ValueError("the joints share no common parent (no marginals match)")
 
     matrix = partition_compatibility_matrix(g, f, opts)
-
-    route = "numeric"
-    global_report = None
-    if triple_context is not None:
-        va, vb, vc = (np.asarray(v, dtype=float) for v in triple_context)
-        expect = [(g, 0, va), (g, 1, vb), (f, 0, vb), (f, 1, vc)]
-        for obs, axis, vec in expect:
-            want = SimpleQubitObservable(BlochEffect(1.0, vec)).as_observable()
-            if (
-                set(obs.parents[axis]) != set(want.outcomes)
-                or marginal_deviation(obs, axis, want) > MARGINAL_TOL
-            ):
-                raise ValueError(
-                    f"triple_context vector does not match a joint marginal (axis {axis})"
-                )
-        result = three_orthogonal_criterion(va, vb, vc)
-        if not result.jm:
-            route = "triple-criterion"
-            global_report = FeasibilityReport(
-                Verdict.INFEASIBLE, None, REASON_TRIPLE, result.margin, 0.0, 0
-            )
-            notes = (
-                "global verdict from the orthogonal-triple criterion: a joint of G and F "
-                "would have all three context observables as marginals"
-            )
-    if global_report is None:
-        global_report = decide(FeasibilityProblem((g, f), opts))
-        notes = f"global verdict from decide on (G, F), reason {global_report.reason}"
-
+    global_report = decide(FeasibilityProblem((g, f), opts))
     paradox = matrix.all_feasible and global_report.verdict is Verdict.INFEASIBLE
-    return ParadoxReport(matrix, global_report, route, paradox, notes)
+    return ParadoxReport(matrix, global_report, paradox)

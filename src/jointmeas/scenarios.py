@@ -118,6 +118,10 @@ _CITE_INFIMUM = (
 _CITE_GAMMA = "one-parameter family exhausting the joints of an unbiased/rank-one pair"
 _CITE_PRODUCT = "symmetrized product joint observable for commuting pairs with a sharp member"
 _CITE_PARTITION = "pairwise compatibility of all two-outcome coarse-grainings"
+_CITE_DUAL = (
+    "re-checked dual certificate of the white-noise robustness SDP "
+    "(Wolf, Perez-Garcia & Fernandez 2009)"
+)
 
 
 def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
@@ -148,11 +152,9 @@ def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
             )
         )
     if abs(crit.value - 2.0) <= CRITERION_TOL:
-        closed = boundary_joint(a, b)
-        nm = decide_pair_qubit_numeric(obs_a, obs_b, opts)
         dev = None
-        if nm.witness is not None:
-            dev = max_cell_deviation(nm.witness, closed)
+        if report.witness is not None:
+            dev = max_cell_deviation(report.witness, boundary_joint(a, b))
         exps.append(
             Expectation(
                 "numeric-witness-matches-closed-form",
@@ -162,7 +164,6 @@ def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
                 citation=_CITE_BOUNDARY + " (the boundary joint is unique)",
             )
         )
-        payload["numeric_report"] = nm.to_json()
     return exps, payload
 
 
@@ -339,7 +340,8 @@ def _run_partition_paradox(params: dict, opts: FeasibilityOptions):
     va, vb, vc = (l * axis for axis in AXES)
     g = boundary_joint(va, vb)
     f = boundary_joint(vb, vc)
-    audit = partition_paradox_audit(g, f, triple_context=(va, vb, vc), opts=opts)
+    audit = partition_paradox_audit(g, f, opts=opts)
+    triple = three_orthogonal_criterion(va, vb, vc)
     exps = [
         Expectation(
             "matrix-all-feasible",
@@ -358,7 +360,20 @@ def _run_partition_paradox(params: dict, opts: FeasibilityOptions):
             audit.global_report.verdict.value,
             citation=_CITE_TRIPLE,
         ),
-        Expectation("global-route", "equals", "triple-criterion", audit.global_route),
+        Expectation(
+            "global-reason",
+            "equals",
+            "dual-certificate",
+            audit.global_report.reason,
+            citation=_CITE_DUAL,
+        ),
+        Expectation(
+            "context-triple-incompatible",
+            "is_true",
+            True,
+            not triple.jm,
+            citation=_CITE_TRIPLE + "; a joint of G and F would have all three as marginals",
+        ),
         Expectation("paradox", "is_true", True, audit.paradox, citation=_CITE_PARTITION),
     ]
     return exps, {"audit": audit.to_json()}

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_dual_certificate
 from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
@@ -45,6 +46,7 @@ from jointmeas import (
     random_rank_one_pair,
     random_unbiased_pair,
     refute_greatest,
+    three_orthogonal_criterion,
     validate,
 )
 
@@ -164,12 +166,14 @@ def test_criterion_5_partition_paradox(criterion):
         va, vb, vc = L2 * EX, L2 * EY, L2 * EZ
         g = boundary_joint(va, vb)
         f = boundary_joint(vb, vc)
-        report = partition_paradox_audit(g, f, triple_context=(va, vb, vc))
+        report = partition_paradox_audit(g, f)
         assert report.matrix.undetermined_count == 0
         assert report.matrix.all_feasible
         assert len(report.matrix.cells) == 49
-        assert report.global_route == "triple-criterion"
         assert report.global_report.verdict is Verdict.INFEASIBLE
+        assert_dual_certificate(report.global_report, (g, f))
+        # a joint of G and F would have all three as marginals
+        assert not three_orthogonal_criterion(va, vb, vc).jm
         assert report.paradox is True
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, JSON output, env tolerance."""
 
+import itertools
 import json
 import math
 import os
@@ -90,6 +91,38 @@ def test_run_busch_boundary_passes_and_writes_json(tmp_path, capsys):
     assert on_stdout == on_disk
     assert on_stdout["passed"] is True
     assert all(e["passed"] for e in on_stdout["expectations"])
+
+
+def test_paradox_certificate_rechecks_from_the_json_output(tmp_path, capsys):
+    # the global INFEASIBLE of partition-paradox can be re-checked from the
+    # CLI output alone, at its 12-digit rounding: adding |low| I to axis 0's
+    # rows, with low the least cell eigenvalue, makes every cell positive and
+    # adds d |low| to <Y, A>; if that stays negative, no joint of G and F exists
+    out = tmp_path / "paradox.json"
+    assert main(["run", "partition-paradox", "--json-out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())["report"]["audit"]["global"]
+    assert report["verdict"] == "INFEASIBLE" and report["reason"] == "dual-certificate"
+    y = {
+        key: np.array(op["re"]) + 1j * np.array(op["im"])
+        for key, op in report["certificate"].items()
+    }
+    parents = (boundary_joint(L * EX, L * EY), boundary_joint(L * EY, L * EZ))
+
+    def row(i, x):
+        return y[f"{i}:{''.join(x)}"]
+
+    low = min(
+        np.linalg.eigvalsh(sum(row(i, x) for i, x in enumerate(z)))[0]
+        for z in itertools.product(*(p.outcomes for p in parents))
+    )
+    value = sum(
+        np.trace(row(i, x) @ p.effects[x].matrix).real
+        for i, p in enumerate(parents)
+        for x in p.outcomes
+    )
+    assert value + 2 * max(0.0, -low) < 0.0
+    assert -value == pytest.approx(report["margin"], rel=1e-9)
 
 
 def test_run_precondition_violation_exits_3(capsys):

@@ -148,7 +148,9 @@ def test_unbiased_boundary_uses_closed_form_witness():
     assert report.verdict is Verdict.FEASIBLE
     assert report.reason == "eq3"
     assert abs(report.margin) <= 1e-9
-    assert report.iterations == 0  # no numeric search on the boundary route
+    # the planar search stops at its first grid evaluation: s = t = 1/2 is a
+    # grid point, and there the boundary joint has zero ellipse excess
+    assert report.iterations == 1
     closed = boundary_joint(l * EX, l * EY)
     for key in closed.effects:
         got = report.witness.effects[key].matrix
@@ -173,6 +175,44 @@ def test_boundary_witness_is_the_closed_form_relabeled(avec, bvec):
     for (i, j), effect in closed.effects.items():
         got = report.witness.effects[(name[i], name[j])].matrix
         assert np.abs(got - effect.matrix).max() <= 1e-12
+
+
+_LABEL_PAIRS = [("0", "1"), ("1", "0"), ("minus", "plus"), ("up", "down")]
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(0.05, 1.95),
+    st.floats(0.1, math.pi - 0.1),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_LABEL_PAIRS),
+    st.booleans(),
+    st.booleans(),
+)
+def test_eq3_boundary_witness_is_the_closed_form(u, phi, seed, labels, flip_a, flip_b):
+    # |a + b| = u and |a - b| = 2 - u put (a, b) on the eq3 boundary, with
+    # unequal lengths unless phi = pi / 2; the joint there is unique, so the
+    # planar search must return boundary_joint in every frame and labeling
+    rot = _rotation(seed)
+    p = u * EX
+    q = (2.0 - u) * (math.cos(phi) * EX + math.sin(phi) * EY)
+    avec, bvec = rot @ (0.5 * (p + q)), rot @ (0.5 * (p - q))
+
+    def labeled(vec, flip):
+        one = unbiased(vec)
+        plus, minus = labels[::-1] if flip else labels
+        obs = Observable(labels, {plus: one.effects["1"], minus: one.effects["0"]})
+        return obs, {"1": plus, "0": minus}
+
+    (a, na), (b, nb) = labeled(avec, flip_a), labeled(bvec, flip_b)
+    report = decide(FeasibilityProblem((a, b)))
+    assert report.verdict is Verdict.FEASIBLE and report.reason == "eq3"
+    closed = boundary_joint(avec, bvec)
+    for (i, j), effect in closed.effects.items():
+        got = report.witness.effects[(na[i], nb[j])].matrix
+        assert np.abs(got - effect.matrix).max() <= 1e-12
+    assert validate(report.witness, tol=1e-12).passed
+    assert witness_residual(report.witness, (a, b)) <= 1e-12
 
 
 def test_numeric_pair_search_undetermined_inside_infeasible_region():
@@ -469,6 +509,31 @@ def test_a_loose_tol_never_accepts_an_invalid_witness(tol):
         checked.append((pair, decide_pair_qubit_numeric(*pair, opts)))
     for family, report in checked:
         if report.verdict is Verdict.FEASIBLE:
+            assert validate(report.witness, tol=WITNESS_TOL).passed
+            assert witness_residual(report.witness, family) <= WITNESS_TOL
+
+
+@pytest.mark.parametrize("tol", [1e-7, 0.5, 1.0, 10.0])
+def test_a_loose_tol_keeps_the_default_verdict_and_steps(tol):
+    # the barrier's stopping gap is min(tol, WITNESS_TOL): a loose tol used to
+    # end the noisy pairs UNDETERMINED (d = 3 from tol 0.5, d = 4 from tol 1)
+    # and the sharp pair at tol 10
+    def vc(d):
+        return 0.5 * (1.0 + 1.0 / (1.0 + math.sqrt(d)))
+
+    for family in (
+        noisy_fourier_mubs(3, vc(3) + 0.05),
+        noisy_fourier_mubs(4, vc(4) - 0.02),
+        noisy_fourier_mubs(3, 1.0),
+    ):
+        default = decide(FeasibilityProblem(family))
+        report = decide(FeasibilityProblem(family, FeasibilityOptions(tol)))
+        assert report.verdict is default.verdict is not Verdict.UNDETERMINED
+        assert report.iterations == default.iterations
+        if report.verdict is Verdict.INFEASIBLE:
+            assert_dual_certificate(report, family)
+            assert report.margin == default.margin
+        else:
             assert validate(report.witness, tol=WITNESS_TOL).passed
             assert witness_residual(report.witness, family) <= WITNESS_TOL
 

@@ -1,6 +1,5 @@
 """Two-outcome coarse-grainings and the compatibility-matrix paradox audit."""
 
-import itertools
 import math
 from collections import Counter
 
@@ -14,6 +13,7 @@ from jointmeas import (
     HermitianOperator,
     Observable,
     Partitioning,
+    ProductObservable,
     SimpleQubitObservable,
     Verdict,
     boundary_joint,
@@ -24,6 +24,7 @@ from jointmeas import (
     partition_compatibility_matrix,
     partition_paradox_audit,
     product_joint_many,
+    random_unitary,
     validate,
     witness_residual,
 )
@@ -223,8 +224,7 @@ def test_rotated_paradox_matrices_decide_every_cell_with_witnesses():
 
 
 def example_joints(l: float):
-    va, vb, vc = l * EX, l * EY, l * EZ
-    return boundary_joint(va, vb), boundary_joint(vb, vc), (va, vb, vc)
+    return boundary_joint(l * EX, l * EY), boundary_joint(l * EY, l * EZ)
 
 
 def test_paradox_audit_requires_shared_marginal():
@@ -236,40 +236,61 @@ def test_paradox_audit_requires_shared_marginal():
         partition_paradox_audit(g, f)
 
 
-def test_paradox_audit_rejects_wrong_context():
-    g, f, (va, vb, vc) = example_joints(L)
-    with pytest.raises(ValueError, match="does not match a joint marginal"):
-        partition_paradox_audit(g, f, triple_context=(va, vc, vb))
-
-
 def test_paradox_audit_boundary_triple():
-    g, f, context = example_joints(L)
-    report = partition_paradox_audit(g, f, triple_context=context)
+    # every partitioning pair is compatible, and decide's barrier route proves
+    # (G, F) incompatible with a dual certificate
+    g, f = example_joints(L)
+    report = partition_paradox_audit(g, f)
     mat = report.matrix
     assert len(mat.rows) == len(mat.cols) == 7
     assert len(mat.cells) == 49
     assert mat.all_feasible
     assert mat.undetermined_count == 0
-    assert report.global_route == "triple-criterion"
     assert report.global_report.verdict is Verdict.INFEASIBLE
-    assert report.global_report.reason == "eq6"
-    assert report.global_report.margin == pytest.approx(3 * L * L - 1.0, abs=1e-12)
+    assert_dual_certificate(report.global_report, (g, f))
     assert report.paradox
-    assert "orthogonal-triple criterion" in report.notes
 
 
 def test_paradox_audit_without_context_is_certified():
     # (G, F) alone goes to decide, whose barrier route proves it INFEASIBLE;
-    # the analytic route through the triple context must agree
-    g, f, context = example_joints(L)
+    # the analytic eq6 verdict on the triple of parents must agree
+    g, f = example_joints(L)
     report = partition_paradox_audit(g, f)
-    assert report.global_route == "numeric"
     assert report.global_report.verdict is Verdict.INFEASIBLE
     assert report.paradox
     assert_dual_certificate(report.global_report, (g, f))
-    analytic = partition_paradox_audit(g, f, triple_context=context)
-    assert analytic.global_report.verdict is report.global_report.verdict
-    assert analytic.paradox is report.paradox
+    parents = tuple(unbiased(L * v) for v in (EX, EY, EZ))
+    analytic = decide(FeasibilityProblem(parents))
+    assert analytic.reason == "eq6"
+    assert analytic.verdict is report.global_report.verdict
+
+
+def transformed(joint, u, names):
+    """U G U* with each axis's outcome labels renamed by its map in ``names``."""
+    effects = {
+        tuple(n[x] for n, x in zip(names, z)): HermitianOperator(u @ e.matrix @ u.conj().T)
+        for z, e in joint.effects.items()
+    }
+    parents = tuple(tuple(n[x] for x in p) for n, p in zip(names, joint.parents))
+    return ProductObservable(parents, effects)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_paradox_audit_invariant_under_conjugation_relabeling_and_swap(seed):
+    g, f = example_joints(L)
+    base = partition_paradox_audit(g, f).global_report
+    u = random_unitary(2, np.random.default_rng([91, seed]))
+    # the shared parent keeps one labeling on both joints; "0" and "1" swap on it
+    na, nb, nc = {"0": "x-", "1": "x+"}, {"0": "1", "1": "0"}, {"0": "lo", "1": "hi"}
+    gu, fu = transformed(g, u, (na, nb)), transformed(f, u, (nb, nc))
+    for first, second in ((gu, fu), (fu, gu)):
+        report = partition_paradox_audit(first, second)
+        assert len(report.matrix.cells) == 49
+        assert all(r.verdict is Verdict.FEASIBLE for r in report.matrix.cells.values())
+        assert report.global_report.verdict is Verdict.INFEASIBLE
+        assert_dual_certificate(report.global_report, (first, second))
+        assert report.global_report.margin == pytest.approx(base.margin, abs=1e-9)
+        assert report.paradox
 
 
 def test_paradox_audit_commuting_pair_is_negative():
@@ -280,7 +301,6 @@ def test_paradox_audit_commuting_pair_is_negative():
     assert report.matrix.all_feasible
     assert report.global_report.verdict is Verdict.FEASIBLE
     assert not report.paradox
-    assert report.global_route == "numeric"
 
 
 def test_paradox_audit_feasible_global_when_triple_exists():
@@ -305,8 +325,6 @@ def test_paradox_audit_feasible_global_when_triple_exists():
                     z[keep[0]], z[keep[1]], z[drop] = xi, xj, xd
                     total = total + k.effects[tuple(z)].matrix
                 cells[(xi, xj)] = HermitianOperator(total)
-        from jointmeas import ProductObservable
-
         return ProductObservable((("0", "1"), ("0", "1")), cells)
 
     g = slice_joint((0, 1))

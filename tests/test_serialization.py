@@ -83,10 +83,13 @@ def test_feasibility_report_json_contract():
     a, b = unbiased(0.8 * EX), unbiased(0.8 * EY)
     report = decide(FeasibilityProblem((a, b)))
     data = report.to_json()
-    assert set(data) == {"verdict", "residual", "iterations", "reason", "margin", "witness"}
+    assert set(data) == {
+        "verdict", "residual", "iterations", "reason", "margin", "witness", "certificate"
+    }
     assert data["verdict"] == "INFEASIBLE"
     assert data["reason"] == "eq3"
     assert data["witness"] is None
+    assert data["certificate"] is None  # only a dual-certificate verdict has one
     json.dumps(data)
 
     feasible = decide(FeasibilityProblem((unbiased(0.5 * EX), unbiased(0.5 * EY))))
@@ -126,11 +129,15 @@ def test_partition_matrix_json_keys():
 def test_paradox_report_json_keys():
     g = boundary_joint(L * EX, L * EY)
     f = boundary_joint(L * EY, L * EZ)
-    report = partition_paradox_audit(g, f, triple_context=(L * EX, L * EY, L * EZ))
+    report = partition_paradox_audit(g, f)
     data = report.to_json()
-    assert set(data) == {"matrix", "global", "global_route", "paradox", "notes"}
+    assert set(data) == {"matrix", "global", "paradox"}
     assert data["paradox"] is True
-    assert data["global_route"] == "triple-criterion"
+    assert data["global"]["reason"] == "dual-certificate"
+    # one operator per (axis, outcome) of the two joints, keyed "<axis>:<outcome key>"
+    assert set(data["global"]["certificate"]) == {
+        f"{i}:{k}" for i in (0, 1) for k in ("00", "01", "10", "11")
+    }
     # 7x7 nontrivial partitioning grid, keys are subset-key pairs
     assert len(data["matrix"]["cells"]) == 49
     assert all(";" in k for k in data["matrix"]["cells"])
