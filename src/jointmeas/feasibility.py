@@ -117,14 +117,24 @@ class FeasibilityReport:
     residual: float = 0.0
     iterations: int = 0
     # a ``dual-certificate`` INFEASIBLE's Y[(axis, outcome)]: sum_i Y[(i, z_i)]
-    # >= 0 on every cell z, and <Y, A> = -margin
+    # >= 0 on every cell z, and <Y, A> = -margin; ``gap`` is its barrier's k d / t
     certificate: dict | None = None
+    gap: float | None = None
+
+    def __post_init__(self):
+        if self.verdict is Verdict.FEASIBLE and self.witness is None:
+            raise ValueError("a FEASIBLE report needs a witness")
+        if self.verdict is Verdict.INFEASIBLE and (self.reason is None or self.margin is None):
+            raise ValueError("an INFEASIBLE report needs a reason and a margin")
+        if self.reason == REASON_DUAL and self.certificate is None:
+            raise ValueError(f"a {REASON_DUAL} report needs its certificate")
 
     def to_json(self) -> dict:
         cert = self.certificate
         return {
             "verdict": self.verdict.value,
             "residual": self.residual,
+            "gap": self.gap,
             "iterations": self.iterations,
             "reason": self.reason,
             "margin": self.margin,
@@ -407,20 +417,21 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     Farkas & Kaniewski, NJP 21, 113053, 2019): the largest eta for which the
     noisy parents eta A + (1 - eta) N, N(i, x) = tr A_i(x) / d I, have a joint.
     Cells with a zero-effect outcome must vanish and are left out.  With
-    G0(z) = prod_i tr A_i(z_i) / d I, D = M^+ (A - N) and K a basis of the
-    null space of M, G(eta, y) = G0 + eta D + sum y_lb K_l E_b has the noisy
-    marginals everywhere.  After the point (1, 0), ``barrier_maximize``
-    maximizes eta from G0 (t = 1) and stops at the first of:
+    G0(z) = prod_i tr A_i(z_i) / d I, D = M^+ (A - N) and rows K_l spanning
+    the null space of M, G(eta, H)_z = G0_z + eta D_z + sum_l K_lz H_l has the
+    noisy marginals for all Hermitian H_l.  After the point (1, 0),
+    ``barrier_maximize`` (G0, one general direction D, weights K) maximizes
+    eta from G0 (t = 1) and stops at the first of:
 
-    - eta >= 1: FEASIBLE with the witness (1, y / eta), which is
+    - eta >= 1: FEASIBLE with the witness (1, H / eta), which is
       G / eta + (1 - 1 / eta) G0;
     - a centered iterate whose Y = (M^T)^+ G^-1 / t, shifted on parent 0's
       rows so that sum_i Y_(i, z_i) >= 0 on every cell, has <Y, A> < 0 in an
       ``eigvalsh`` re-check: INFEASIBLE, reason ``dual-certificate``, margin
-      -<Y, A>, residual the gap k d / t.  A joint G would give
+      -<Y, A>, residual 0 and ``gap`` k d / t.  A joint G would give
       <Y, A> = sum_z tr((M^T Y)_z G_z) >= 0;
     - the gap k d / t <= min(``tol``, ``WITNESS_TOL``) (eta* within about that
-      of 1): FEASIBLE if (1, y / eta) passes the residual test, else
+      of 1): FEASIBLE if (1, H / eta) passes the residual test, else
       UNDETERMINED.
 
     The residual test accepts a witness at min(``tol``, ``WITNESS_TOL``).
@@ -472,17 +483,14 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         g = ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
         return FeasibilityReport(Verdict.FEASIBLE, g, None, None, resid, iterations)
 
-    start = settle(g0 + drift, 1)  # the affine projection of G0: eta = 1, y = 0
+    start = settle(g0 + drift, 1)  # the affine projection of G0: eta = 1, H = 0
     if start.verdict is Verdict.FEASIBLE:
         return start
-    blocks = np.empty((2 + (len(g0) - rank) * dim * dim, *g0.shape), dtype=complex)
-    blocks[0], blocks[1] = g0, drift
-    null = blocks[2:].reshape(len(g0) - rank, dim * dim, *g0.shape)
-    np.einsum("lz,bij->lbzij", vt[rank:], hermitian_basis(dim), out=null)
+    null = vt[rank:]
 
     def stop(x, w, t, centered):
         if x[0] >= 1.0:
-            return True  # (1, y / eta) is a witness
+            return True  # (1, H / eta) is a witness
         if not centered:
             return None
         y = np.zeros_like(a)
@@ -499,13 +507,16 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         keys = [(i, o) for i, p in enumerate(parents) for o in p.outcomes]
         return dict(zip(keys, y)), -value, len(g0) * dim / t
 
-    c = np.zeros(len(blocks) - 1)
+    c = np.zeros(1 + len(null) * dim * dim)
     c[0] = 1.0
-    x, steps, found = barrier_maximize(c, blocks, np.zeros_like(c), 1.0, accept, stop)
+    x, steps, found = barrier_maximize(c, g0, drift[None], null, np.zeros_like(c), 1.0, accept, stop)
     if isinstance(found, tuple):
         cert, margin, gap = found
-        return FeasibilityReport(Verdict.INFEASIBLE, None, REASON_DUAL, margin, gap, 1 + steps, cert)
-    return settle(g0 + drift + np.tensordot(x[1:] / x[0], blocks[2:], axes=1), 1 + steps)
+        return FeasibilityReport(
+            Verdict.INFEASIBLE, None, REASON_DUAL, margin, 0.0, 1 + steps, cert, gap
+        )
+    h = np.tensordot((x[1:] / x[0]).reshape(len(null), -1), hermitian_basis(dim), axes=1)
+    return settle(g0 + drift + np.tensordot(null.T, h, axes=1), 1 + steps)
 
 
 # ---------------------------------------------------------------------------

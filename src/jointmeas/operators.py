@@ -5,11 +5,11 @@ Everything downstream works with dense complex matrices.  Operators are
 symmetrized on construction so later eigensolver calls can assume exact
 Hermiticity; the recorded asymmetry keeps track of how much symmetrization
 threw away.  ``barrier_maximize`` serves both the general joint-measurability
-decision and the maximality probe.  It works in real coordinates on the
-orthonormal Hermitian basis ``hermitian_basis(d)``: every direction block
-F_az becomes a vector C_az of d^2 reals once, and each Newton step builds,
-per cell z, the real d^2 x d^2 matrix T_z of X -> W_z X W_z (W = F(x)^-1),
-so that its Hessian is H_ab = sum_z C_az^T T_z C_bz.
+decision and the maximality probe: cells F0_z + sum_e x_e D_ez + sum_l k_lz Y_l
+with a few general directions D_e and free Hermitian Y_l.  Each Newton step
+builds per cell, on ``hermitian_basis(d)``, the real d^2 x d^2 matrix T_z of
+X -> W_z X W_z (W = F(x)^-1) and S_z = T_z J_z for the fixed Jacobian J from x
+to cell coordinates; the Hessian's rows are sum_z D_z^T S_z and sum_z k_lz S_z.
 """
 from __future__ import annotations
 
@@ -147,58 +147,63 @@ def hermitian_basis(k: int) -> np.ndarray:
 _ROUND_STEPS = 50  # Newton steps per barrier round; a few suffice
 
 
-def barrier_maximize(c, blocks, x, t: float, gap_tol: float, stop=lambda *_: None):
-    """Maximize c.x subject to F(x) = F_0 + sum_a x_a F_a > 0.
+def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lambda *_: None):
+    """Maximize c.x subject to F(x)_z = F0_z + sum_e x_e D_ez + sum_l k_lz Y_l > 0.
 
-    ``blocks`` stacks F_0, ..., F_n, each a stack of m Hermitian d x d
-    blocks that must all be positive definite; ``x`` starts strictly
-    feasible.  Log-det barrier method: Newton steps on the self-concordant
-    -t c.x - log det F(x), with t growing tenfold per round.  A step with
-    Newton decrement lambda > 1/4 is damped to 1 / (1 + lambda), which keeps
-    every iterate strictly feasible without a line search.  A round ends when
-    the decrement falls to 1e-12 or after ``_ROUND_STEPS`` steps.
+    ``f0`` stacks the m Hermitian d x d cells F0_z, ``free`` the e general
+    directions D_e (e x m x d x d, e may be 0); the l x m real ``weights`` k
+    place the free Hermitian d x d variables Y_l (l may be 0).  x holds the
+    x_e, then each Y_l's d^2 coordinates on ``hermitian_basis(d)``, and starts
+    strictly feasible.  Log-det barrier method: Newton steps on the
+    self-concordant -t c.x - log det F(x), with t growing tenfold per round.
+    A step with Newton decrement lambda > 1/4 is damped to 1 / (1 + lambda),
+    which keeps every iterate strictly feasible without a line search.  A
+    round ends when the decrement falls to 1e-12 or after ``_ROUND_STEPS``.
 
-    The Newton system is built in real coordinates: each direction block
-    F_az is written once as its d^2 coordinates C_az on ``hermitian_basis(d)``
-    (exact, since F_az is Hermitian), and F(x) is rebuilt from the coordinates
-    of F_0 + sum_a x_a F_a.  Each step forms, per cell z, the real d^2 x d^2
-    matrix T_z = Re conj(B) (W_z kron W_z^T) B^T of the superoperator
-    X -> W_z X W_z, where W = F(x)^-1 and the rows of B are the basis
-    matrices flattened.  The gradient is -t c_a - sum_z C_az . coords(W_z) and
-    the Hessian is H_ab = Re tr(W F_a W F_b) = sum_z C_az^T T_z C_bz: no
-    product of W with a direction block is formed.
+    The Newton system is built in real coordinates from the fixed Jacobian
+    J_z (d^2 x n) of x -> coords(F(x)_z): its x_e column is coords(D_ez),
+    its column for Y_l's b-th coordinate is k_lz e_b.  Each step forms, per
+    cell, the real d^2 x d^2 matrix T_z = Re conj(B) (W_z kron W_z^T) B^T of
+    X -> W_z X W_z (W = F(x)^-1, rows of B the flattened basis) and
+    S_z = T_z J_z.  The gradient is -t c - sum_z J_z^T coords(W_z); the
+    Hessian sum_z J_z^T S_z has rows sum_z coords(D_ez)^T S_z for the x_e and
+    sum_z k_lz S_z for Y_l's coordinates.
 
     After every step and at the end of each round, ``stop(x, w, t,
-    centered)`` sees the iterate, the block inverses W = F(x)^-1 and whether
+    centered)`` sees the iterate, the cell inverses W = F(x)^-1 and whether
     the round has ended; anything but None ends the solve.  Otherwise it ends
     after the round at which the duality-gap bound m d / t is at most
     ``gap_tol``.  Returns (x, Newton steps, what ``stop`` returned or None).
     """
-    f0, fs = blocks[0], blocks[1:]
-    n, m, d = fs.shape[:3]
-    basis = hermitian_basis(d).reshape(d * d, d * d)
+    m, d = f0.shape[:2]
+    e, l, dd = len(free), len(weights), d * d
+    basis = hermitian_basis(d).reshape(dd, dd)
+    conj = basis.conj()
 
     def coordinates(h):  # (tr(B_k H))_k of each trailing d x d block of h
-        return np.ascontiguousarray((h.reshape(*h.shape[:-2], d * d) @ basis.conj().T).real)
+        return np.ascontiguousarray((h.reshape(*h.shape[:-2], dd) @ conj.T).real)
 
-    coords = coordinates(fs)
-    flat = coords.reshape(n, -1)
-    per_cell = coords.swapaxes(0, 1)
-    scaled = np.empty_like(coords)  # C_az T_z, laid out as coords
+    free_rows = coordinates(free).reshape(e, m * dd)
+    unit = weights.T[:, None, :, None] * np.eye(dd)[:, None, :]  # k_lz on each diagonal
+    jac = np.concatenate([free_rows.T.reshape(m, dd, e), unit.reshape(m, dd, l * dd)], axis=2)
+    flat = jac.reshape(m * dd, -1)
     origin = coordinates(f0).ravel()
+    scaled = np.empty_like(jac)  # S_z = T_z J_z
+    hess = np.empty((e + l * dd,) * 2)
 
     def inverse(x):
-        return np.linalg.inv(((origin + x @ flat).reshape(m, d * d) @ basis).reshape(m, d, d))
+        return np.linalg.inv(((origin + flat @ x).reshape(m, dd) @ basis).reshape(m, d, d))
 
     w = inverse(x)
     steps = 0
     while True:
         for _ in range(_ROUND_STEPS):
-            kron = np.einsum("zip,zqj->zijpq", w, w).reshape(m, d * d, d * d)
-            sup = (basis.conj() @ kron @ basis.T).real
-            grad = -t * c - flat @ coordinates(w).ravel()
-            np.matmul(per_cell, sup, out=scaled.swapaxes(0, 1))
-            hess = scaled.reshape(n, -1) @ flat.T
+            kron = np.einsum("zip,zqj->zijpq", w, w).reshape(m, dd, dd)
+            sup = (conj @ kron @ basis.T).real
+            grad = -t * c - coordinates(w).ravel() @ flat
+            np.matmul(sup, jac, out=scaled)
+            np.matmul(free_rows, scaled.reshape(m * dd, -1), out=hess[:e])
+            np.matmul(weights, scaled.reshape(m, -1), out=hess[e:].reshape(l, dd * len(hess)))
             dx = -np.linalg.solve(hess, grad)
             decrement = -float(grad @ dx)
             if decrement <= 1e-12:

@@ -213,8 +213,8 @@ def maximality_probe(
     Y <= (V* Q^+ V)^-1, and the largest tr Y under those bounds and Y >= 0
     is the trace gain.  It is the smaller bound when dim S = 1, and otherwise
     found to ``GAIN_TOL`` by ``barrier_maximize`` on the k^2 real coordinates
-    of Y, with blocks Y, P' - Y and Q' - Y for the two bounds P' and Q', from
-    (lambda_min / 2) I and t = 3k / max(tr P', tr Q').  Before
+    of Y, in cells Y, P' - Y, Q' - Y (weights 1, -1, -1) for the bounds P' and
+    Q', from (lambda_min / 2) I and t = 3k / max(tr P', tr Q').  Before
     NOT_MAXIMAL is reported the witness D is re-checked with ``eigvalsh``:
     D - C, A - D and B - D must each be >= -``MEMBERSHIP_TOL``.  A failed
     check reports MAXIMAL_WITHIN with gain 0, so the probe may miss a gain,
@@ -235,10 +235,10 @@ def maximality_probe(
         basis = hermitian_basis(k)
         trace = np.trace(basis, axis1=1, axis2=2).real
         bounds = np.stack([np.zeros_like(p), p, q])
-        blocks = np.concatenate([bounds[None], np.stack([basis, -basis, -basis], axis=1)])
         lam = min(np.linalg.eigvalsh(p)[0], np.linalg.eigvalsh(q)[0])
         t = 3.0 * k / max(float(np.trace(p).real), float(np.trace(q).real))
-        x, steps, _ = barrier_maximize(trace, blocks, 0.5 * lam * trace, t, GAIN_TOL)
+        free, weights = np.empty((0, *bounds.shape)), np.array([[1.0, -1.0, -1.0]])
+        x, steps, _ = barrier_maximize(trace, bounds, free, weights, 0.5 * lam * trace, t, GAIN_TOL)
         y = np.tensordot(x, basis, axes=1)
     dm = cm + v @ y @ v.conj().T
     low = min(float(np.linalg.eigvalsh(m)[0]) for m in (dm - cm, am - dm, bm - dm))

@@ -30,7 +30,6 @@ from .feasibility import (
     FeasibilityProblem,
     Verdict,
     decide,
-    decide_pair_qubit_numeric,
     pairwise_vs_global,
 )
 from .observables import max_cell_deviation, max_marginal_deviation, validate
@@ -232,8 +231,8 @@ def _run_unique_not_greatest(params: dict, opts: FeasibilityOptions):
     member = in_lb(LowerBoundQuery(ea1, eb1, c))
     below = loewner_leq(c, g11)
     top = float(np.linalg.eigvalsh(c.matrix - g11.matrix)[-1])
-    nm = decide_pair_qubit_numeric(obs_a, obs_b, opts)
-    dev = max_cell_deviation(nm.witness, g) if nm.witness is not None else None
+    report = decide(FeasibilityProblem((obs_a, obs_b), opts))
+    dev = max_cell_deviation(report.witness, g) if report.witness is not None else None
     search = refute_greatest(g11, ea1, eb1)
     exps = [
         Expectation("candidate-in-lb", "is_true", True, member, citation=_CITE_LB),
@@ -260,12 +259,7 @@ def _run_unique_not_greatest(params: dict, opts: FeasibilityOptions):
             citation=_CITE_INFIMUM,
         ),
     ]
-    payload = {
-        "violation": top,
-        "numeric_report": nm.to_json(),
-        "search_violation": None if search is None else search.violation,
-    }
-    return exps, payload
+    return exps, {"violation": top, "search_violation": None if search is None else search.violation}
 
 
 def _run_no_maximal_family(params: dict, opts: FeasibilityOptions):

@@ -70,6 +70,8 @@ def assert_dual_certificate(report, parents):
     cell z gets sum_i Y[(i, z_i)] >= 0, and <Y, A> = -margin < 0, so that no
     joint G could satisfy 0 <= sum_z tr((sum_i Y[(i, z_i)]) G_z) = <Y, A>."""
     assert report.reason == "dual-certificate"
+    # a proof has no residual; the barrier's gap bound is reported apart
+    assert report.residual == 0.0 and report.gap > 0.0
     y = report.certificate
     for z in itertools.product(*(p.outcomes for p in parents)):
         cell = sum(y[(i, x)] for i, x in enumerate(z))

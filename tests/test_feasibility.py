@@ -18,6 +18,7 @@ from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
     FeasibilityProblem,
+    FeasibilityReport,
     HermitianOperator,
     Observable,
     SimpleQubitObservable,
@@ -311,12 +312,13 @@ def test_orthogonal_triple_gets_closed_form_witness(seed):
     assert report.residual <= 1e-12
 
 
-def noisy_fourier_mubs(d: int, v: float, seed: int = 0):
-    """The computational and Fourier bases of dimension d in a random frame,
-    each mixed with white noise at visibility v."""
+def noisy_fourier_mubs(d: int, v: float, seed: int = 0, count: int = 2):
+    """The computational basis and count - 1 Fourier-type bases of dimension
+    d (columns w^(s k^2 + j k) / sqrt d for s = 0, 1, ...), mutually unbiased
+    for prime d, in a random frame, each mixed with white noise at
+    visibility v."""
     u = random_unitary(d, np.random.default_rng([47, d, seed]))
     w = np.exp(2j * math.pi / d)
-    fourier = np.array([[w ** (j * k) for k in range(d)] for j in range(d)]) / math.sqrt(d)
     labels = tuple(str(i) for i in range(d))
 
     def noisy(basis):
@@ -326,7 +328,11 @@ def noisy_fourier_mubs(d: int, v: float, seed: int = 0):
             for i, x in enumerate(labels)
         })
 
-    return noisy(np.eye(d)), noisy(fourier)
+    fourier = [
+        np.array([[w ** (s * k * k + j * k) for j in range(d)] for k in range(d)]) / math.sqrt(d)
+        for s in range(count - 1)
+    ]
+    return (noisy(np.eye(d)), *map(noisy, fourier))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -347,6 +353,31 @@ def test_noisy_mubs_flip_at_the_critical_visibility(d, offset):
         assert_dual_certificate(report, parents)
         # the certified bound 1 - margin on eta* cannot undercut the truth
         assert report.margin <= 1.0 - vc / (vc + offset) + 1e-9
+
+
+def critical_visibility(d: int) -> float:
+    return 0.5 * (1.0 + 1.0 / (1.0 + math.sqrt(d)))
+
+
+@pytest.mark.parametrize("d, v, count, verdict, iterations", [
+    (4, critical_visibility(4) - 0.05, 2, Verdict.FEASIBLE, 31),
+    (4, critical_visibility(4) + 0.05, 2, Verdict.INFEASIBLE, 37),
+    (3, 0.60, 3, Verdict.INFEASIBLE, 38),  # three MUBs turn incompatible at v = 0.568579
+    (3, 0.50, 4, Verdict.INFEASIBLE, 75),  # four at v = 0.481763
+])
+def test_barrier_verdicts_and_steps_are_pinned(d, v, count, verdict, iterations):
+    # iterations count the start test and the Newton steps
+    parents = noisy_fourier_mubs(d, v, count=count)
+    report = decide(FeasibilityProblem(parents))
+    assert report.verdict is verdict
+    assert report.iterations == iterations
+    if verdict is Verdict.FEASIBLE:
+        assert report.reason is None and report.gap is None
+        assert validate(report.witness, tol=WITNESS_TOL).passed
+        assert witness_residual(report.witness, parents) <= WITNESS_TOL
+    else:
+        assert_dual_certificate(report, parents)
+        assert report.to_json()["gap"] == report.gap
 
 
 @pytest.mark.parametrize("offset", [-0.05, 0.05])
@@ -444,6 +475,22 @@ def test_decide_is_deterministic():
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
         r2.to_json(), sort_keys=True
     )
+
+
+def test_a_feasible_report_needs_a_witness():
+    with pytest.raises(ValueError, match="witness"):
+        FeasibilityReport(Verdict.FEASIBLE, None, None, None, 0.0, 1)
+
+
+@pytest.mark.parametrize("reason, margin", [(None, 0.1), ("eq3", None)])
+def test_an_infeasible_report_needs_a_reason_and_a_margin(reason, margin):
+    with pytest.raises(ValueError, match="reason and a margin"):
+        FeasibilityReport(Verdict.INFEASIBLE, None, reason, margin, 0.0, 0)
+
+
+def test_a_dual_certificate_report_needs_its_certificate():
+    with pytest.raises(ValueError, match="certificate"):
+        FeasibilityReport(Verdict.INFEASIBLE, None, "dual-certificate", 0.1, 0.0, 18, None, 0.3)
 
 
 def test_problem_validation_errors():

@@ -139,10 +139,10 @@ def test_operator_json_round_trip():
 
 
 def dense_barrier_maximize(c, blocks, x, t, gap_tol, stop=lambda *_: None):
-    """Reference kernel: the same damped Newton rounds, with the Newton system
-    from the dense products W F_a, H_ab = Re tr(W F_a W F_b)."""
+    """Reference kernel: the same damped Newton rounds on F_0 + sum_a x_a F_a
+    for the stacked ``blocks`` F_0, ..., F_n, with the Newton system from the
+    dense products W F_a, H_ab = Re tr(W F_a W F_b)."""
     f0, fs = blocks[0], blocks[1:]
-    n = len(fs)
     w = np.linalg.inv(f0 + np.tensordot(x, fs, axes=1))
     steps = 0
     while True:
@@ -167,24 +167,32 @@ def dense_barrier_maximize(c, blocks, x, t, gap_tol, stop=lambda *_: None):
         t *= 10.0
 
 
-def random_bounded_lmi(rng, d, m, n):
-    """F_0 = I on every cell and n random Hermitian directions whose traces
-    over the whole stack vanish, so that sum_a x_a F_a >= 0 forces x = 0 and
-    the feasible set is bounded."""
-    z = rng.standard_normal((n, m, d, d)) + 1j * rng.standard_normal((n, m, d, d))
-    fs = 0.5 * (z + z.conj().swapaxes(-1, -2))
-    total = np.trace(fs, axis1=-2, axis2=-1).real.sum(axis=1)
-    fs -= (total / (m * d))[:, None, None, None] * np.eye(d)
-    blocks = np.concatenate([np.broadcast_to(np.eye(d, dtype=complex), (1, m, d, d)), fs])
-    return rng.standard_normal(n), blocks
+def dense_blocks(f0, free, weights):
+    """F_0, the general directions, then one block k_lz B_b per cell for each
+    coordinate b of each free variable Y_l: the structured LMI written out."""
+    ys = np.einsum("lz,bij->lbzij", weights, hermitian_basis(f0.shape[-1]))
+    return np.concatenate([f0[None], free, ys.reshape(-1, *f0.shape)])
 
 
-@pytest.mark.parametrize("d, m, n", [(2, 4, 10), (2, 12, 40), (3, 3, 20), (3, 6, 40), (4, 2, 25), (4, 3, 40)])
-def test_barrier_newton_system_matches_the_dense_formula(d, m, n):
-    rng = np.random.default_rng(100 * d + n)
-    c, blocks = random_bounded_lmi(rng, d, m, n)
-    x0 = np.zeros(n)
-    x, steps, found = barrier_maximize(c, blocks, x0, 1.0, 1e-6)
+def random_structured_lmi(rng, d, m, e, l):
+    """F_0 = I on every cell, e random Hermitian directions whose traces over
+    the whole stack vanish and l free variables whose weight rows sum to zero,
+    so that a positive semidefinite F(x) - F_0 forces x = 0 and the feasible
+    set is bounded."""
+    z = rng.standard_normal((e, m, d, d)) + 1j * rng.standard_normal((e, m, d, d))
+    free = 0.5 * (z + z.conj().swapaxes(-1, -2))
+    total = np.trace(free, axis1=-2, axis2=-1).real.sum(axis=1)
+    free -= (total / (m * d))[:, None, None, None] * np.eye(d)
+    weights = rng.standard_normal((l, m))
+    weights -= weights.mean(axis=1, keepdims=True)
+    f0 = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
+    return rng.standard_normal(e + l * d * d), f0, free, weights
+
+
+def assert_kernel_matches_dense(c, f0, free, weights):
+    blocks = dense_blocks(f0, free, weights)
+    x0 = np.zeros(len(c))
+    x, steps, found = barrier_maximize(c, f0, free, weights, x0, 1.0, 1e-6)
     x_ref, steps_ref, found_ref = dense_barrier_maximize(c, blocks, x0, 1.0, 1e-6)
     assert found is None and found_ref is None
     assert steps == steps_ref > 0
@@ -198,12 +206,29 @@ def test_barrier_newton_system_matches_the_dense_formula(d, m, n):
         lambda y, t, centered: centered and t >= 100.0,
     ):
         stop = lambda y, w, t, centered: (y.copy(), t, centered) if fires(y, t, centered) else None
-        x, steps, found = barrier_maximize(c, blocks, x0, 1.0, 1e-6, stop)
+        x, steps, found = barrier_maximize(c, f0, free, weights, x0, 1.0, 1e-6, stop)
         x_ref, steps_ref, found_ref = dense_barrier_maximize(c, blocks, x0, 1.0, 1e-6, stop)
         assert steps == steps_ref > 0
         assert found is not None and found[1:] == found_ref[1:]
         assert np.allclose(x, x_ref, rtol=0.0, atol=1e-8)
         assert np.array_equal(found[0], x)
+
+
+@pytest.mark.parametrize("d, m, n", [(2, 4, 10), (2, 12, 40), (3, 3, 20), (3, 6, 40), (4, 2, 25), (4, 3, 40)])
+def test_barrier_newton_system_matches_the_dense_formula(d, m, n):
+    # general directions only (l = 0)
+    rng = np.random.default_rng(100 * d + n)
+    assert_kernel_matches_dense(*random_structured_lmi(rng, d, m, n, 0))
+
+
+@pytest.mark.parametrize("d, m, e, l", [
+    (2, 4, 0, 2), (3, 5, 0, 3), (4, 3, 0, 1),  # free variables only, as in ``maximality_probe``
+    (2, 4, 1, 3), (3, 9, 1, 4), (4, 8, 1, 3),  # one drift and free variables, as in ``decide``
+    (3, 4, 2, 2),
+])
+def test_structured_barrier_matches_the_expanded_blocks(d, m, e, l):
+    rng = np.random.default_rng([d, m, e, l])
+    assert_kernel_matches_dense(*random_structured_lmi(rng, d, m, e, l))
 
 
 def test_hermitian_basis_is_orthonormal():

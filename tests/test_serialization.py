@@ -84,12 +84,13 @@ def test_feasibility_report_json_contract():
     report = decide(FeasibilityProblem((a, b)))
     data = report.to_json()
     assert set(data) == {
-        "verdict", "residual", "iterations", "reason", "margin", "witness", "certificate"
+        "verdict", "residual", "gap", "iterations", "reason", "margin", "witness", "certificate"
     }
     assert data["verdict"] == "INFEASIBLE"
     assert data["reason"] == "eq3"
     assert data["witness"] is None
     assert data["certificate"] is None  # only a dual-certificate verdict has one
+    assert data["gap"] is None  # and only it has a barrier gap
     json.dumps(data)
 
     feasible = decide(FeasibilityProblem((unbiased(0.5 * EX), unbiased(0.5 * EY))))
