@@ -117,7 +117,8 @@ class FeasibilityReport:
     residual: float = 0.0
     iterations: int = 0
     # a ``dual-certificate`` INFEASIBLE's Y[(axis, outcome)]: sum_i Y[(i, z_i)]
-    # >= 0 on every cell z, and <Y, A> = -margin; ``gap`` is its barrier's k d / t
+    # >= 0 on every cell z, and <Y, A> = -margin; the robustness eta* lies in
+    # [1 - margin - gap, 1 - margin]
     certificate: dict | None = None
     gap: float | None = None
 
@@ -134,7 +135,7 @@ class FeasibilityReport:
         return {
             "verdict": self.verdict.value,
             "residual": self.residual,
-            "gap": self.gap,
+            "gap": self.gap,  # eta* in [1 - margin - gap, 1 - margin]; null unless dual
             "iterations": self.iterations,
             "reason": self.reason,
             "margin": self.margin,
@@ -425,14 +426,18 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 
     - eta >= 1: FEASIBLE with the witness (1, H / eta), which is
       G / eta + (1 - 1 / eta) G0;
-    - a centered iterate whose Y = (M^T)^+ G^-1 / t, shifted on parent 0's
-      rows so that sum_i Y_(i, z_i) >= 0 on every cell, has <Y, A> < 0 in an
-      ``eigvalsh`` re-check: INFEASIBLE, reason ``dual-certificate``, margin
-      -<Y, A>, residual 0 and ``gap`` k d / t.  A joint G would give
-      <Y, A> = sum_z tr((M^T Y)_z G_z) >= 0;
-    - the gap k d / t <= min(``tol``, ``WITNESS_TOL``) (eta* within about that
-      of 1): FEASIBLE if (1, H / eta) passes the residual test, else
-      UNDETERMINED.
+    - any iterate whose Y = (M^T)^+ G^-1 / t, shifted on parent 0's rows so
+      that sum_i Y_(i, z_i) >= 0 on every cell, has <Y, A> < 0 in an
+      ``eigvalsh`` re-check (run only if the live rows alone give <Y, A> < 0,
+      as the shift and the zero-effect rows add >= 0).  A joint G would give
+      <Y, A> = sum_z tr((M^T Y)_z G_z) >= 0.  Scaled to <Y, N - A> = 1, a
+      joint of the noisy parents gives eta <= <Y, N> = 1 - margin, and the
+      iterate's eta is feasible: INFEASIBLE, reason ``dual-certificate``,
+      margin -<Y, A>, residual 0 and ``gap`` 1 - margin - eta, so that eta*
+      lies in [1 - margin - gap, 1 - margin];
+    - the barrier's gap bound k d / t <= min(``tol``, ``WITNESS_TOL``) (eta*
+      within about that of 1): FEASIBLE if (1, H / eta) passes the residual
+      test, else UNDETERMINED.
 
     The residual test accepts a witness at min(``tol``, ``WITNESS_TOL``).
     ``iterations`` counts the start test and the Newton steps.  Raises
@@ -488,13 +493,13 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         return start
     null = vt[rank:]
 
-    def stop(x, w, t, centered):
+    def stop(x, w, t):
         if x[0] >= 1.0:
             return True  # (1, H / eta) is a witness
-        if not centered:
-            return None
         y = np.zeros_like(a)
         y[live_rows] = np.tensordot(m_pinv.T, w / t, axes=1)
+        if np.einsum("rij,rji->", y[live_rows], a[live_rows]).real >= 0.0:
+            return None  # the shift and the dead rows below only add to <Y, A>
         low = np.linalg.eigvalsh(np.tensordot(ml.T, y[live_rows], axes=1))[:, 0].min()
         y[: len(parents[0].outcomes)] += max(0.0, -low) * eye
         # a cell with a zero-effect outcome is made positive by that outcome's
@@ -504,8 +509,11 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         value = float(np.einsum("rij,rji->", y, a).real)
         if value + dim * max(0.0, -low) >= 0.0:  # a joint has sum_z tr G_z = d
             return None
+        # scaled to <Y, N - A> = 1, a joint of eta A + (1 - eta) N gives
+        # <Y, N> - eta >= 0: eta* <= 1 - margin, and x[0] <= eta*
+        norm = share @ np.trace(y, axis1=1, axis2=2).real - value
         keys = [(i, o) for i, p in enumerate(parents) for o in p.outcomes]
-        return dict(zip(keys, y)), -value, len(g0) * dim / t
+        return dict(zip(keys, y / norm)), -value / norm, 1.0 + value / norm - x[0]
 
     c = np.zeros(1 + len(null) * dim * dim)
     c[0] = 1.0

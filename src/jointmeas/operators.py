@@ -10,6 +10,8 @@ with a few general directions D_e and free Hermitian Y_l.  Each Newton step
 builds per cell, on ``hermitian_basis(d)``, the real d^2 x d^2 matrix T_z of
 X -> W_z X W_z (W = F(x)^-1) and S_z = T_z J_z for the fixed Jacobian J from x
 to cell coordinates; the Hessian's rows are sum_z D_z^T S_z and sum_z k_lz S_z.
+A step is full below Newton decrement 1/4, else the longest s = 1, 1/2, ...
+that lowers the barrier by s lambda^2 / 4, but never below 1 / (1 + lambda).
 """
 from __future__ import annotations
 
@@ -156,9 +158,12 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
     x_e, then each Y_l's d^2 coordinates on ``hermitian_basis(d)``, and starts
     strictly feasible.  Log-det barrier method: Newton steps on the
     self-concordant -t c.x - log det F(x), with t growing tenfold per round.
-    A step with Newton decrement lambda > 1/4 is damped to 1 / (1 + lambda),
-    which keeps every iterate strictly feasible without a line search.  A
-    round ends when the decrement falls to 1e-12 or after ``_ROUND_STEPS``.
+    A step with Newton decrement lambda < 1/4 is full.  Otherwise its length
+    s halves from 1 until the cells' Cholesky succeeds at x + s dx and the
+    barrier falls by s lambda^2 / 4, at most log2(1 + lambda) times: it never
+    goes below the damped 1 / (1 + lambda), which self-concordance makes
+    feasible and descending.  A round ends when the decrement falls to 1e-12
+    or after ``_ROUND_STEPS``.
 
     The Newton system is built in real coordinates from the fixed Jacobian
     J_z (d^2 x n) of x -> coords(F(x)_z): its x_e column is coords(D_ez),
@@ -169,11 +174,11 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
     Hessian sum_z J_z^T S_z has rows sum_z coords(D_ez)^T S_z for the x_e and
     sum_z k_lz S_z for Y_l's coordinates.
 
-    After every step and at the end of each round, ``stop(x, w, t,
-    centered)`` sees the iterate, the cell inverses W = F(x)^-1 and whether
-    the round has ended; anything but None ends the solve.  Otherwise it ends
-    after the round at which the duality-gap bound m d / t is at most
-    ``gap_tol``.  Returns (x, Newton steps, what ``stop`` returned or None).
+    After every step, ``stop(x, w, t)`` sees the iterate, the cell inverses
+    W = F(x)^-1 and the round's t; anything but None ends the solve.
+    Otherwise it ends after the round at which the duality-gap bound m d / t
+    is at most ``gap_tol``.  Returns (x, Newton steps, what ``stop`` returned
+    or None).
     """
     m, d = f0.shape[:2]
     e, l, dd = len(free), len(weights), d * d
@@ -191,10 +196,17 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
     scaled = np.empty_like(jac)  # S_z = T_z J_z
     hess = np.empty((e + l * dd,) * 2)
 
-    def inverse(x):
-        return np.linalg.inv(((origin + flat @ x).reshape(m, dd) @ basis).reshape(m, d, d))
+    def cells(x):
+        return ((origin + flat @ x).reshape(m, dd) @ basis).reshape(m, d, d)
 
-    w = inverse(x)
+    def barrier(y):  # -t c.y - log det F(y), infinite outside the domain
+        try:
+            chol = np.linalg.cholesky(cells(y))
+        except np.linalg.LinAlgError:
+            return np.inf
+        return -t * (c @ y) - 2.0 * np.log(np.diagonal(chol, 0, 1, 2).real).sum()
+
+    w = np.linalg.inv(cells(x))
     steps = 0
     while True:
         for _ in range(_ROUND_STEPS):
@@ -208,14 +220,18 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
             decrement = -float(grad @ dx)
             if decrement <= 1e-12:
                 break
-            lam = np.sqrt(decrement)
-            x = x + (1.0 if lam < 0.25 else 1.0 / (1.0 + lam)) * dx
-            w = inverse(x)
+            lam, size = np.sqrt(decrement), 1.0
+            if lam >= 0.25:
+                floor = 1.0 / (1.0 + lam)
+                value = barrier(x)
+                while size > floor and barrier(x + size * dx) > value - 0.25 * size * decrement:
+                    size *= 0.5
+                size = max(size, floor)
+            x = x + size * dx
+            w = np.linalg.inv(cells(x))
             steps += 1
-            if (found := stop(x, w, t, False)) is not None:
+            if (found := stop(x, w, t)) is not None:
                 return x, steps, found
-        if (found := stop(x, w, t, True)) is not None:
-            return x, steps, found
         if m * d / t <= gap_tol:
             return x, steps, None
         t *= 10.0

@@ -359,11 +359,26 @@ def critical_visibility(d: int) -> float:
     return 0.5 * (1.0 + 1.0 / (1.0 + math.sqrt(d)))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1))
+def test_noisy_mub_certificates_bracket_the_robustness(d, seed, offset):
+    # a certificate from any iterate, not only a centered one, bounds eta* =
+    # v_c / v from above by 1 - margin, and its iterate bounds it from below
+    vc = critical_visibility(d)
+    parents = noisy_fourier_mubs(d, vc + offset, seed)
+    report = decide(FeasibilityProblem(parents))
+    assert_dual_certificate(report, parents)
+    eta = vc / (vc + offset)
+    assert 1.0 - report.margin - report.gap <= eta <= 1.0 - report.margin + 1e-9
+
+
+# ids name the instance, not the pinned count, so a re-pin keeps the test's name
 @pytest.mark.parametrize("d, v, count, verdict, iterations", [
-    (4, critical_visibility(4) - 0.05, 2, Verdict.FEASIBLE, 31),
-    (4, critical_visibility(4) + 0.05, 2, Verdict.INFEASIBLE, 37),
-    (3, 0.60, 3, Verdict.INFEASIBLE, 38),  # three MUBs turn incompatible at v = 0.568579
-    (3, 0.50, 4, Verdict.INFEASIBLE, 75),  # four at v = 0.481763
+    pytest.param(4, critical_visibility(4) - 0.05, 2, Verdict.FEASIBLE, 13, id="mub4-in"),
+    pytest.param(4, critical_visibility(4) + 0.05, 2, Verdict.INFEASIBLE, 7, id="mub4-out"),
+    # three MUBs turn incompatible at v = 0.568579, four at v = 0.481763
+    pytest.param(3, 0.60, 3, Verdict.INFEASIBLE, 12, id="three-mub3"),
+    pytest.param(3, 0.50, 4, Verdict.INFEASIBLE, 11, id="four-mub3"),
 ])
 def test_barrier_verdicts_and_steps_are_pinned(d, v, count, verdict, iterations):
     # iterations count the start test and the Newton steps

@@ -139,10 +139,18 @@ def test_operator_json_round_trip():
 
 
 def dense_barrier_maximize(c, blocks, x, t, gap_tol, stop=lambda *_: None):
-    """Reference kernel: the same damped Newton rounds on F_0 + sum_a x_a F_a
-    for the stacked ``blocks`` F_0, ..., F_n, with the Newton system from the
-    dense products W F_a, H_ab = Re tr(W F_a W F_b)."""
+    """Reference kernel: the same Newton rounds and step rule on
+    F_0 + sum_a x_a F_a for the stacked ``blocks`` F_0, ..., F_n, with the
+    Newton system from the dense products W F_a, H_ab = Re tr(W F_a W F_b)."""
     f0, fs = blocks[0], blocks[1:]
+
+    def barrier(y):
+        try:
+            chol = np.linalg.cholesky(f0 + np.tensordot(y, fs, axes=1))
+        except np.linalg.LinAlgError:
+            return np.inf
+        return -t * (c @ y) - 2.0 * np.log(np.diagonal(chol, 0, 1, 2).real).sum()
+
     w = np.linalg.inv(f0 + np.tensordot(x, fs, axes=1))
     steps = 0
     while True:
@@ -154,14 +162,19 @@ def dense_barrier_maximize(c, blocks, x, t, gap_tol, stop=lambda *_: None):
             decrement = -float(grad @ dx)
             if decrement <= 1e-12:
                 break
-            lam = np.sqrt(decrement)
-            x = x + (1.0 if lam < 0.25 else 1.0 / (1.0 + lam)) * dx
+            # the full step, else the longest s of 1, 1/2, 1/4, ... above the
+            # damped 1 / (1 + lambda) that lowers the barrier by s lambda^2 / 4
+            lam, size = np.sqrt(decrement), 1.0
+            if lam >= 0.25:
+                floor, value = 1.0 / (1.0 + lam), barrier(x)
+                while size > floor and barrier(x + size * dx) > value - 0.25 * size * decrement:
+                    size *= 0.5
+                size = max(size, floor)
+            x = x + size * dx
             w = np.linalg.inv(f0 + np.tensordot(x, fs, axes=1))
             steps += 1
-            if (found := stop(x, w, t, False)) is not None:
+            if (found := stop(x, w, t)) is not None:
                 return x, steps, found
-        if (found := stop(x, w, t, True)) is not None:
-            return x, steps, found
         if f0.shape[0] * f0.shape[1] / t <= gap_tol:
             return x, steps, None
         t *= 10.0
@@ -198,14 +211,14 @@ def assert_kernel_matches_dense(c, f0, free, weights):
     assert steps == steps_ref > 0
     assert np.allclose(x, x_ref, rtol=0.0, atol=1e-8)
 
-    # stops that fire mid-round on the objective, or at the end of a round,
-    # and hand back what they saw
+    # stops that fire mid-round on the objective, or at the first step of a
+    # later round, and hand back what they saw
     target = 0.5 * float(c @ x)
     for fires in (
-        lambda y, t, centered: c @ y >= target,
-        lambda y, t, centered: centered and t >= 100.0,
+        lambda y, t: c @ y >= target,
+        lambda y, t: t >= 100.0,
     ):
-        stop = lambda y, w, t, centered: (y.copy(), t, centered) if fires(y, t, centered) else None
+        stop = lambda y, w, t: (y.copy(), t) if fires(y, t) else None
         x, steps, found = barrier_maximize(c, f0, free, weights, x0, 1.0, 1e-6, stop)
         x_ref, steps_ref, found_ref = dense_barrier_maximize(c, blocks, x0, 1.0, 1e-6, stop)
         assert steps == steps_ref > 0
@@ -229,6 +242,28 @@ def test_barrier_newton_system_matches_the_dense_formula(d, m, n):
 def test_structured_barrier_matches_the_expanded_blocks(d, m, e, l):
     rng = np.random.default_rng([d, m, e, l])
     assert_kernel_matches_dense(*random_structured_lmi(rng, d, m, e, l))
+
+
+@pytest.mark.parametrize("d, m, e, l", [(2, 4, 0, 2), (3, 9, 1, 4), (4, 8, 1, 3), (3, 6, 40, 0)])
+def test_barrier_steps_stay_feasible_and_never_raise_the_barrier(d, m, e, l):
+    # every iterate's cells are positive definite (Cholesky succeeds) and each
+    # step lowers -t c.x - log det F(x) at the round's t, up to rounding
+    rng = np.random.default_rng([7, d, m, e, l])
+    c, f0, free, weights = random_structured_lmi(rng, d, m, e, l)
+    blocks = dense_blocks(f0, free, weights)
+    seen = [np.zeros(len(c))]
+
+    def barrier(y, t):
+        chol = np.linalg.cholesky(blocks[0] + np.tensordot(y, blocks[1:], axes=1))
+        return -t * (c @ y) - 2.0 * np.log(np.diagonal(chol, 0, 1, 2).real).sum()
+
+    def stop(y, w, t):
+        before, after = barrier(seen[-1], t), barrier(y, t)
+        assert after <= before + 1e-13 * (1.0 + abs(before))
+        seen.append(y.copy())
+
+    _, steps, _ = barrier_maximize(c, f0, free, weights, seen[0], 1.0, 1e-6, stop)
+    assert steps == len(seen) - 1 > 0
 
 
 def test_hermitian_basis_is_orthonormal():
