@@ -51,7 +51,6 @@ from .operators import (
     MAX_DIM,
     EigensolverError,
     HermitianOperator,
-    identity,
     is_effect,
     is_psd,
     loewner_leq,
@@ -80,14 +79,7 @@ from .partitioning import (
     partition_compatibility_matrix,
     partition_paradox_audit,
 )
-from .sampling import (
-    random_commuting_sharp_pair,
-    random_effect,
-    random_orthogonal_unbiased_vs_biased_pair,
-    random_rank_one_pair,
-    random_unbiased_pair,
-    random_unitary,
-)
+from .sampling import random_commuting_sharp_pair
 from .scenarios import REGISTRY, Expectation, Scenario, ScenarioReport, run_scenario
 
 __version__ = "0.1.0"

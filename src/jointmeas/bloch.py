@@ -65,9 +65,10 @@ class BlochEffect:
     def from_operator(e: HermitianOperator) -> "BlochEffect":
         if e.dim != 2:
             raise ValueError(f"Bloch form needs a qubit operator, got dim {e.dim}")
-        alpha = e.trace()
-        a = np.array([float(np.trace(e.matrix @ s).real) for s in PAULI])
-        return BlochEffect(alpha, a)
+        # tr M and tr(M sigma_k) read off the entries: the same floating-point values
+        m = e.matrix
+        a = np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, m[0, 0].real - m[1, 1].real])
+        return BlochEffect(m[0, 0].real + m[1, 1].real, a)
 
     def complement(self) -> "BlochEffect":
         return BlochEffect(2.0 - self.alpha, -self.a)

@@ -51,15 +51,20 @@ from .observables import (
     ProductObservable,
     commute,
     designation_order,
-    is_sharp,
-    is_trivial,
     joint_from_cell,
     label_key,
     max_marginal_deviation,
     observable_to_json,
     product_joint_many,
+    structure_flags,
 )
-from .operators import HermitianOperator, barrier_maximize, hermitian_basis, operator_to_json
+from .operators import (
+    HermitianOperator,
+    barrier_maximize,
+    hermitian_basis,
+    operator_to_json,
+    opnorm,
+)
 
 REASON_BUSCH = "eq3"
 REASON_MOLNAR = "eq4"
@@ -162,7 +167,7 @@ def witness_residual(g: ProductObservable, parents) -> float:
 
 def _is_commuting_compatible_family(parents) -> bool:
     """All pairs commute and each pair contains a sharp or scalar member."""
-    flags = [is_sharp(p) or is_trivial(p) for p in parents]
+    flags = [any(structure_flags(p)) for p in parents]
     n = len(parents)
     for i in range(n):
         for j in range(i + 1, n):
@@ -450,11 +455,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     eye = np.eye(dim)
     starts = np.cumsum([0] + [len(p.outcomes) for p in parents[:-1]])
     gaps = np.add.reduceat(a, starts) - eye
-    # the Frobenius norm bounds the spectral norm and is cheaper, so the
-    # spectral norm is taken only when the Frobenius norm exceeds tol
-    unnormalized = np.linalg.norm(gaps, axis=(1, 2))
-    if unnormalized.max() > tol:
-        unnormalized = np.linalg.norm(gaps, 2, axis=(1, 2))
+    unnormalized = opnorm(gaps)
     if unnormalized.max() > tol:
         i = int(unnormalized.argmax())
         raise ValueError(

@@ -151,36 +151,37 @@ def validate(obs, tol: float = 1e-9) -> ValidationReport:
     return ValidationReport(lows, highs, resid, tol)
 
 
+def structure_flags(obs, tol: float = STRUCTURE_TOL) -> tuple[bool, bool]:
+    """(sharp, trivial) from one stacked ``eigvalsh`` of the effects.  For
+    Hermitian E, ||E^2 - E|| = max |lambda^2 - lambda| (sharp: at most
+    ``tol`` for every effect) and ||E - (tr E / d) I|| = max |lambda - mean
+    lambda| (trivial: at most ``STRUCTURE_TOL``)."""
+    lam = np.linalg.eigvalsh(np.array([obs.effects[x].matrix for x in obs.outcomes]))
+    sharp = np.abs(lam * lam - lam).max() <= tol
+    trivial = np.abs(lam - lam.mean(axis=1, keepdims=True)).max() <= STRUCTURE_TOL
+    return bool(sharp), bool(trivial)
+
+
 def is_sharp(obs, tol: float = STRUCTURE_TOL) -> bool:
     """True iff every effect is a projection: ||E^2 - E|| <= tol for all outcomes."""
-    for x in obs.outcomes:
-        m = obs.effects[x].matrix
-        if opnorm(m @ m - m) > tol:
-            return False
-    return True
+    return structure_flags(obs, tol)[0]
 
 
 def is_trivial(obs) -> bool:
     """True iff every effect is a multiple of the identity."""
-    for x in obs.outcomes:
-        m = obs.effects[x].matrix
-        scale = np.trace(m).real / obs.dim
-        if opnorm(m - scale * np.eye(obs.dim)) > STRUCTURE_TOL:
-            return False
-    return True
+    return structure_flags(obs)[1]
 
 
 def commute(a, b) -> bool:
     """True iff every effect of a commutes with every effect of b within
-    ``STRUCTURE_TOL``."""
+    ``STRUCTURE_TOL``: one batched ``opnorm`` over all outcome pairs."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    for x in a.outcomes:
-        for y in b.outcomes:
-            ma, mb = a.effects[x].matrix, b.effects[y].matrix
-            if opnorm(ma @ mb - mb @ ma) > STRUCTURE_TOL:
-                return False
-    return True
+    ea = np.array([a.effects[x].matrix for x in a.outcomes])
+    eb = np.array([b.effects[y].matrix for y in b.outcomes])
+    ab = ea[:, None] @ eb[None]
+    # [A, B] = AB - (AB)* is anti-Hermitian; i [A, B] has the same norm
+    return bool(opnorm(1j * (ab - ab.conj().swapaxes(-1, -2))).max() <= STRUCTURE_TOL)
 
 
 def effect_sum(obs, labels) -> HermitianOperator:
@@ -214,7 +215,7 @@ def _marginal_gaps(g: ProductObservable, axes) -> np.ndarray:
         for x in parent.outcomes:
             keep = [z[axis] == x for z in labels]
             gaps.append(cells[keep].sum(axis=0) - parent.effects[x].matrix)
-    return np.linalg.norm(np.array(gaps), 2, axis=(1, 2))
+    return opnorm(np.array(gaps))
 
 
 def marginal_deviation(g: ProductObservable, axis: int, parent) -> float:
@@ -258,19 +259,21 @@ def product_joint_many(parents) -> ProductObservable:
     """Symmetrized ordered product G(x_1..x_n) = A_1(x_1) ... A_n(x_n) for a
     pairwise commuting family."""
     dim = parents[0].dim
-    effects = {}
-    for combo in itertools.product(*(p.outcomes for p in parents)):
-        m = np.eye(dim, dtype=complex)
+    combos = list(itertools.product(*(p.outcomes for p in parents)))
+    prods = np.empty((len(combos), dim, dim), dtype=complex)
+    for k, combo in enumerate(combos):
+        prods[k] = np.eye(dim)
         for p, x in zip(parents, combo):
-            m = m @ p.effects[x].matrix
-        sym = 0.5 * (m + m.conj().T)
-        resid = opnorm(m - sym)
-        if resid > STRUCTURE_TOL:
-            raise ValueError(
-                f"ordered product at {tuple(label_key(x) for x in combo)} has "
-                f"Hermiticity residual {resid:.3e} > {STRUCTURE_TOL:.1e}"
-            )
-        effects[combo] = HermitianOperator(sym)
+            prods[k] = prods[k] @ p.effects[x].matrix
+    adjoints = prods.conj().swapaxes(-1, -2)
+    resid = opnorm(0.5j * (prods - adjoints))  # the skew part, times i
+    if resid.max() > STRUCTURE_TOL:
+        k = int(np.argmax(resid > STRUCTURE_TOL))
+        raise ValueError(
+            f"ordered product at {tuple(label_key(x) for x in combos[k])} has "
+            f"Hermiticity residual {resid[k]:.3e} > {STRUCTURE_TOL:.1e}"
+        )
+    effects = {z: HermitianOperator(0.5 * m) for z, m in zip(combos, prods + adjoints)}
     return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
 
 
@@ -284,7 +287,8 @@ def max_cell_deviation(g: ProductObservable, f: ProductObservable) -> float:
             raise ValueError("parent outcome sets differ")
     if g.dim != f.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {f.dim}")
-    return max(opnorm(g.effects[z].matrix - f.effects[z].matrix) for z in g.outcomes)
+    gaps = np.array([g.effects[z].matrix - f.effects[z].matrix for z in g.outcomes])
+    return float(opnorm(gaps).max())
 
 
 def _label_to_json(label):

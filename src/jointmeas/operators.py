@@ -32,10 +32,16 @@ class EigensolverError(RuntimeError):
     """Raised when the Hermitian eigensolver fails to converge."""
 
 
-def opnorm(x) -> float:
-    """Spectral norm (largest singular value) of a matrix or operator."""
+def opnorm(x) -> float | np.ndarray:
+    """Spectral norm max(-lambda_min, lambda_max) of a Hermitian matrix or
+    operator, from ``eigvalsh``; a stack (..., d, d) of Hermitian matrices
+    gets one norm per matrix from one batched call.  Only the lower triangle
+    is read, so the input must be Hermitian: pass an anti-Hermitian X (a
+    commutator, a skew part) as 1j * X, which has the same norm."""
     m = x.matrix if isinstance(x, HermitianOperator) else np.asarray(x)
-    return float(np.linalg.norm(m, 2))
+    lam = np.linalg.eigvalsh(m)
+    norms = np.maximum(-lam[..., 0], lam[..., -1])
+    return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +65,7 @@ class HermitianOperator:
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("operator entries must be finite")
         skew = 0.5 * (m - m.conj().T)
-        asym = float(np.linalg.norm(skew, 2)) if skew.any() else 0.0
+        asym = opnorm(1j * skew) if skew.any() else 0.0
         if asym > ASYMMETRY_TOL:
             raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:.3e}")
         herm = 0.5 * (m + m.conj().T)
@@ -73,9 +79,6 @@ class HermitianOperator:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def norm(self) -> float:
-        return opnorm(self.matrix)
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         return HermitianOperator(self.matrix + other.matrix)
@@ -96,18 +99,14 @@ class HermitianOperator:
         return self.matrix @ other.matrix
 
 
-def identity(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.eye(dim, dtype=complex))
-
-
 def eigvalsh_checked(h: HermitianOperator) -> np.ndarray:
     """Ascending eigenvalues, wrapping solver failures in EigensolverError."""
     try:
         return np.linalg.eigvalsh(h.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise EigensolverError(
-            f"eigensolver failed on dim-{h.dim} operator "
-            f"(norm {h.norm():.3e}, asymmetry {h.asymmetry:.3e}): {exc}"
+            f"eigensolver failed on dim-{h.dim} operator (largest entry "
+            f"{np.abs(h.matrix).max():.3e}, asymmetry {h.asymmetry:.3e}): {exc}"
         ) from exc
 
 
@@ -115,16 +114,21 @@ def min_eigenvalue(h: HermitianOperator) -> float:
     return float(eigvalsh_checked(h)[0])
 
 
+def _psd_tol(evals) -> float:
+    """Positivity tolerance 1e-9 max(1, ||H||) relative to H's scale, with
+    ||H|| read from H's ascending eigenvalues."""
+    return 1e-9 * max(1.0, -float(evals[0]), float(evals[-1]))
+
+
 def default_psd_tol(h: HermitianOperator) -> float:
     """Positivity tolerance relative to the operator's scale."""
-    return 1e-9 * max(1.0, h.norm())
+    return _psd_tol(eigvalsh_checked(h))
 
 
 def is_psd(h: HermitianOperator, tol: float | None = None) -> bool:
     """True iff the smallest eigenvalue is >= -tol."""
-    if tol is None:
-        tol = default_psd_tol(h)
-    return min_eigenvalue(h) >= -tol
+    evals = eigvalsh_checked(h)
+    return bool(evals[0] >= -(_psd_tol(evals) if tol is None else tol))
 
 
 def loewner_leq(a: HermitianOperator, b: HermitianOperator, tol: float | None = None) -> bool:
@@ -239,9 +243,8 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
 
 def is_effect(e: HermitianOperator, tol: float | None = None) -> bool:
     """True iff 0 <= e <= identity within tol."""
-    if tol is None:
-        tol = default_psd_tol(e)
     evals = eigvalsh_checked(e)
+    tol = _psd_tol(evals) if tol is None else tol
     return evals[0] >= -tol and evals[-1] <= 1.0 + tol
 
 

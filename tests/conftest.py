@@ -1,5 +1,5 @@
 """Shared fixtures: closed-form 2x2 eigenvalue oracle, acceptance recorder,
-dual-certificate re-check."""
+dual-certificate re-check, and seeded random effects and qubit pairs."""
 from __future__ import annotations
 
 import itertools
@@ -9,6 +9,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from jointmeas import BlochEffect, HermitianOperator, Observable, SimpleQubitObservable
+from jointmeas.sampling import random_unitary
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -63,6 +66,52 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (z + z.conj().T)
+
+
+def identity(dim: int) -> HermitianOperator:
+    return HermitianOperator(np.eye(dim, dtype=complex))
+
+
+def random_effect(dim: int, rng: np.random.Generator) -> HermitianOperator:
+    u = random_unitary(dim, rng)
+    w = rng.uniform(0.0, 1.0, dim)
+    return HermitianOperator((u * w) @ u.conj().T)
+
+
+def _random_direction(rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+def _simple(alpha: float, vec) -> Observable:
+    return SimpleQubitObservable(BlochEffect(alpha, vec)).as_observable()
+
+
+def random_unbiased_pair(rng: np.random.Generator):
+    """Two unbiased qubit observables; norms spread across the feasibility split."""
+    na, nb = rng.uniform(0.2, 1.0, 2)
+    return _simple(1.0, na * _random_direction(rng)), _simple(1.0, nb * _random_direction(rng))
+
+
+def random_rank_one_pair(rng: np.random.Generator):
+    """Two scaled rank-one qubit observables (alpha equal to the vector norm)."""
+    while True:
+        va = rng.uniform(0.1, 1.0) * _random_direction(rng)
+        vb = rng.uniform(0.1, 1.0) * _random_direction(rng)
+        cross = np.linalg.norm(np.cross(va, vb))
+        if cross > 1e-6 * np.linalg.norm(va) * np.linalg.norm(vb):
+            return _simple(float(np.linalg.norm(va)), va), _simple(float(np.linalg.norm(vb)), vb)
+
+
+def random_orthogonal_unbiased_vs_biased_pair(rng: np.random.Generator):
+    """An unbiased observable and a biased one with orthogonal Bloch vectors."""
+    va = rng.uniform(0.2, 1.0) * _random_direction(rng)
+    raw = rng.standard_normal(3)
+    raw -= (raw @ va) / (va @ va) * va
+    bnorm = rng.uniform(0.05, 0.95)
+    vb = bnorm * raw / np.linalg.norm(raw)
+    beta = rng.uniform(bnorm, 2.0 - bnorm)
+    return _simple(1.0, va), _simple(float(beta), vb)
 
 
 def assert_dual_certificate(report, parents):

@@ -10,7 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_dual_certificate
+from conftest import (
+    assert_dual_certificate,
+    random_orthogonal_unbiased_vs_biased_pair,
+    random_rank_one_pair,
+    random_unbiased_pair,
+)
 from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
@@ -42,9 +47,6 @@ from jointmeas import (
     product_joint_many,
     qubit_pair_criterion,
     random_commuting_sharp_pair,
-    random_orthogonal_unbiased_vs_biased_pair,
-    random_rank_one_pair,
-    random_unbiased_pair,
     refute_greatest,
     three_orthogonal_criterion,
     validate,

@@ -21,7 +21,9 @@ from jointmeas.bloch import (
     three_orthogonal_criterion,
 )
 from jointmeas.observables import marginal, validate
-from jointmeas.operators import loewner_leq, opnorm
+from jointmeas.operators import PAULI, loewner_leq, opnorm
+
+from conftest import random_effect
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -49,6 +51,14 @@ def test_bloch_round_trip(alpha, a):
     back = BlochEffect.from_operator(eff.to_operator())
     assert abs(back.alpha - alpha) <= 1e-12
     assert np.linalg.norm(back.a - a) <= 1e-12
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_bloch_form_equals_the_pauli_traces_bit_for_bit(seed):
+    e = random_effect(2, np.random.default_rng(seed))
+    got = BlochEffect.from_operator(e)
+    assert got.alpha == float(np.trace(e.matrix).real)
+    assert np.array_equal(got.a, [float(np.trace(e.matrix @ s).real) for s in PAULI])
 
 
 def test_complement_involution():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_dual_certificate
+from conftest import assert_dual_certificate, identity
 from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
@@ -26,16 +26,15 @@ from jointmeas import (
     boundary_joint,
     decide,
     decide_pair_qubit_numeric,
-    identity,
     joint_from_cell,
     max_marginal_deviation,
     pairwise_vs_global,
     random_commuting_sharp_pair,
-    random_unitary,
     validate,
     witness_residual,
 )
 from jointmeas.feasibility import WITNESS_TOL
+from jointmeas.sampling import random_unitary
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])

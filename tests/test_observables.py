@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jointmeas.observables import (
+    STRUCTURE_TOL,
     Observable,
     ProductObservable,
     commute,
@@ -23,8 +24,10 @@ from jointmeas.observables import (
     subset_key,
     validate,
 )
-from jointmeas.operators import HermitianOperator, identity, opnorm
-from jointmeas.sampling import random_commuting_sharp_pair, random_effect
+from jointmeas.operators import HermitianOperator, opnorm
+from jointmeas.sampling import random_commuting_sharp_pair, random_unitary
+
+from conftest import identity, random_effect
 
 
 def _coin(dim: int, p: float = 0.5) -> Observable:
@@ -80,6 +83,58 @@ def test_sharp_and_trivial_predicates():
     assert not is_sharp(_coin(3))
     assert is_trivial(_coin(3))
     assert not is_trivial(_diag_sharp([1, 0]))
+
+
+def _two_outcome(e: np.ndarray) -> Observable:
+    one = HermitianOperator(e)
+    return Observable(("0", "1"), {"1": one, "0": identity(len(e)) - one})
+
+
+def _framed(diagonal, seed: int) -> np.ndarray:
+    u = random_unitary(len(diagonal), np.random.default_rng(seed))
+    return (u * np.asarray(diagonal, dtype=float)) @ u.conj().T
+
+
+# each pin sets the norm the tolerance bounds to 0.9 or 1.1 STRUCTURE_TOL,
+# measured independently with the SVD norm
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_is_sharp_keeps_its_threshold(scale):
+    e = _framed([1.0 + scale * STRUCTURE_TOL, 1.0, 0.0], 31)  # ||E^2 - E|| = eps + eps^2
+    assert np.linalg.norm(e @ e - e, 2) == pytest.approx(scale * STRUCTURE_TOL, rel=1e-5)
+    assert is_sharp(_two_outcome(e)) is (scale < 1.0)
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_is_trivial_keeps_its_threshold(scale):
+    eps = scale * STRUCTURE_TOL
+    e = _framed([0.4 + 1.5 * eps, 0.4, 0.4], 32)  # tr E / 3 = 0.4 + eps / 2
+    assert np.linalg.norm(e - np.trace(e).real / 3 * np.eye(3), 2) == pytest.approx(eps, rel=1e-5)
+    assert is_trivial(_two_outcome(e)) is (scale < 1.0)
+
+
+def _skewed_pair(eps: float):
+    # [P, Q] for P = diag(1, 0) and Q = I / 2 + eps sigma_x is eps [[0, 1], [-1, 0]]
+    p = _two_outcome(np.diag([1.0, 0.0]))
+    return p, _two_outcome(np.array([[0.5, eps], [eps, 0.5]]))
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_commute_keeps_its_threshold(scale):
+    a, b = _skewed_pair(scale * STRUCTURE_TOL)
+    pa, qb = a.effects["1"].matrix, b.effects["1"].matrix
+    assert np.linalg.norm(pa @ qb - qb @ pa, 2) == pytest.approx(scale * STRUCTURE_TOL, rel=1e-5)
+    assert commute(a, b) is (scale < 1.0)
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_product_skew_check_keeps_its_threshold(scale):
+    # the ordered product PQ has skew part [P, Q] / 2
+    a, b = _skewed_pair(2.0 * scale * STRUCTURE_TOL)
+    if scale < 1.0:
+        product_joint_many((a, b))
+    else:
+        with pytest.raises(ValueError, match="Hermiticity residual"):
+            product_joint_many((a, b))
 
 
 def test_marginals_of_product():

@@ -11,7 +11,6 @@ from jointmeas.operators import (
     default_psd_tol,
     eigvalsh_checked,
     hermitian_basis,
-    identity,
     is_effect,
     is_psd,
     loewner_leq,
@@ -22,7 +21,7 @@ from jointmeas.operators import (
 )
 from jointmeas.sampling import random_unitary
 
-from conftest import eig2x2, random_hermitian
+from conftest import eig2x2, identity, random_hermitian
 
 
 def test_symmetrization_records_asymmetry():
@@ -46,6 +45,17 @@ def test_asymmetry_bound_is_asymmetry_tol():
     assert h.asymmetry == pytest.approx(0.5 * ASYMMETRY_TOL, rel=1e-6)
     with pytest.raises(ValueError, match="asymmetry"):
         HermitianOperator(skewed(2.0 * ASYMMETRY_TOL))
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_asymmetry_tol_keeps_its_threshold(scale):
+    eps = scale * ASYMMETRY_TOL  # skew part [[0, eps], [-eps, 0]], spectral norm eps
+    m = np.array([[0.5, 0.2 + eps], [0.2 - eps, 0.5]])
+    if scale < 1.0:
+        assert HermitianOperator(m).asymmetry == pytest.approx(eps, rel=1e-6)
+    else:
+        with pytest.raises(ValueError, match="asymmetry"):
+            HermitianOperator(m)
 
 
 def test_rejects_oversized_matrix():
@@ -124,6 +134,17 @@ def test_loewner_shift_property(seed):
 def test_opnorm_is_spectral():
     m = np.array([[0.0, 3.0], [3.0, 0.0]])
     assert opnorm(m) == pytest.approx(3.0)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 6), st.integers(1, 5))
+def test_opnorm_matches_the_svd_norm_on_stacks(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    h = np.array([random_hermitian(dim, rng, rng.uniform(1e-3, 1e3)) for _ in range(count)])
+    np.testing.assert_allclose(opnorm(h), np.linalg.norm(h, 2, axis=(1, 2)), rtol=1e-12)
+    assert opnorm(h[0]) == pytest.approx(float(np.linalg.norm(h[0], 2)), rel=1e-12)
+    z = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+    skew = z - z.conj().swapaxes(-1, -2)  # anti-Hermitian: passed as 1j * X
+    np.testing.assert_allclose(opnorm(1j * skew), np.linalg.norm(skew, 2, axis=(1, 2)), rtol=1e-12)
 
 
 def test_operator_json_round_trip():

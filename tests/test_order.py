@@ -16,7 +16,6 @@ from jointmeas import (
     bloch_matrix,
     boundary_joint,
     gamma_family_member,
-    identity,
     in_lb,
     joint_observable_order_audit,
     loewner_leq,
@@ -24,12 +23,13 @@ from jointmeas import (
     max_cell_deviation,
     maximality_probe,
     product_joint_many,
-    random_effect,
-    random_unitary,
     refute_greatest,
     validate,
 )
 from jointmeas.order import EPS
+from jointmeas.sampling import random_unitary
+
+from conftest import identity, random_effect
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])

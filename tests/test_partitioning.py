@@ -24,10 +24,10 @@ from jointmeas import (
     partition_compatibility_matrix,
     partition_paradox_audit,
     product_joint_many,
-    random_unitary,
     validate,
     witness_residual,
 )
+from jointmeas.sampling import random_unitary
 from jointmeas.feasibility import FeasibilityProblem
 
 EX = np.array([1.0, 0.0, 0.0])
