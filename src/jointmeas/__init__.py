@@ -54,7 +54,6 @@ from .operators import (
     is_effect,
     is_psd,
     loewner_leq,
-    min_eigenvalue,
     operator_from_json,
     operator_to_json,
     opnorm,

@@ -177,7 +177,9 @@ def _cmd_check(args) -> int:
             g, a, b = _load_povms(inputs, opts.tol)
             audit = joint_observable_order_audit(g, a, b)
             _emit({"command": "order-audit", "report": audit.to_json()}, args.json_out)
-            observed = "all-greatest" if audit.all_greatest else "greatest-refuted"
+            observed = "all-greatest" if audit.all_greatest else "outside-lb"
+            if any(cell.greatest_refuted for cell in audit.cells.values()):
+                observed = "greatest-refuted"
             return _check_expectation(observed, args)
 
         if command == "partitions":

@@ -94,10 +94,6 @@ class HermitianOperator:
 
     __mul__ = __rmul__
 
-    def __matmul__(self, other: "HermitianOperator") -> np.ndarray:
-        # plain matrix product; in general not Hermitian, so return the array
-        return self.matrix @ other.matrix
-
 
 def eigvalsh_checked(h: HermitianOperator) -> np.ndarray:
     """Ascending eigenvalues, wrapping solver failures in EigensolverError."""
@@ -110,19 +106,10 @@ def eigvalsh_checked(h: HermitianOperator) -> np.ndarray:
         ) from exc
 
 
-def min_eigenvalue(h: HermitianOperator) -> float:
-    return float(eigvalsh_checked(h)[0])
-
-
 def _psd_tol(evals) -> float:
     """Positivity tolerance 1e-9 max(1, ||H||) relative to H's scale, with
     ||H|| read from H's ascending eigenvalues."""
     return 1e-9 * max(1.0, -float(evals[0]), float(evals[-1]))
-
-
-def default_psd_tol(h: HermitianOperator) -> float:
-    """Positivity tolerance relative to the operator's scale."""
-    return _psd_tol(eigvalsh_checked(h))
 
 
 def is_psd(h: HermitianOperator, tol: float | None = None) -> bool:

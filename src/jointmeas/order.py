@@ -1,15 +1,21 @@
 """Lower-bound sets in the Loewner order: membership, and exact
 greatestness and maximality decisions.
 
-lb(A, B) is the set of effects below both A and B.  Every member has its
-range in S = ran A cap ran B, and with V a basis of S the members are the
-V Y V* with 0 <= Y <= A' and Y <= B', where A' = (V* A^+ V)^-1 and B' is
-defined the same way; V A' V* and V B' V* are the shorts [B]A and [A]B.
-So lb(A, B) has a greatest element exactly when A' and B' are comparable,
-and it is then V min(A', B') V* (Ando, Problem of infimum in the positive
-cone, 1999; Gheondea, Gudder & Jonas, J. Math. Phys. 46, 062102, 2005).
-Greatestness of a candidate is decided from that comparison, and a refuted
-candidate comes with a closed-form member of lb(A, B) not below it.
+lb(A, B) is the set of effects below both A and B, and membership is one
+test: X is in lb(A, B) within s when the least eigenvalue of X, I - X,
+A - X and B - X, from one stacked ``eigvalsh``, is >= -s.  ``in_lb``, the
+preconditions of ``refute_greatest`` and ``maximality_probe`` and the
+audit's cells (s = ``EPS``) use it; both witness re-checks (s =
+``MEMBERSHIP_TOL``) leave out I - X, as A and B may pass I by ``EPS``.
+Every member has its range in S = ran A cap ran B, and with V a basis of
+S the members are the V Y V* with 0 <= Y <= A' and Y <= B', where
+A' = (V* A^+ V)^-1 and B' is defined the same way; V A' V* and V B' V*
+are the shorts [B]A and [A]B.  So lb(A, B) has a greatest element exactly
+when A' and B' are comparable, and it is then V min(A', B') V* (Ando,
+Problem of infimum in the positive cone, 1999; Gheondea, Gudder & Jonas,
+J. Math. Phys. 46, 062102, 2005).  Greatestness of a candidate is decided
+from that comparison, and a refuted candidate comes with a closed-form
+member of lb(A, B) not below it.
 
 Maximality is decided exactly.  With P = A - C and Q = B - C, every D >= C
 in lb(A, B) has D - C = X with 0 <= X <= P and X <= Q, so the range of X
@@ -34,13 +40,7 @@ from .observables import (
     label_key,
     marginal_deviation,
 )
-from .operators import (
-    HermitianOperator,
-    barrier_maximize,
-    hermitian_basis,
-    is_effect,
-    loewner_leq,
-)
+from .operators import HermitianOperator, barrier_maximize, hermitian_basis, is_effect
 
 
 EPS = 1e-6  # strict-violation / trace-gain threshold
@@ -69,11 +69,18 @@ class LowerBoundQuery:
                 raise ValueError(f"{name} is not an effect")
 
 
+def _lb_margin(x: np.ndarray, a: np.ndarray, b: np.ndarray, effect: bool = True) -> float:
+    """Least eigenvalue of X, A - X, B - X and (if ``effect``) I - X, from one
+    stacked ``eigvalsh``: X is in lb(A, B) within s exactly when it is >= -s."""
+    rows = [x, a - x, b - x] + ([np.eye(len(x)) - x] if effect else [])
+    return float(np.linalg.eigvalsh(np.stack(rows))[:, 0].min())
+
+
 def in_lb(query: LowerBoundQuery) -> bool:
-    """True iff C <= A and C <= B in the Loewner order."""
-    return loewner_leq(query.c, query.a, query.tol) and loewner_leq(
-        query.c, query.b, query.tol
-    )
+    """True iff C is an effect below A and B in the Loewner order, within
+    ``query.tol`` (``MEMBERSHIP_TOL`` when None)."""
+    tol = MEMBERSHIP_TOL if query.tol is None else query.tol
+    return _lb_margin(query.c.matrix, query.a.matrix, query.b.matrix) >= -tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,36 +110,34 @@ class MaximalityReport:
         }
 
 
-def _check_in_lb_pre(c, a, b, who: str):
-    ok = loewner_leq(c, a, EPS) and loewner_leq(c, b, EPS) and is_effect(c, EPS)
-    if not ok:
+def _require_lb(c, a, b, who: str):
+    if _lb_margin(c.matrix, a.matrix, b.matrix) < -EPS:
         raise ValueError(f"{who}: candidate is not in lb(A, B)")
 
 
-def _range(m: np.ndarray, tol: float):
-    """Eigenvalues above tol of a Hermitian matrix, with their eigenvectors:
-    an orthonormal basis of its range."""
-    w, v = np.linalg.eigh(m)
-    keep = w > tol
-    return w[keep], v[:, keep]
-
-
-def _shared_range(vp: np.ndarray, vq: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of ran P cap ran Q, given orthonormal bases Vp and
-    Vq of the two ranges: the directions where the singular values of
-    Vp* Vq reach 1 - tol."""
+def _shared_range(p: np.ndarray, q: np.ndarray):
+    """(V, P', Q') for positive P and Q: V an orthonormal basis of
+    ran P cap ran Q and P' = (V* P^+ V)^-1, Q' likewise, so that X = V Y V*
+    is below P exactly when Y <= P'.  Each range is spanned by the
+    eigenvectors with eigenvalues above ``MEMBERSHIP_TOL``; V is where the
+    singular values of Vp* Vq reach 1 - ``MEMBERSHIP_TOL``.  P' and Q' are
+    None when V is empty."""
+    w, u = np.linalg.eigh(np.stack([p, q]))
+    keep = w > MEMBERSHIP_TOL
+    ranges = [(w[i, keep[i]], u[i][:, keep[i]]) for i in (0, 1)]
+    (_, vp), (_, vq) = ranges
     if not (vp.shape[1] and vq.shape[1]):
-        return vp[:, :0]
-    u, sv, _ = np.linalg.svd(vp.conj().T @ vq)
-    return vp @ u[:, : int(np.count_nonzero(sv >= 1.0 - tol))]
-
-
-def _compressed_bound(w: np.ndarray, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(V* M^+ V)^-1 for M with range eigenpairs (w, basis) and V inside
-    ran M: for X = V Y V*, X <= M exactly when Y is below this matrix."""
-    y = basis.conj().T @ v
-    m = np.linalg.inv((y.conj().T / w) @ y)
-    return 0.5 * (m + m.conj().T)
+        return vp[:, :0], None, None
+    s, sv, _ = np.linalg.svd(vp.conj().T @ vq)
+    v = vp @ s[:, : int(np.count_nonzero(sv >= 1.0 - MEMBERSHIP_TOL))]
+    if not v.shape[1]:
+        return v, None, None
+    bounds = []
+    for wk, vk in ranges:
+        y = vk.conj().T @ v
+        m = np.linalg.inv((y.conj().T / wk) @ y)
+        bounds.append(0.5 * (m + m.conj().T))
+    return v, *bounds
 
 
 def _greatest_candidates(ap: np.ndarray, bp: np.ndarray, cp: np.ndarray, tol: float) -> list:
@@ -177,24 +182,20 @@ def refute_greatest(
     S = {0} means lb(A, B) = {0}.  Comparable A' and B' (module docstring)
     make V min(A', B') V* the witness; incomparable ones leave no greatest
     member, and the witness is a closed-form rank-one member.  A witness is
-    returned only after ``eigvalsh`` confirms D, A - D, B - D >=
-    -``MEMBERSHIP_TOL`` and a top eigenvalue of D - C (the violation, with
-    the unit vector as its eigenvector) above ``EPS``.  So None means that C
+    returned only after a top eigenvalue of D - C (the violation, with the
+    unit vector as its eigenvector) above ``EPS`` and a re-check that D,
+    A - D and B - D are >= -``MEMBERSHIP_TOL``.  So None means that C
     is the infimum of A and B up to ``EPS``; a refutation is never invented.
     """
-    _check_in_lb_pre(c, a, b, "refute_greatest")
+    _require_lb(c, a, b, "refute_greatest")
     am, bm, cm = a.matrix, b.matrix, c.matrix
-    wa, va = _range(am, MEMBERSHIP_TOL)
-    wb, vb = _range(bm, MEMBERSHIP_TOL)
-    v = _shared_range(va, vb, MEMBERSHIP_TOL)
+    v, ap, bp = _shared_range(am, bm)
     if not v.shape[1]:
         return None
-    ap, bp = _compressed_bound(wa, va, v), _compressed_bound(wb, vb, v)
     for y in _greatest_candidates(ap, bp, v.conj().T @ cm @ v, MEMBERSHIP_TOL):
         dm = v @ y @ v.conj().T
-        low = min(float(np.linalg.eigvalsh(m)[0]) for m in (dm, am - dm, bm - dm))
         w, u = np.linalg.eigh(dm - cm)
-        if low >= -MEMBERSHIP_TOL and w[-1] > EPS:
+        if w[-1] > EPS and _lb_margin(dm, am, bm, effect=False) >= -MEMBERSHIP_TOL:
             return Refutation(HermitianOperator(dm), u[:, -1], float(w[-1]))
     return None
 
@@ -215,19 +216,16 @@ def maximality_probe(
     found to ``GAIN_TOL`` by ``barrier_maximize`` on the k^2 real coordinates
     of Y, in cells Y, P' - Y, Q' - Y (weights 1, -1, -1) for the bounds P' and
     Q', from (lambda_min / 2) I and t = 3k / max(tr P', tr Q').  Before
-    NOT_MAXIMAL is reported the witness D is re-checked with ``eigvalsh``:
-    D - C, A - D and B - D must each be >= -``MEMBERSHIP_TOL``.  A failed
+    NOT_MAXIMAL is reported the gain X = D - C is re-checked: X, P - X and
+    Q - X must be >= -``MEMBERSHIP_TOL``.  A failed
     check reports MAXIMAL_WITHIN with gain 0, so the probe may miss a gain,
     never invent one.  A gain of at most ``EPS`` is also MAXIMAL_WITHIN.
     """
-    _check_in_lb_pre(c, a, b, "maximality_probe")
-    cm, am, bm = c.matrix, a.matrix, b.matrix
-    wp, vp = _range(am - cm, MEMBERSHIP_TOL)
-    wq, vq = _range(bm - cm, MEMBERSHIP_TOL)
-    v = _shared_range(vp, vq, MEMBERSHIP_TOL)
+    _require_lb(c, a, b, "maximality_probe")
+    cm, pm, qm = c.matrix, a.matrix - c.matrix, b.matrix - c.matrix
+    v, p, q = _shared_range(pm, qm)
     if not v.shape[1]:
         return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, EPS)
-    p, q = _compressed_bound(wp, vp, v), _compressed_bound(wq, vq, v)
     k = p.shape[0]
     if k == 1:
         y, steps = np.minimum(p.real, q.real), 0
@@ -240,13 +238,12 @@ def maximality_probe(
         free, weights = np.empty((0, *bounds.shape)), np.array([[1.0, -1.0, -1.0]])
         x, steps, _ = barrier_maximize(trace, bounds, free, weights, 0.5 * lam * trace, t, GAIN_TOL)
         y = np.tensordot(x, basis, axes=1)
-    dm = cm + v @ y @ v.conj().T
-    low = min(float(np.linalg.eigvalsh(m)[0]) for m in (dm - cm, am - dm, bm - dm))
-    if low < -MEMBERSHIP_TOL:
+    xm = v @ y @ v.conj().T
+    if _lb_margin(xm, pm, qm, effect=False) < -MEMBERSHIP_TOL:
         return MaximalityReport("MAXIMAL_WITHIN", None, 0.0, EPS, steps)
     gain = float(np.trace(y).real)
     if gain > EPS:
-        return MaximalityReport("NOT_MAXIMAL", HermitianOperator(dm), gain, EPS, steps)
+        return MaximalityReport("NOT_MAXIMAL", HermitianOperator(cm + xm), gain, EPS, steps)
     return MaximalityReport("MAXIMAL_WITHIN", None, gain, EPS, steps)
 
 
@@ -294,11 +291,13 @@ def joint_observable_order_audit(g: ProductObservable, a_obs, b_obs) -> OrderAud
 
     g must be a two-parent ``ProductObservable`` whose marginals reproduce
     a_obs and b_obs within ``MARGINAL_TOL``; anything else raises
-    ValueError.  Every cell effect is confirmed to lie in the lower-bound set
-    of its marginal effects, then put to the exact greatestness decision
-    (``refute_greatest``) and the maximality probe.  ``all_greatest`` is
-    conclusive: it is True exactly when every cell is the infimum of its
-    marginal effects, up to ``EPS``.  For two-outcome parents a refuted
+    ValueError.  Each cell is tested for membership in the lower-bound set of
+    its marginal effects: it must be an effect below both, within ``EPS``.
+    A member is put to the exact greatestness decision (``refute_greatest``)
+    and the maximality probe; a cell outside is reported with ``in_lb``
+    False and neither.  ``all_greatest`` is conclusive: it is True exactly
+    when every cell is a member and the infimum of its marginal effects, up
+    to ``EPS``.  For two-outcome parents a refuted
     maximality at the designated cell is converted into an explicit second
     joint observable (``joint_from_cell``), refuting uniqueness.
     """
@@ -314,7 +313,7 @@ def joint_observable_order_audit(g: ProductObservable, a_obs, b_obs) -> OrderAud
         for y in b_obs.outcomes:
             c = g.effects[(x, y)]
             fa, fb = a_obs.effects[x], b_obs.effects[y]
-            member = loewner_leq(c, fa, EPS) and loewner_leq(c, fb, EPS)
+            member = _lb_margin(c.matrix, fa.matrix, fb.matrix) >= -EPS
             if member:
                 refutation = refute_greatest(c, fa, fb)
                 probe = maximality_probe(c, fa, fb)
@@ -322,7 +321,7 @@ def joint_observable_order_audit(g: ProductObservable, a_obs, b_obs) -> OrderAud
                 refutation, probe = None, None
             cells[(x, y)] = CellAudit(member, refutation, probe)
 
-    all_greatest = all(not cell.greatest_refuted for cell in cells.values())
+    all_greatest = all(cell.in_lb and not cell.greatest_refuted for cell in cells.values())
     all_maximal = all(
         cell.maximality is not None and cell.maximality.verdict == "MAXIMAL_WITHIN"
         for cell in cells.values()

@@ -18,8 +18,10 @@ from jointmeas import (
     BlochEffect,
     HermitianOperator,
     Observable,
+    ProductObservable,
     SimpleQubitObservable,
     boundary_joint,
+    joint_from_cell,
     observable_to_json,
 )
 from jointmeas.cli import main
@@ -249,6 +251,39 @@ def test_check_order_audit_boundary_joint(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["report"]["all_greatest"] is False
     assert data["report"]["all_maximal"] is True
+
+
+def test_check_order_audit_answers_for_a_joint_that_passes_validate(tmp_path, capsys):
+    # the cell diag(-1e-5, 0) passes validate at --tol 1e-4 but is no effect:
+    # the audit reports it outside lb(A, B) instead of exiting 3, and the
+    # member cell 0,0 is refuted
+    ea = SimpleQubitObservable(BlochEffect(0.6, 0.2 * EZ)).as_observable()
+    eb = SimpleQubitObservable(BlochEffect(0.6, 0.2 * EX)).as_observable()
+    g = dump(tmp_path, "g.json", joint_from_cell(ea, eb, np.diag([-1e-5, 0.0]), "1", "1"))
+    a, b = dump(tmp_path, "ea.json", ea), dump(tmp_path, "eb.json", eb)
+    assert main(["check", "order-audit", g, a, b, "--tol", "1e-4", "--expect", "greatest-refuted"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["cells"]["1,1"]["in_lb"] is False
+    assert report["cells"]["0,0"]["greatest_refuted"] is True
+    assert report["all_greatest"] is False
+
+
+def test_check_order_audit_outside_lb_is_not_a_refutation(tmp_path, capsys):
+    # A = B = {I, 0, 0}; four cells of +-1e-5 |1><1| pass validate at 1e-4
+    # but lie outside lb(0, 0), and no cell is refuted
+    labels = ("0", "1", "2")
+    zero, proj = np.zeros((2, 2)), np.diag([0.0, 1.0])
+    parent = Observable(labels, {x: HermitianOperator(np.eye(2) if x == "0" else zero) for x in labels})
+    cells = {(x, y): zero for x in labels for y in labels}
+    cells[("0", "0")] = np.eye(2)
+    cells[("1", "1")] = cells[("2", "2")] = -1e-5 * proj
+    cells[("1", "2")] = cells[("2", "1")] = 1e-5 * proj
+    joint = ProductObservable((labels, labels), {k: HermitianOperator(m) for k, m in cells.items()})
+    g, a = dump(tmp_path, "g.json", joint), dump(tmp_path, "a.json", parent)
+    assert main(["check", "order-audit", g, a, a, "--tol", "1e-4", "--expect", "outside-lb"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert not any(cell["greatest_refuted"] for cell in report["cells"].values())
+    assert main(["check", "order-audit", g, a, a, "--tol", "1e-4", "--expect", "greatest-refuted"]) == 1
 
 
 def test_check_order_audit_rejects_a_plain_observable_as_joint(tmp_path, capsys):

@@ -8,13 +8,11 @@ from jointmeas.operators import (
     MAX_DIM,
     HermitianOperator,
     barrier_maximize,
-    default_psd_tol,
     eigvalsh_checked,
     hermitian_basis,
     is_effect,
     is_psd,
     loewner_leq,
-    min_eigenvalue,
     operator_from_json,
     operator_to_json,
     opnorm,
@@ -95,8 +93,8 @@ def test_min_eigenvalue_unitary_invariance(seed):
     dim = int(rng.integers(2, 6))
     m = random_hermitian(dim, rng)
     u = random_unitary(dim, rng)
-    a = min_eigenvalue(HermitianOperator(m))
-    b = min_eigenvalue(HermitianOperator(u @ m @ u.conj().T))
+    a = eigvalsh_checked(HermitianOperator(m))[0]
+    b = eigvalsh_checked(HermitianOperator(u @ m @ u.conj().T))[0]
     assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -106,7 +104,9 @@ def test_psd_and_effect_tests():
     assert not is_psd(HermitianOperator(np.diag([1.0, -0.1])))
     assert is_effect(HermitianOperator(np.diag([0.0, 1.0])))
     assert not is_effect(HermitianOperator(np.diag([0.5, 1.2])))
-    assert default_psd_tol(identity(2)) >= 1e-9
+    # the default bound is 1e-9 max(1, ||H||): 1e-9 here
+    assert is_psd(HermitianOperator(np.diag([1.0, -0.9e-9])))
+    assert not is_psd(HermitianOperator(np.diag([1.0, -1.1e-9])))
 
 
 def test_loewner_order_basics():

@@ -12,11 +12,14 @@ from jointmeas import (
     HermitianOperator,
     LowerBoundQuery,
     Observable,
+    ProductObservable,
     SimpleQubitObservable,
     bloch_matrix,
     boundary_joint,
     gamma_family_member,
     in_lb,
+    is_effect,
+    joint_from_cell,
     joint_observable_order_audit,
     loewner_leq,
     marginal,
@@ -26,13 +29,14 @@ from jointmeas import (
     refute_greatest,
     validate,
 )
-from jointmeas.order import EPS
+from jointmeas.order import EPS, _lb_margin
 from jointmeas.sampling import random_unitary
 
 from conftest import identity, random_effect
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
+EZ = np.array([0.0, 0.0, 1.0])
 
 L = 1.0 / math.sqrt(2.0)
 
@@ -98,6 +102,78 @@ def test_query_construction_errors():
         LowerBoundQuery(good, good, HermitianOperator(0.5 * np.eye(3)))
     with pytest.raises(ValueError, match="A is not an effect"):
         LowerBoundQuery(HermitianOperator(-0.1 * np.eye(2)), good, good)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0.5, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_membership_test_matches_the_three_call_check(dim, bound, sign, scale, seed):
+    # effects A, B and a cell C whose margin on one of the four bounds
+    # C >= 0, C <= I, C <= A, C <= B is a planted eigenvalue t = +-(0.5-2) EPS,
+    # every other margin at least 0.02
+    rng = np.random.default_rng([29, seed])
+    t = sign * scale * EPS
+    q = random_unitary(dim, rng)
+    rest = rng.uniform(0.1, 0.4, dim - 1)
+    planted = (q * np.array([t, *rest])) @ q.conj().T
+
+    def spread():
+        u = random_unitary(dim, rng)
+        return (u * rng.uniform(0.05, 0.3, dim)) @ u.conj().T
+
+    if bound == 0:
+        c = planted
+        a, b = c + spread(), c + spread()
+    elif bound == 1:
+        # A <= I makes A - C <= I - C, so A and B share the planted direction
+        c = np.eye(dim) - planted
+        a, b = (
+            c + (q * np.array([t, *(rest * rng.uniform(0.2, 1.0, dim - 1))])) @ q.conj().T
+            for _ in range(2)
+        )
+    else:
+        c = spread()
+        a, b = (c + planted, c + spread()) if bound == 2 else (c + spread(), c + planted)
+    ops = [HermitianOperator(m) for m in (c, a, b)]
+    cop, aop, bop = ops
+    assert all(is_effect(op, 2.0 * EPS) for op in (aop, bop))
+
+    margin = _lb_margin(cop.matrix, aop.matrix, bop.matrix)
+    new = margin >= -EPS
+    old = loewner_leq(cop, aop, EPS) and loewner_leq(cop, bop, EPS) and is_effect(cop, EPS)
+    assert type(new) is bool
+    assert new == old or abs(margin + EPS) <= 1e-12
+    if abs(t + EPS) > 1e-12:
+        assert new == (t >= -EPS)
+
+
+_PIN_FRAME = random_unitary(2, np.random.default_rng(31))
+
+
+@pytest.mark.parametrize("bound", ["C >= 0", "C <= I", "C <= A", "C <= B"])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_membership_precondition_keeps_its_threshold(bound, factor):
+    # each bound in turn violated by factor * EPS, the others met by >= 0.2;
+    # for C <= I the parents sit above I, so that only that bound is at stake
+    v = factor * EPS
+    c, a, b = {
+        "C >= 0": ([-v, 0.3], [0.5, 0.5], [0.5, 0.5]),
+        "C <= I": ([1.0 + v, 0.3], [1.5, 0.5], [1.5, 0.5]),
+        "C <= A": ([0.5 + v, 0.3], [0.5, 0.5], [0.8, 0.8]),
+        "C <= B": ([0.5 + v, 0.3], [0.8, 0.8], [0.5, 0.5]),
+    }[bound]
+    c, a, b = (HermitianOperator((_PIN_FRAME * w) @ _PIN_FRAME.conj().T) for w in (c, a, b))
+    for probe in (refute_greatest, maximality_probe):
+        if factor < 1.0:
+            probe(c, a, b)
+        else:
+            with pytest.raises(ValueError, match="not in lb"):
+                probe(c, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +529,81 @@ def test_audit_gamma_family_member_refutes_uniqueness():
             dev = np.abs(got.effects[x].matrix - parent.effects[x].matrix).max()
             assert dev <= 1e-7
     assert max_cell_deviation(g, alt) > 1e-3
+
+
+@pytest.mark.parametrize("v", [0.9 * EPS, 1.1 * EPS, 1e-5])
+def test_audit_membership_keeps_its_threshold(v):
+    # G(1, 1) = diag(-v, 0) passes validate at 1e-4 but is no effect, and it
+    # puts the margins of G(1, 1), G(1, 0) and G(0, 1) at -v: every cell is
+    # audited at v = 0.9 EPS; past EPS the three are outside their lb sets,
+    # get neither decision, and greatestness is not claimed
+    a_obs = SimpleQubitObservable(BlochEffect(0.6, 0.2 * EZ)).as_observable()
+    b_obs = SimpleQubitObservable(BlochEffect(0.6, 0.2 * EX)).as_observable()
+    g = joint_from_cell(a_obs, b_obs, np.diag([-v, 0.0]), "1", "1")
+    assert validate(g, tol=1e-4).passed
+    audit = joint_observable_order_audit(g, a_obs, b_obs)
+    outside = {k for k, cell in audit.cells.items() if not cell.in_lb}
+    assert outside == (set() if v < EPS else {("1", "1"), ("1", "0"), ("0", "1")})
+    for cell in audit.cells.values():
+        assert type(cell.in_lb) is bool
+        assert (cell.maximality is not None) == cell.in_lb
+        assert cell.in_lb or cell.refutation is None
+    if v > EPS:
+        assert not audit.all_greatest
+        assert not audit.all_maximal
+        assert not audit.uniqueness_refuted
+
+
+def test_all_greatest_requires_every_cell_in_lb():
+    # A = B = {I, 0, 0}; four cells of +-1e-5 |1><1| keep the marginals exact
+    # and pass validate at 1e-4, but lie outside lb(0, 0) = {0}
+    labels = ("0", "1", "2")
+    zero, proj = np.zeros((2, 2)), np.diag([0.0, 1.0])
+    parent = Observable(
+        labels,
+        {x: HermitianOperator(np.eye(2) if x == "0" else zero) for x in labels},
+    )
+    cells = {(x, y): zero for x in labels for y in labels}
+    cells[("0", "0")] = np.eye(2)
+    cells[("1", "1")] = cells[("2", "2")] = -1e-5 * proj
+    cells[("1", "2")] = cells[("2", "1")] = 1e-5 * proj
+    g = ProductObservable(
+        (labels, labels), {k: HermitianOperator(m) for k, m in cells.items()}
+    )
+    assert validate(g, tol=1e-4).passed
+    audit = joint_observable_order_audit(g, parent, parent)
+    outside = {k for k, cell in audit.cells.items() if not cell.in_lb}
+    assert outside == {("1", "1"), ("2", "2"), ("1", "2"), ("2", "1")}
+    assert not any(cell.greatest_refuted for cell in audit.cells.values())
+    assert not audit.all_greatest
+    assert audit.to_json()["all_greatest"] is False
+
+
+def test_witness_rechecks_allow_parents_above_identity():
+    # parents up to EPS above I pass validate and the precondition, and a
+    # witness may reach them: the re-checks test D, A - D, B - D and X = D - C,
+    # P - X, Q - X, not D <= I or X <= I
+    d = 4e-7
+    cells = {
+        ("0", "0"): np.diag([1.0 + 2.0 * d, 0.0]),
+        ("0", "1"): np.diag([-d, 0.5]),
+        ("1", "0"): np.diag([-d, 0.5]),
+        ("1", "1"): np.zeros((2, 2)),
+    }
+    g = ProductObservable((("0", "1"),) * 2, {k: HermitianOperator(m) for k, m in cells.items()})
+    parent = marginal(g, 0)
+    assert validate(g, tol=1e-6).passed and validate(parent, tol=1e-6).passed
+    ref = refute_greatest(g.effects[("0", "0")], parent.effects["0"], parent.effects["0"])
+    assert ref is not None and ref.violation == pytest.approx(0.5)
+    audit = joint_observable_order_audit(g, parent, marginal(g, 1))
+    assert audit.cells[("0", "0")].greatest_refuted
+    assert not audit.all_greatest
+
+    a, b = HermitianOperator(np.diag([1.0, 0.5])), HermitianOperator(np.diag([1.0, 0.3]))
+    report = maximality_probe(HermitianOperator(np.diag([-5e-7, 0.1])), a, b)
+    assert report.verdict == "NOT_MAXIMAL"
+    assert report.trace_gain > 1.0
+    assert in_lb(LowerBoundQuery(a, b, report.witness, 2.0 * EPS))
 
 
 def test_audit_rejects_marginal_mismatch(boundary_setup):
