@@ -60,7 +60,6 @@ from .operators import (
 )
 from .order import (
     CellAudit,
-    LowerBoundQuery,
     MaximalityReport,
     OrderAudit,
     Refutation,

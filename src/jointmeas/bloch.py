@@ -27,14 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import Observable, ProductObservable
+from .observables import VALIDATE_TOL, Observable, ProductObservable
 from .operators import PAULI, HermitianOperator
 
 AXIS_TOL = 1e-10  # tolerance on normalized dot products for (anti)parallel / orthogonal tests
 # a criterion holds when value <= threshold + CRITERION_TOL; an unbiased pair
 # with | ||a+b|| + ||a-b|| - 2 | <= CRITERION_TOL is on the eq3 boundary
 CRITERION_TOL = 1e-9
-EFFECT_TOL = 1e-12  # slack of the effect test on criterion inputs and gamma-family cells
+EFFECT_TOL = 1e-12  # slack of the effect test on gamma-family cells
+# slack of every criterion's input check in Bloch parameters, where an
+# eigenvalue slack s is 2s: the effects that pass ``validate`` by default
+_INPUT_TOL = 2.0 * VALIDATE_TOL
 
 
 def bloch_matrix(alpha: float, a) -> np.ndarray:
@@ -136,7 +139,7 @@ def busch_criterion(a, b) -> CriterionResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):
-        if not is_valid_effect_params(1.0, v, EFFECT_TOL):
+        if not is_valid_effect_params(1.0, v, _INPUT_TOL):
             raise ValueError(f"(1, {name}) is not a valid effect: ||{name}|| > 1")
     value = float(np.linalg.norm(a + b) + np.linalg.norm(a - b))
     return CriterionResult(value, 2.0, value <= 2.0 + CRITERION_TOL)
@@ -147,7 +150,7 @@ def molnar_criterion(a, b) -> CriterionResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):
-        if not is_valid_effect_params(float(np.linalg.norm(v)), v, EFFECT_TOL):
+        if not is_valid_effect_params(float(np.linalg.norm(v)), v, _INPUT_TOL):
             raise ValueError(f"(||{name}||, {name}) is not a valid effect")
     if are_parallel(a, b):
         raise ValueError("criterion requires non-parallel (and nonzero) vectors")
@@ -162,9 +165,9 @@ def liu_criterion(a, beta: float, b) -> CriterionResult:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not is_valid_effect_params(1.0, a, EFFECT_TOL):
+    if not is_valid_effect_params(1.0, a, _INPUT_TOL):
         raise ValueError("(1, a) is not a valid effect: ||a|| > 1")
-    if not is_valid_effect_params(float(beta), b, EFFECT_TOL):
+    if not is_valid_effect_params(float(beta), b, _INPUT_TOL):
         raise ValueError("(beta, b) is not a valid effect")
     if not are_orthogonal(a, b):
         raise ValueError("criterion requires a orthogonal to b")
@@ -178,7 +181,7 @@ def three_orthogonal_criterion(a, b, c) -> CriterionResult:
     """Unbiased triple along pairwise orthogonal axes: jm iff sum of ||.||^2 <= 1."""
     vecs = [np.asarray(v, dtype=float) for v in (a, b, c)]
     for name, v in zip("abc", vecs):
-        if not is_valid_effect_params(1.0, v, EFFECT_TOL):
+        if not is_valid_effect_params(1.0, v, _INPUT_TOL):
             raise ValueError(f"(1, {name}) is not a valid effect: ||{name}|| > 1")
     for (n1, v1), (n2, v2) in (
         (("a", vecs[0]), ("b", vecs[1])),
@@ -218,10 +221,8 @@ def qubit_pair_criterion(alpha: float, a, beta: float, b) -> CriterionResult:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # every pair of qubit effects reaches this criterion from ``decide``, so
-    # effects that pass ``validate`` at its default tolerance are accepted
     for name, al, v in (("alpha, a", alpha, a), ("beta, b", beta, b)):
-        if not is_valid_effect_params(float(al), v, 1e-9):
+        if not is_valid_effect_params(float(al), v, _INPUT_TOL):
             raise ValueError(f"({name}) is not a valid effect")
     x, y = float(alpha) - 1.0, float(beta) - 1.0
     fa = _f_term(float(alpha), float(np.linalg.norm(a)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .feasibility import FeasibilityOptions, FeasibilityProblem, decide, pairwise_vs_global
@@ -45,18 +44,6 @@ def _emit(report: dict, json_out: str | None):
     if json_out:
         with open(json_out, "w") as fh:
             fh.write(text + "\n")
-
-
-def _default_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("JM_DEFAULT_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as err:
-            raise _ParseError(f"JM_DEFAULT_TOL is not a number: {env!r}") from err
-    return 1e-7
 
 
 def _load_observable(path: str):
@@ -101,8 +88,8 @@ def _cmd_run(args) -> int:
         return EXIT_PARSE
     overrides = {name: getattr(args, name) for name in _SCENARIO_PARAMS}
     try:
-        report = run_scenario(args.name, overrides, FeasibilityOptions(_default_tol(args)))
-    except (KeyError, _ParseError) as err:
+        report = run_scenario(args.name, overrides, FeasibilityOptions(args.tol))
+    except KeyError as err:
         print(err.args[0], file=sys.stderr)
         return EXIT_PARSE
     except ValueError as err:
@@ -133,7 +120,7 @@ def _cmd_check(args) -> int:
     inputs = args.inputs
     command = args.command
     try:
-        opts = FeasibilityOptions(_default_tol(args))
+        opts = FeasibilityOptions(args.tol)
         if command == "validate":
             if len(inputs) != 1:
                 raise _ParseError("validate takes exactly one observable file")
@@ -201,7 +188,10 @@ def _cmd_check(args) -> int:
 
 
 def _add_common_flags(parser):
-    parser.add_argument("--tol", type=float, default=None, help="feasibility tolerance (env JM_DEFAULT_TOL, then 1e-7)")
+    parser.add_argument(
+        "--tol", type=float, default=FeasibilityOptions.tol,
+        help="feasibility tolerance: POVM validation bound, cap on witness acceptance (default %(default)g)",
+    )
     parser.add_argument("--json-out", type=str, default=None, help="also write the JSON report here")
 
 

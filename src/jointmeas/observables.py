@@ -27,6 +27,9 @@ STRUCTURE_TOL = 1e-9
 # largest ``marginal_deviation`` at which a joint's marginal counts as a given
 # parent (the order audit and the paradox audit)
 MARGINAL_TOL = 1e-8
+# default bound of ``validate``: effect eigenvalues in [-tol, 1 + tol] and the
+# normalization residual at most tol
+VALIDATE_TOL = 1e-9
 
 
 def label_key(label) -> str:
@@ -138,7 +141,7 @@ class ValidationReport:
         }
 
 
-def validate(obs, tol: float = 1e-9) -> ValidationReport:
+def validate(obs, tol: float = VALIDATE_TOL) -> ValidationReport:
     """Check the POVM conditions: each effect in [0, 1], effects summing to identity."""
     lows, highs = {}, {}
     total = np.zeros((obs.dim, obs.dim), dtype=complex)
@@ -151,20 +154,20 @@ def validate(obs, tol: float = 1e-9) -> ValidationReport:
     return ValidationReport(lows, highs, resid, tol)
 
 
-def structure_flags(obs, tol: float = STRUCTURE_TOL) -> tuple[bool, bool]:
+def structure_flags(obs) -> tuple[bool, bool]:
     """(sharp, trivial) from one stacked ``eigvalsh`` of the effects.  For
-    Hermitian E, ||E^2 - E|| = max |lambda^2 - lambda| (sharp: at most
-    ``tol`` for every effect) and ||E - (tr E / d) I|| = max |lambda - mean
-    lambda| (trivial: at most ``STRUCTURE_TOL``)."""
+    Hermitian E, ||E^2 - E|| = max |lambda^2 - lambda| (sharp) and
+    ||E - (tr E / d) I|| = max |lambda - mean lambda| (trivial), each at most
+    ``STRUCTURE_TOL`` for every effect."""
     lam = np.linalg.eigvalsh(np.array([obs.effects[x].matrix for x in obs.outcomes]))
-    sharp = np.abs(lam * lam - lam).max() <= tol
+    sharp = np.abs(lam * lam - lam).max() <= STRUCTURE_TOL
     trivial = np.abs(lam - lam.mean(axis=1, keepdims=True)).max() <= STRUCTURE_TOL
     return bool(sharp), bool(trivial)
 
 
-def is_sharp(obs, tol: float = STRUCTURE_TOL) -> bool:
-    """True iff every effect is a projection: ||E^2 - E|| <= tol for all outcomes."""
-    return structure_flags(obs, tol)[0]
+def is_sharp(obs) -> bool:
+    """True iff every effect is a projection: ||E^2 - E|| <= ``STRUCTURE_TOL``."""
+    return structure_flags(obs)[0]
 
 
 def is_trivial(obs) -> bool:

@@ -112,17 +112,17 @@ def _psd_tol(evals) -> float:
     return 1e-9 * max(1.0, -float(evals[0]), float(evals[-1]))
 
 
-def is_psd(h: HermitianOperator, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
+def is_psd(h: HermitianOperator) -> bool:
+    """True iff the smallest eigenvalue is >= -1e-9 max(1, ||H||)."""
     evals = eigvalsh_checked(h)
-    return bool(evals[0] >= -(_psd_tol(evals) if tol is None else tol))
+    return bool(evals[0] >= -_psd_tol(evals))
 
 
-def loewner_leq(a: HermitianOperator, b: HermitianOperator, tol: float | None = None) -> bool:
-    """Loewner order test: a <= b iff b - a is positive semidefinite."""
+def loewner_leq(a: HermitianOperator, b: HermitianOperator) -> bool:
+    """Loewner order test: a <= b iff ``is_psd(b - a)``."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return is_psd(b - a, tol)
+    return is_psd(b - a)
 
 
 def hermitian_basis(k: int) -> np.ndarray:
@@ -228,11 +228,11 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
         t *= 10.0
 
 
-def is_effect(e: HermitianOperator, tol: float | None = None) -> bool:
-    """True iff 0 <= e <= identity within tol."""
+def is_effect(e: HermitianOperator) -> bool:
+    """True iff 0 <= e <= identity within 1e-9 max(1, ||E||)."""
     evals = eigvalsh_checked(e)
-    tol = _psd_tol(evals) if tol is None else tol
-    return evals[0] >= -tol and evals[-1] <= 1.0 + tol
+    tol = _psd_tol(evals)
+    return bool(evals[0] >= -tol and evals[-1] <= 1.0 + tol)
 
 
 def operator_to_json(h: HermitianOperator) -> dict:

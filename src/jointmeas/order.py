@@ -3,10 +3,11 @@ greatestness and maximality decisions.
 
 lb(A, B) is the set of effects below both A and B, and membership is one
 test: X is in lb(A, B) within s when the least eigenvalue of X, I - X,
-A - X and B - X, from one stacked ``eigvalsh``, is >= -s.  ``in_lb``, the
-preconditions of ``refute_greatest`` and ``maximality_probe`` and the
-audit's cells (s = ``EPS``) use it; both witness re-checks (s =
-``MEMBERSHIP_TOL``) leave out I - X, as A and B may pass I by ``EPS``.
+A - X and B - X, from one stacked ``eigvalsh``, is >= -s.  ``in_lb(c, a, b)``
+(s = ``MEMBERSHIP_TOL``), the preconditions of ``refute_greatest`` and
+``maximality_probe`` and the audit's cells (s = ``EPS``) use it; both
+witness re-checks (s = ``MEMBERSHIP_TOL``) leave out I - X, as A and B may
+pass I by ``EPS``.  Each threshold is fixed: no call sets a slack.
 Every member has its range in S = ran A cap ran B, and with V a basis of
 S the members are the V Y V* with 0 <= Y <= A' and Y <= B', where
 A' = (V* A^+ V)^-1 and B' is defined the same way; V A' V* and V B' V*
@@ -50,25 +51,6 @@ MEMBERSHIP_TOL = 1e-9  # range cut-off and lb slack for witnesses
 GAIN_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class LowerBoundQuery:
-    """Membership query for lb(A, B); construction checks that all three
-    operators are effects of equal dimension."""
-
-    a: HermitianOperator
-    b: HermitianOperator
-    c: HermitianOperator
-    tol: float | None = None
-
-    def __post_init__(self):
-        dims = {self.a.dim, self.b.dim, self.c.dim}
-        if len(dims) != 1:
-            raise ValueError(f"operators have mixed dimensions {sorted(dims)}")
-        for name, op in (("A", self.a), ("B", self.b), ("C", self.c)):
-            if not is_effect(op, self.tol):
-                raise ValueError(f"{name} is not an effect")
-
-
 def _lb_margin(x: np.ndarray, a: np.ndarray, b: np.ndarray, effect: bool = True) -> float:
     """Least eigenvalue of X, A - X, B - X and (if ``effect``) I - X, from one
     stacked ``eigvalsh``: X is in lb(A, B) within s exactly when it is >= -s."""
@@ -76,11 +58,17 @@ def _lb_margin(x: np.ndarray, a: np.ndarray, b: np.ndarray, effect: bool = True)
     return float(np.linalg.eigvalsh(np.stack(rows))[:, 0].min())
 
 
-def in_lb(query: LowerBoundQuery) -> bool:
+def in_lb(c: HermitianOperator, a: HermitianOperator, b: HermitianOperator) -> bool:
     """True iff C is an effect below A and B in the Loewner order, within
-    ``query.tol`` (``MEMBERSHIP_TOL`` when None)."""
-    tol = MEMBERSHIP_TOL if query.tol is None else query.tol
-    return _lb_margin(query.c.matrix, query.a.matrix, query.b.matrix) >= -tol
+    ``MEMBERSHIP_TOL``.  Raises ValueError when the dimensions differ or A,
+    B or C is not an effect (``is_effect``)."""
+    dims = {a.dim, b.dim, c.dim}
+    if len(dims) != 1:
+        raise ValueError(f"operators have mixed dimensions {sorted(dims)}")
+    for name, op in (("A", a), ("B", b), ("C", c)):
+        if not is_effect(op):
+            raise ValueError(f"{name} is not an effect")
+    return _lb_margin(c.matrix, a.matrix, b.matrix) >= -MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,7 @@ from .feasibility import (
 )
 from .observables import max_cell_deviation, max_marginal_deviation, validate
 from .operators import HermitianOperator, loewner_leq
-from .order import LowerBoundQuery, in_lb, refute_greatest
+from .order import in_lb, refute_greatest
 from .partitioning import enumerate_partitionings, forward_partition_joint, partition_paradox_audit
 from .sampling import random_commuting_sharp_pair
 
@@ -228,7 +228,7 @@ def _run_unique_not_greatest(params: dict, opts: FeasibilityOptions):
     g11 = g.effects[("1", "1")]
     c = HermitianOperator(bloch_matrix(gamma, t * (a + b)))
     ea1, eb1 = obs_a.effects["1"], obs_b.effects["1"]
-    member = in_lb(LowerBoundQuery(ea1, eb1, c))
+    member = in_lb(c, ea1, eb1)
     below = loewner_leq(c, g11)
     top = float(np.linalg.eigvalsh(c.matrix - g11.matrix)[-1])
     report = decide(FeasibilityProblem((obs_a, obs_b), opts))

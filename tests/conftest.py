@@ -1,5 +1,6 @@
 """Shared fixtures: closed-form 2x2 eigenvalue oracle, acceptance recorder,
-dual-certificate re-check, and seeded random effects and qubit pairs."""
+dual-certificate re-check, seeded random effects and qubit pairs, and order,
+effect and sharpness checks at a call site's own bound."""
 from __future__ import annotations
 
 import itertools
@@ -112,6 +113,31 @@ def random_orthogonal_unbiased_vs_biased_pair(rng: np.random.Generator):
     vb = bnorm * raw / np.linalg.norm(raw)
     beta = rng.uniform(bnorm, 2.0 - bnorm)
     return _simple(1.0, va), _simple(float(beta), vb)
+
+
+def effect_within(e: HermitianOperator, tol: float) -> bool:
+    """0 <= E <= I within ``tol``: E's eigenvalues lie in [-tol, 1 + tol]."""
+    lam = np.linalg.eigvalsh(e.matrix)
+    return bool(lam[0] >= -tol and lam[-1] <= 1.0 + tol)
+
+
+def loewner_leq_within(a: HermitianOperator, b: HermitianOperator, tol: float) -> bool:
+    """A <= B within ``tol``: the least eigenvalue of B - A is >= -tol."""
+    return bool(np.linalg.eigvalsh(b.matrix - a.matrix)[0] >= -tol)
+
+
+def in_lb_within(c, a, b, tol: float) -> bool:
+    """C in lb(A, B) within ``tol``: A, B and C effects and C below A and B,
+    each within ``tol``."""
+    effects = all(effect_within(op, tol) for op in (a, b, c))
+    return effects and loewner_leq_within(c, a, tol) and loewner_leq_within(c, b, tol)
+
+
+def sharp_within(obs, tol: float) -> bool:
+    """Every effect a projection within ``tol``: ||E^2 - E|| = max |lambda^2 -
+    lambda| <= tol."""
+    lam = np.linalg.eigvalsh(np.array([obs.effects[x].matrix for x in obs.outcomes]))
+    return bool(np.abs(lam * lam - lam).max() <= tol)
 
 
 def assert_dual_certificate(report, parents):

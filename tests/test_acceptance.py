@@ -12,6 +12,8 @@ import pytest
 
 from conftest import (
     assert_dual_certificate,
+    in_lb_within,
+    loewner_leq_within,
     random_orthogonal_unbiased_vs_biased_pair,
     random_rank_one_pair,
     random_unbiased_pair,
@@ -33,10 +35,8 @@ from jointmeas import (
     forward_partition_joint,
     gamma_family_member,
     gamma_interval,
-    in_lb,
     liu_criterion,
     loewner_leq,
-    LowerBoundQuery,
     marginal,
     max_marginal_deviation,
     molnar_criterion,
@@ -127,7 +127,7 @@ def test_criterion_3_not_greatest_counterexample(criterion):
         fa = unbiased(a_vec).effects["1"]
         fb = unbiased(b_vec).effects["1"]
         c = HermitianOperator(bloch_matrix(0.4, 0.3 * (a_vec + b_vec)))
-        assert in_lb(LowerBoundQuery(fa, fb, c, 1e-12))
+        assert in_lb_within(c, fa, fb, 1e-12)
         assert not loewner_leq(c, g11)
         diff = c.matrix - g11.matrix
         w, v = np.linalg.eigh(diff)
@@ -157,8 +157,8 @@ def test_criterion_4_gamma_family(criterion):
             m1, m2 = members[g1], members[g2]
             c11_1, c11_2 = m1.effects[("1", "1")], m2.effects[("1", "1")]
             c01_1, c01_2 = m1.effects[("0", "1")], m2.effects[("0", "1")]
-            assert loewner_leq(c11_1, c11_2, 1e-12)
-            assert loewner_leq(c01_2, c01_1, 1e-12)
+            assert loewner_leq_within(c11_1, c11_2, 1e-12)
+            assert loewner_leq_within(c01_2, c01_1, 1e-12)
             assert c11_2.trace() - c11_1.trace() > 1e-9
             assert c01_1.trace() - c01_2.trace() > 1e-9
 

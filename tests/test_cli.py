@@ -308,18 +308,22 @@ def test_check_partitions_matrix(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_env_tolerance_is_honored(pair_files, monkeypatch, capsys):
+def test_tol_flag_is_honored(pair_files, capsys):
     a, b = pair_files
-    monkeypatch.setenv("JM_DEFAULT_TOL", "1e-5")
-    assert main(["check", "jm-pair", a, b, "--expect", "INFEASIBLE"]) == 0
+    assert main(["check", "jm-pair", a, b, "--tol", "1e-5", "--expect", "INFEASIBLE"]) == 0
     capsys.readouterr()
-
-    monkeypatch.setenv("JM_DEFAULT_TOL", "not-a-number")
-    assert main(["check", "jm-pair", a, b]) == 2
-    assert "JM_DEFAULT_TOL" in capsys.readouterr().err
 
     assert main(["check", "jm-pair", a, b, "--tol", "0"]) == 3
     assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_absent_tol_is_the_options_default(pair_files, capsys):
+    a, b = pair_files
+    outputs = []
+    for extra in ([], ["--tol", "1e-7"]):
+        assert main(["check", "jm-pair", a, b, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def _povm(effects) -> Observable:
@@ -337,9 +341,7 @@ def fourier_pair_files(tmp_path):
     return z, x
 
 
-def test_an_infinite_tolerance_is_a_precondition_error(
-    tmp_path, fourier_pair_files, monkeypatch, capsys
-):
+def test_an_infinite_tolerance_is_a_precondition_error(tmp_path, fourier_pair_files, capsys):
     # at tol = inf, validate passed these effects (they sum to diag(2, 5, 0)),
     # and jm-pair called the sharp Fourier pair in d = 3 FEASIBLE with a
     # witness that fails validate
@@ -351,10 +353,6 @@ def test_an_infinite_tolerance_is_a_precondition_error(
     for argv in (["check", "validate", big], ["check", "jm-pair", z, x], ["run", "busch-boundary"]):
         assert main([*argv, "--tol", "inf"]) == 3
         assert "tol must be positive and finite" in capsys.readouterr().err
-        monkeypatch.setenv("JM_DEFAULT_TOL", "inf")
-        assert main(argv) == 3
-        assert "tol must be positive and finite" in capsys.readouterr().err
-        monkeypatch.delenv("JM_DEFAULT_TOL")
 
 
 def test_a_loose_tolerance_does_not_make_the_fourier_pair_feasible(fourier_pair_files, capsys):
@@ -365,10 +363,11 @@ def test_a_loose_tolerance_does_not_make_the_fourier_pair_feasible(fourier_pair_
     assert json.loads(capsys.readouterr().out)["report"]["verdict"] != "FEASIBLE"
 
 
-def test_run_rejects_a_non_numeric_env_tolerance(monkeypatch, capsys):
-    monkeypatch.setenv("JM_DEFAULT_TOL", "abc")
-    assert main(["run", "busch-boundary"]) == 2
-    assert "JM_DEFAULT_TOL" in capsys.readouterr().err
+def test_run_rejects_a_non_numeric_tolerance(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "busch-boundary", "--tol", "abc"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_reports_round_to_twelve_significant_digits(pair_files, capsys):

@@ -1,5 +1,6 @@
 """Joint-measurability decision engine: routing, witnesses, verdicts."""
 
+import inspect
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from jointmeas import (
     witness_residual,
 )
 from jointmeas.feasibility import WITNESS_TOL
+from jointmeas.observables import VALIDATE_TOL, structure_flags
 from jointmeas.sampling import random_unitary
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -552,6 +554,29 @@ def test_a_parent_that_passes_validate_is_decided():
     assert witness_residual(report.witness, (scaled, x)) <= tol
 
 
+@pytest.mark.parametrize("route, alpha, partner", [
+    ("eq3", 1.0, (1.0, 0.5 * EY)),
+    ("qubit-pair", 0.9, (1.2, np.array([0.0, 0.3, 0.1]))),
+])
+@pytest.mark.parametrize("slack", [0.9e-9, 1.1e-9])
+def test_a_qubit_pair_that_passes_validate_is_decided(route, alpha, partner, slack):
+    # ||a|| = alpha + 2 slack puts the least eigenvalue of (alpha, a) at
+    # -slack: the criteria's input checks, at Bloch slack 2 VALIDATE_TOL,
+    # accept what validate accepts and refuse what it refuses
+    a = SimpleQubitObservable(BlochEffect(alpha, (alpha + 2.0 * slack) * EX)).as_observable()
+    b = SimpleQubitObservable(BlochEffect(*partner)).as_observable()
+    rep = validate(a)
+    assert rep.min_eigenvalues["1"] == pytest.approx(-slack, rel=1e-6)
+    if slack < VALIDATE_TOL:
+        assert rep.passed
+        report = decide(FeasibilityProblem((a, b)))
+        assert report.reason == route and report.verdict is Verdict.INFEASIBLE
+    else:
+        assert not rep.passed
+        with pytest.raises(ValueError, match="not a valid effect"):
+            decide(FeasibilityProblem((a, b)))
+
+
 @pytest.mark.parametrize("tol", [1e-7, 1e-3, 0.12, 0.5])
 def test_a_loose_tol_never_accepts_an_invalid_witness(tol):
     # tol bounds the barrier's gap; a witness is accepted only within
@@ -661,6 +686,29 @@ def test_pair_verdict_invariant_under_rotation_swap_and_relabeling(pa, pb, seed)
             assert witness_residual(report.witness, parents) <= tol
         verdicts.add(report.verdict)
     assert len(verdicts) == 1
+
+
+def test_only_three_tolerances_are_settable():
+    # every other bound is a module constant; Expectation.tol and
+    # ValidationReport.tol record the bound a report was checked at
+    allowed = {
+        ("FeasibilityOptions", "tol"),
+        ("validate", "tol"),
+        ("is_valid_effect_params", "tol"),
+        ("Expectation", "tol"),
+        ("ValidationReport", "tol"),
+    }
+    named = [(n, getattr(jointmeas, n)) for n in jointmeas.__all__]
+    found = set()
+    for name, obj in named + [("structure_flags", structure_flags)]:
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # exception classes carry no signature
+            continue
+        found |= {(name, p) for p in params if "tol" in p}
+    assert found == allowed
 
 
 def test_import_loads_no_scipy():

@@ -107,6 +107,9 @@ def test_psd_and_effect_tests():
     # the default bound is 1e-9 max(1, ||H||): 1e-9 here
     assert is_psd(HermitianOperator(np.diag([1.0, -0.9e-9])))
     assert not is_psd(HermitianOperator(np.diag([1.0, -1.1e-9])))
+    for check in (is_psd, is_effect):
+        assert type(check(identity(2))) is bool
+        assert type(check(HermitianOperator(np.diag([0.5, 1.2])))) is bool
 
 
 def test_loewner_order_basics():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from jointmeas import (
     BlochEffect,
     HermitianOperator,
-    LowerBoundQuery,
     Observable,
     ProductObservable,
     SimpleQubitObservable,
@@ -18,7 +17,6 @@ from jointmeas import (
     boundary_joint,
     gamma_family_member,
     in_lb,
-    is_effect,
     joint_from_cell,
     joint_observable_order_audit,
     loewner_leq,
@@ -32,7 +30,13 @@ from jointmeas import (
 from jointmeas.order import EPS, _lb_margin
 from jointmeas.sampling import random_unitary
 
-from conftest import identity, random_effect
+from conftest import (
+    effect_within,
+    identity,
+    in_lb_within,
+    loewner_leq_within,
+    random_effect,
+)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -65,20 +69,20 @@ def boundary_setup():
 def test_zero_is_always_a_lower_bound():
     a = bloch_op(0.9, 0.4 * EX)
     b = bloch_op(0.7, 0.5 * EY)
-    assert in_lb(LowerBoundQuery(a, b, HermitianOperator(np.zeros((2, 2)))))
+    assert in_lb(HermitianOperator(np.zeros((2, 2))), a, b)
 
 
 def test_joint_cells_lie_below_their_marginals(boundary_setup):
     a_obs, b_obs, g = boundary_setup
     for (x, y), e in g.effects.items():
-        assert in_lb(LowerBoundQuery(a_obs.effects[x], b_obs.effects[y], e, 1e-12))
+        assert in_lb_within(e, a_obs.effects[x], b_obs.effects[y], 1e-12)
 
 
 def test_membership_is_a_real_constraint():
     a = unbiased(L * EX).effects["1"]
     b = unbiased(L * EY).effects["1"]
     # a itself is not below b
-    assert not in_lb(LowerBoundQuery(a, b, a))
+    assert not in_lb(a, a, b)
 
 
 def test_directed_effect_is_in_lb(boundary_setup):
@@ -86,7 +90,7 @@ def test_directed_effect_is_in_lb(boundary_setup):
     # both parent effects but not below the joint's corner cell
     a_obs, b_obs, g = boundary_setup
     c = bloch_op(0.4, 0.3 * (L * EX + L * EY))
-    assert in_lb(LowerBoundQuery(a_obs.effects["1"], b_obs.effects["1"], c, 1e-12))
+    assert in_lb_within(c, a_obs.effects["1"], b_obs.effects["1"], 1e-12)
     assert not loewner_leq(c, g.effects[("1", "1")])
     # the violation is visible to a single unit vector
     diff = c.matrix - g.effects[("1", "1")].matrix
@@ -97,11 +101,11 @@ def test_directed_effect_is_in_lb(boundary_setup):
 def test_query_construction_errors():
     good = bloch_op(0.5, 0.2 * EX)
     with pytest.raises(ValueError, match="C is not an effect"):
-        LowerBoundQuery(good, good, HermitianOperator(1.5 * np.eye(2)))
+        in_lb(HermitianOperator(1.5 * np.eye(2)), good, good)
     with pytest.raises(ValueError, match="mixed dimensions"):
-        LowerBoundQuery(good, good, HermitianOperator(0.5 * np.eye(3)))
+        in_lb(HermitianOperator(0.5 * np.eye(3)), good, good)
     with pytest.raises(ValueError, match="A is not an effect"):
-        LowerBoundQuery(HermitianOperator(-0.1 * np.eye(2)), good, good)
+        in_lb(good, HermitianOperator(-0.1 * np.eye(2)), good)
 
 
 @settings(max_examples=200)
@@ -141,11 +145,16 @@ def test_one_membership_test_matches_the_three_call_check(dim, bound, sign, scal
         a, b = (c + planted, c + spread()) if bound == 2 else (c + spread(), c + planted)
     ops = [HermitianOperator(m) for m in (c, a, b)]
     cop, aop, bop = ops
-    assert all(is_effect(op, 2.0 * EPS) for op in (aop, bop))
+    assert all(effect_within(op, 2.0 * EPS) for op in (aop, bop))
 
     margin = _lb_margin(cop.matrix, aop.matrix, bop.matrix)
     new = margin >= -EPS
-    old = loewner_leq(cop, aop, EPS) and loewner_leq(cop, bop, EPS) and is_effect(cop, EPS)
+    # the three-call reference: one eigvalsh test per order bound, at EPS
+    old = (
+        loewner_leq_within(cop, aop, EPS)
+        and loewner_leq_within(cop, bop, EPS)
+        and effect_within(cop, EPS)
+    )
     assert type(new) is bool
     assert new == old or abs(margin + EPS) <= 1e-12
     if abs(t + EPS) > 1e-12:
@@ -206,9 +215,7 @@ def test_boundary_corner_cell_is_not_greatest(boundary_setup, eig2x2_oracle):
     want = eig2x2_oracle(lam * np.outer(w, w.conj()) - cm)[1]
     assert want == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert ref.violation == pytest.approx(want, abs=1e-9)
-    assert in_lb(
-        LowerBoundQuery(a_obs.effects["1"], b_obs.effects["1"], ref.witness, 1e-9)
-    )
+    assert in_lb_within(ref.witness, a_obs.effects["1"], b_obs.effects["1"], 1e-9)
     psi = ref.vector
     quad = float(np.real(psi.conj() @ (ref.witness.matrix - c.matrix) @ psi))
     assert quad == pytest.approx(ref.violation, abs=1e-9)
@@ -242,7 +249,7 @@ def test_gamma_family_cells_are_not_greatest(cell):
     assert ref is not None
     assert ref.violation == pytest.approx(0.12, abs=1e-9)
     assert np.abs(ref.witness.matrix - bloch_matrix(0.32, 0.32 * EY)).max() <= 1e-9
-    assert in_lb(LowerBoundQuery(fa, fb, ref.witness, 1e-9))
+    assert in_lb_within(ref.witness, fa, fb, 1e-9)
     psi = ref.vector
     quad = float(np.real(psi.conj() @ (ref.witness.matrix - c.matrix) @ psi))
     assert quad == pytest.approx(ref.violation, abs=1e-9)
@@ -275,7 +282,7 @@ def test_invertible_cell_witness_is_closed_form(eig2x2_oracle):
     ref = refute_greatest(c, fa, fb)
     assert ref is not None
     assert ref.violation == pytest.approx(want, abs=1e-9)
-    assert in_lb(LowerBoundQuery(fa, fb, ref.witness, 1e-9))
+    assert in_lb_within(ref.witness, fa, fb, 1e-9)
 
 
 def _parallel_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -296,7 +303,7 @@ def _verdicts_agree(c, a, b, seed):
     ref = refute_greatest(*ops)
     if ref is not None:
         d = ref.witness
-        assert in_lb(LowerBoundQuery(ops[1], ops[2], d, 1e-9))
+        assert in_lb_within(d, ops[1], ops[2], 1e-9)
         assert ref.violation > EPS
         psi = ref.vector
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
@@ -361,8 +368,8 @@ def test_probe_zero_below_half_identities():
     assert report.verdict == "NOT_MAXIMAL"
     assert report.trace_gain == pytest.approx(1.0, abs=1e-6)
     d = report.witness
-    assert in_lb(LowerBoundQuery(half, half, d, 1e-8))
-    assert loewner_leq(HermitianOperator(np.zeros((2, 2))), d, 1e-9)
+    assert in_lb_within(d, half, half, 1e-8)
+    assert loewner_leq_within(HermitianOperator(np.zeros((2, 2))), d, 1e-9)
     assert d.trace() > report.eps
     # a two-dimensional shared range goes to the barrier solve
     assert report.iterations > 0
@@ -380,7 +387,7 @@ def test_probe_gain_below_commuting_bounds_is_sum_of_minima():
     assert report.verdict == "NOT_MAXIMAL"
     assert report.trace_gain == pytest.approx(0.7, abs=1e-8)
     assert report.iterations > 0
-    assert in_lb(LowerBoundQuery(a, b, report.witness, 1e-9))
+    assert in_lb_within(report.witness, a, b, 1e-9)
 
 
 def test_probe_self_bounds_are_maximal():
@@ -405,8 +412,8 @@ def test_gamma_family_corner_cell_is_not_maximal():
     assert report.trace_gain == pytest.approx(0.12, abs=1e-9)
     assert report.iterations == 0  # a one-dimensional shared range: closed form
     d = report.witness
-    assert in_lb(LowerBoundQuery(fa, fb, d, 1e-12))
-    assert loewner_leq(c, d, 1e-12)
+    assert in_lb_within(d, fa, fb, 1e-12)
+    assert loewner_leq_within(c, d, 1e-12)
     assert d.trace() - c.trace() == pytest.approx(report.trace_gain, abs=1e-12)
 
 
@@ -454,8 +461,8 @@ def test_probe_verdict_follows_shared_range(shared, seed):
         assert report.iterations == 0
     else:
         d = report.witness
-        assert in_lb(LowerBoundQuery(a, b, d, 1e-9))
-        assert loewner_leq(c, d, 1e-9)
+        assert in_lb_within(d, a, b, 1e-9)
+        assert loewner_leq_within(c, d, 1e-9)
         assert d.trace() - c.trace() == pytest.approx(report.trace_gain, abs=1e-9)
     # the verdict and the gain do not depend on the frame
     u = random_unitary(4, np.random.default_rng([18, seed]))
@@ -603,7 +610,7 @@ def test_witness_rechecks_allow_parents_above_identity():
     report = maximality_probe(HermitianOperator(np.diag([-5e-7, 0.1])), a, b)
     assert report.verdict == "NOT_MAXIMAL"
     assert report.trace_gain > 1.0
-    assert in_lb(LowerBoundQuery(a, b, report.witness, 2.0 * EPS))
+    assert in_lb_within(report.witness, a, b, 2.0 * EPS)
 
 
 def test_audit_rejects_marginal_mismatch(boundary_setup):

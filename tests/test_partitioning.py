@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import assert_dual_certificate
+from conftest import assert_dual_certificate, sharp_within
 from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
@@ -20,7 +20,6 @@ from jointmeas import (
     decide,
     enumerate_partitionings,
     forward_partition_joint,
-    is_sharp,
     partition_compatibility_matrix,
     partition_paradox_audit,
     product_joint_many,
@@ -112,7 +111,7 @@ def test_complement_swap_is_bit_exact():
 
 def test_sharp_parent_gives_sharp_partitionings(four_outcome_sharp):
     for p in enumerate_partitionings(four_outcome_sharp):
-        assert is_sharp(p.observable, tol=1e-10)
+        assert sharp_within(p.observable, 1e-10)
 
 
 def test_partition_rejects_unknown_labels(four_outcome_sharp):
