@@ -90,10 +90,23 @@ class SimpleQubitObservable:
         )
 
 
+def _is_effect_within(alpha: float, norm: float, tol: float = _INPUT_TOL) -> bool:
+    """Effect condition in Bloch form from ||a||: ||a|| <= alpha <= 2 - ||a||
+    within ``tol``.  At the default ``_INPUT_TOL`` it is every criterion's
+    input check and the guard of ``decide``'s qubit routes."""
+    return norm <= alpha + tol and alpha <= 2.0 - norm + tol
+
+
 def is_valid_effect_params(alpha: float, a, tol: float = 0.0) -> bool:
     """Effect condition in Bloch form: ||a|| <= alpha <= 2 - ||a||."""
-    n = float(np.linalg.norm(np.asarray(a, dtype=float)))
-    return n <= alpha + tol and alpha <= 2.0 - n + tol
+    return _is_effect_within(alpha, float(np.linalg.norm(np.asarray(a, dtype=float))), tol)
+
+
+def _require_effects(*named):
+    """Raise ValueError naming the first (name, alpha, a) outside ``_INPUT_TOL``."""
+    for name, alpha, v in named:
+        if not _is_effect_within(float(alpha), float(np.linalg.norm(v))):
+            raise ValueError(f"({name}) is not a valid effect")
 
 
 def _unit_dot(u, v) -> float:
@@ -138,9 +151,7 @@ def busch_criterion(a, b) -> CriterionResult:
     """Pair of unbiased qubit effects: jm iff ||a+b|| + ||a-b|| <= 2."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    for name, v in (("a", a), ("b", b)):
-        if not is_valid_effect_params(1.0, v, _INPUT_TOL):
-            raise ValueError(f"(1, {name}) is not a valid effect: ||{name}|| > 1")
+    _require_effects(("1, a", 1.0, a), ("1, b", 1.0, b))
     value = float(np.linalg.norm(a + b) + np.linalg.norm(a - b))
     return CriterionResult(value, 2.0, value <= 2.0 + CRITERION_TOL)
 
@@ -149,9 +160,7 @@ def molnar_criterion(a, b) -> CriterionResult:
     """Pair of scaled rank-one projections: jm iff ||a+b|| + ||a|| + ||b|| <= 2."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    for name, v in (("a", a), ("b", b)):
-        if not is_valid_effect_params(float(np.linalg.norm(v)), v, _INPUT_TOL):
-            raise ValueError(f"(||{name}||, {name}) is not a valid effect")
+    _require_effects(("||a||, a", np.linalg.norm(a), a), ("||b||, b", np.linalg.norm(b), b))
     if are_parallel(a, b):
         raise ValueError("criterion requires non-parallel (and nonzero) vectors")
     value = float(np.linalg.norm(a + b) + np.linalg.norm(a) + np.linalg.norm(b))
@@ -165,10 +174,7 @@ def liu_criterion(a, beta: float, b) -> CriterionResult:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not is_valid_effect_params(1.0, a, _INPUT_TOL):
-        raise ValueError("(1, a) is not a valid effect: ||a|| > 1")
-    if not is_valid_effect_params(float(beta), b, _INPUT_TOL):
-        raise ValueError("(beta, b) is not a valid effect")
+    _require_effects(("1, a", 1.0, a), ("beta, b", beta, b))
     if not are_orthogonal(a, b):
         raise ValueError("criterion requires a orthogonal to b")
     nb2 = float(np.dot(b, b))
@@ -180,9 +186,7 @@ def liu_criterion(a, beta: float, b) -> CriterionResult:
 def three_orthogonal_criterion(a, b, c) -> CriterionResult:
     """Unbiased triple along pairwise orthogonal axes: jm iff sum of ||.||^2 <= 1."""
     vecs = [np.asarray(v, dtype=float) for v in (a, b, c)]
-    for name, v in zip("abc", vecs):
-        if not is_valid_effect_params(1.0, v, _INPUT_TOL):
-            raise ValueError(f"(1, {name}) is not a valid effect: ||{name}|| > 1")
+    _require_effects(*((f"1, {name}", 1.0, v) for name, v in zip("abc", vecs)))
     for (n1, v1), (n2, v2) in (
         (("a", vecs[0]), ("b", vecs[1])),
         (("a", vecs[0]), ("c", vecs[2])),
@@ -221,9 +225,7 @@ def qubit_pair_criterion(alpha: float, a, beta: float, b) -> CriterionResult:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    for name, al, v in (("alpha, a", alpha, a), ("beta, b", beta, b)):
-        if not is_valid_effect_params(float(al), v, _INPUT_TOL):
-            raise ValueError(f"({name}) is not a valid effect")
+    _require_effects(("alpha, a", alpha, a), ("beta, b", beta, b))
     x, y = float(alpha) - 1.0, float(beta) - 1.0
     fa = _f_term(float(alpha), float(np.linalg.norm(a)))
     fb = _f_term(float(beta), float(np.linalg.norm(b)))

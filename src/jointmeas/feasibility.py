@@ -5,12 +5,16 @@ robustness problem on the barrier kernel.
 
 1. commuting families in which every pair contains a sharp (or scalar)
    member get the exact product joint;
-2. pairs of two-outcome qubit observables are decided exactly: eq3, eq4 or
-   eq5 where its hypotheses hold, else the general qubit criterion (reason
+2. pairs of two-outcome qubit observables, read into Bloch form by
+   ``_bloch_forms``, are decided exactly: eq3, eq4 or eq5 where its
+   hypotheses hold, else the general qubit criterion (reason
    ``qubit-pair``).  A violated criterion gives INFEASIBLE with its margin;
    a satisfied one gets its witness from the planar search below;
-3. orthogonal unbiased triples get the eq6 verdict, with the closed-form
-   signed-sum joint on the feasible side;
+3. orthogonal unbiased triples, read the same way, get the eq6 verdict,
+   with the closed-form signed-sum joint on the feasible side.
+   Routes 2 and 3 take a family only if every effect passes the criteria's
+   input check (``bloch._INPUT_TOL``); one that passes only ``tol`` goes to
+   route 4;
 4. everything else goes to the white-noise robustness SDP, solved by the
    log-det barrier kernel ``operators.barrier_maximize``
    (``_decide_by_robustness``): FEASIBLE with a witness whose marginals are
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +43,7 @@ import numpy as np
 from .bloch import (
     BlochEffect,
     CriterionResult,
+    _is_effect_within,
     are_orthogonal,
     are_parallel,
     bloch_matrix,
@@ -184,80 +190,64 @@ def _is_commuting_compatible_family(parents) -> bool:
 # route 2: analytic qubit criteria
 # ---------------------------------------------------------------------------
 
-def _qubit_binary_params(obs) -> dict | None:
-    """Bloch parameters per outcome for a two-outcome qubit observable."""
+def _bloch_forms(obs) -> tuple | None:
+    """(label, alpha, a, ||a||) per outcome of a two-outcome qubit observable,
+    in ``designation_order``, so that the first is its designated effect;
+    None for any other observable."""
     if obs.dim != 2 or len(obs.outcomes) != 2:
         return None
-    params = {}
-    for x in obs.outcomes:
+    forms = []
+    for x in designation_order(obs):
         be = BlochEffect.from_operator(obs.effects[x])
-        params[x] = (be.alpha, be.a)
-    return params
+        # sqrt(a.a) is np.linalg.norm(a) bit for bit, at a third of its cost
+        forms.append((x, be.alpha, be.a, math.sqrt(be.a.dot(be.a))))
+    return tuple(forms)
 
 
-def _match_pair_criterion(a_obs, b_obs) -> tuple[str, CriterionResult] | None:
-    """The criterion deciding a pair of two-outcome qubit observables, as
-    (reason, result): eq3, eq4 or eq5 where its hypotheses hold, else the
-    general qubit criterion.  None for any other pair."""
-    pa = _qubit_binary_params(a_obs)
-    pb = _qubit_binary_params(b_obs)
-    if pa is None or pb is None:
+def _criterion_forms(parents) -> list | None:
+    """Each parent's ``_bloch_forms`` when every parent is a two-outcome qubit
+    observable whose effects pass the criteria's input check; else None, and
+    the family goes to the barrier route."""
+    family = [_bloch_forms(p) for p in parents]
+    if any(f is None or not all(_is_effect_within(al, n) for _, al, _, n in f) for f in family):
         return None
+    return family
 
-    def unbiased(params) -> bool:
-        return all(abs(al - 1.0) <= _ALPHA_TOL for al, _ in params.values())
 
-    def rank_one_label(obs, params):
-        for x in designation_order(obs):
-            al, v = params[x]
-            if abs(al - float(np.linalg.norm(v))) <= _ALPHA_TOL:
-                return x
-        return None
+def _unbiased(forms) -> bool:
+    return all(abs(al - 1.0) <= _ALPHA_TOL for _, al, _, _ in forms)
 
-    if unbiased(pa) and unbiased(pb):
-        da = designation_order(a_obs)[0]
-        db = designation_order(b_obs)[0]
-        return REASON_BUSCH, busch_criterion(pa[da][1], pb[db][1])
 
-    ra, rb = rank_one_label(a_obs, pa), rank_one_label(b_obs, pb)
-    if ra is not None and rb is not None:
-        av, bv = pa[ra][1], pb[rb][1]
-        if not are_parallel(av, bv):
-            return REASON_MOLNAR, molnar_criterion(av, bv)
+def _match_pair_criterion(fa, fb) -> tuple[str, CriterionResult]:
+    """The criterion deciding a pair of two-outcome qubit observables from
+    their ``_bloch_forms``, as (reason, result): eq3, eq4 or eq5 where its
+    hypotheses hold, else the general qubit criterion."""
+    (_, alpha, avec, _), (_, beta, bvec, _) = fa[0], fb[0]
+    if _unbiased(fa) and _unbiased(fb):
+        return REASON_BUSCH, busch_criterion(avec, bvec)
 
-    for (s_obs, s_par), (o_obs, o_par) in (((a_obs, pa), (b_obs, pb)),
-                                           ((b_obs, pb), (a_obs, pa))):
-        if not unbiased(s_par):
-            continue
-        avec = s_par[designation_order(s_obs)[0]][1]
-        beta, bvec = o_par[designation_order(o_obs)[0]]
-        if are_orthogonal(avec, bvec):
-            return REASON_LIU, liu_criterion(avec, beta, bvec)
+    ranks = [next((v for _, al, v, n in f if abs(al - n) <= _ALPHA_TOL), None) for f in (fa, fb)]
+    if ranks[0] is not None and ranks[1] is not None and not are_parallel(*ranks):
+        return REASON_MOLNAR, molnar_criterion(*ranks)
 
-    da = designation_order(a_obs)[0]
-    db = designation_order(b_obs)[0]
-    (alpha, avec), (beta, bvec) = pa[da], pb[db]
+    for forms, u, beta_o, v in ((fa, avec, beta, bvec), (fb, bvec, alpha, avec)):
+        if _unbiased(forms) and are_orthogonal(u, v):
+            return REASON_LIU, liu_criterion(u, beta_o, v)
+
     return REASON_QUBIT_PAIR, qubit_pair_criterion(alpha, avec, beta, bvec)
 
 
-def _match_triple_criterion(parents) -> tuple[CriterionResult, tuple] | None:
+def _match_triple_criterion(family) -> tuple[CriterionResult, tuple] | None:
     """The eq6 result and the designations ((label, a) per parent) of an
-    orthogonal unbiased triple; None for any other family."""
-    params = [_qubit_binary_params(p) for p in parents]
-    if any(p is None for p in params):
+    orthogonal unbiased triple, from its ``_bloch_forms``; None for any other
+    triple."""
+    if not all(_unbiased(f) for f in family):
         return None
-    desigs = []
-    for obs, par in zip(parents, params):
-        if not all(abs(al - 1.0) <= _ALPHA_TOL for al, _ in par.values()):
-            return None
-        d = designation_order(obs)[0]
-        desigs.append((d, par[d][1]))
+    desigs = tuple((f[0][0], f[0][2]) for f in family)
     vecs = [v for _, v in desigs]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not are_orthogonal(vecs[i], vecs[j]):
-                return None
-    return three_orthogonal_criterion(*vecs), tuple(desigs)
+    if not all(are_orthogonal(u, v) for u, v in itertools.combinations(vecs, 2)):
+        return None
+    return three_orthogonal_criterion(*vecs), desigs
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +276,6 @@ _GRID = np.linspace(0.0, 1.0, 17)
 _ROWS = np.arange(len(_GRID))
 _ROUNDS = 14  # a round narrows a bracket eightfold: 8**-14 < 1e-12
 _SETTLED = 1e-12  # the search's own resolution: a point this good ends it
-
-
-def _designated_pair_params(obs):
-    params = _qubit_binary_params(obs)
-    if params is None:
-        raise ValueError("expected a two-outcome qubit observable")
-    d = designation_order(obs)[0]
-    alpha, avec = params[d]
-    return d, alpha, avec
 
 
 def _narrow(lo, width, best):
@@ -383,10 +364,10 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     evaluations.
     """
     opts = opts or FeasibilityOptions()
-    if a_obs.dim != 2 or b_obs.dim != 2:
-        raise ValueError("the pair search is specific to qubit observables")
-    da, alpha, avec = _designated_pair_params(a_obs)
-    db, beta, bvec = _designated_pair_params(b_obs)
+    fa, fb = _bloch_forms(a_obs), _bloch_forms(b_obs)
+    if fa is None or fb is None:
+        raise ValueError("the pair search needs two-outcome qubit observables")
+    (da, alpha, avec, _), (db, beta, bvec, _) = fa[0], fb[0]
 
     value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec)
     if value > min(opts.tol, WITNESS_TOL):
@@ -544,19 +525,18 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
             Verdict.FEASIBLE, witness, REASON_COMMUTING_SHARP, None, resid, 0
         )
 
-    if len(parents) == 2:
-        match = _match_pair_criterion(*parents)
-        if match is not None:
-            reason, result = match
-            if not result.jm:
-                return FeasibilityReport(Verdict.INFEASIBLE, None, reason, result.margin, 0.0, 0)
-            search = decide_pair_qubit_numeric(*parents, opts)
-            return FeasibilityReport(
-                search.verdict, search.witness, reason, result.margin, search.residual,
-                search.iterations,
-            )
-    elif len(parents) == 3:
-        match = _match_triple_criterion(parents)
+    family = _criterion_forms(parents) if len(parents) in (2, 3) else None
+    if family is not None and len(family) == 2:
+        reason, result = _match_pair_criterion(*family)
+        if not result.jm:
+            return FeasibilityReport(Verdict.INFEASIBLE, None, reason, result.margin, 0.0, 0)
+        search = decide_pair_qubit_numeric(*parents, opts)
+        return FeasibilityReport(
+            search.verdict, search.witness, reason, result.margin, search.residual,
+            search.iterations,
+        )
+    if family is not None:
+        match = _match_triple_criterion(family)
         if match is not None:
             result, designations = match
             if not result.jm:

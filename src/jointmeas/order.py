@@ -3,11 +3,11 @@ greatestness and maximality decisions.
 
 lb(A, B) is the set of effects below both A and B, and membership is one
 test: X is in lb(A, B) within s when the least eigenvalue of X, I - X,
-A - X and B - X, from one stacked ``eigvalsh``, is >= -s.  ``in_lb(c, a, b)``
-(s = ``MEMBERSHIP_TOL``), the preconditions of ``refute_greatest`` and
-``maximality_probe`` and the audit's cells (s = ``EPS``) use it; both
-witness re-checks (s = ``MEMBERSHIP_TOL``) leave out I - X, as A and B may
-pass I by ``EPS``.  Each threshold is fixed: no call sets a slack.
+A - X and B - X, from one stacked ``eigvalsh``, is >= -s.  The audit's
+cells and the preconditions of ``refute_greatest`` and ``maximality_probe``
+use it at s = ``EPS``; at s = ``MEMBERSHIP_TOL`` both witness re-checks leave
+out I - X, as A and B may pass I by ``EPS``, and ``in_lb(c, a, b)`` leaves
+out X and I - X, which its ``is_effect`` test on C covers.  No call sets s.
 Every member has its range in S = ran A cap ran B, and with V a basis of
 S the members are the V Y V* with 0 <= Y <= A' and Y <= B', where
 A' = (V* A^+ V)^-1 and B' is defined the same way; V A' V* and V B' V*
@@ -68,7 +68,8 @@ def in_lb(c: HermitianOperator, a: HermitianOperator, b: HermitianOperator) -> b
     for name, op in (("A", a), ("B", b), ("C", c)):
         if not is_effect(op):
             raise ValueError(f"{name} is not an effect")
-    return _lb_margin(c.matrix, a.matrix, b.matrix) >= -MEMBERSHIP_TOL
+    below = np.stack([a.matrix - c.matrix, b.matrix - c.matrix])
+    return float(np.linalg.eigvalsh(below)[:, 0].min()) >= -MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -235,6 +235,20 @@ def test_check_commands_reject_a_non_povm_input(tmp_path, capsys):
     assert main(["check", "jm-pair", bad, str(tmp_path / "nope.json")]) == 2
 
 
+def test_check_jm_pair_decides_a_qubit_input_that_passes_validate_at_tol(tmp_path, capsys):
+    # ||a|| = 1 + 1e-7 puts the least eigenvalue of (1, a) at -5e-8: validate
+    # passes it at the default --tol 1e-7 but the criteria's input check does
+    # not, and this pair used to exit 3 with "(1, a) is not a valid effect".
+    # The barrier route proves it INFEASIBLE: an effect with a negative
+    # eigenvalue is the marginal of no joint with positive cells
+    a = dump(tmp_path, "a.json", unbiased((1.0 + 1e-7) * EX))
+    b = dump(tmp_path, "b.json", unbiased(0.5 * EY))
+    assert main(["check", "jm-pair", a, b, "--expect", "INFEASIBLE"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["reason"] == "dual-certificate"
+    assert report["margin"] > 0.0 and report["certificate"]
+
+
 # ---------------------------------------------------------------------------
 # check: order-audit / partitions
 # ---------------------------------------------------------------------------

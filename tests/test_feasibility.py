@@ -25,11 +25,15 @@ from jointmeas import (
     SimpleQubitObservable,
     Verdict,
     boundary_joint,
+    busch_criterion,
     decide,
     decide_pair_qubit_numeric,
     joint_from_cell,
+    liu_criterion,
     max_marginal_deviation,
+    molnar_criterion,
     pairwise_vs_global,
+    qubit_pair_criterion,
     random_commuting_sharp_pair,
     validate,
     witness_residual,
@@ -130,6 +134,56 @@ def test_unbiased_orthogonal_infeasible_frozen_margin():
     assert report.witness is None
     # |a+b| + |a-b| - 2 for orthogonal equal-length vectors is 2*l*sqrt(2) - 2
     assert report.margin == pytest.approx(2.0 * l * math.sqrt(2.0) - 2.0, abs=1e-12)
+
+
+def _qubit(alpha, vec, labels=("0", "1"), swap=False) -> Observable:
+    """(alpha, vec) on labels[1] and its complement on labels[0], or the
+    other way round with ``swap``."""
+    e = BlochEffect(alpha, vec)
+    effects = [e.complement().to_operator(), e.to_operator()]
+    if swap:
+        effects.reverse()
+    return Observable(labels, dict(zip(labels, effects)))
+
+
+_U = np.array([0.6, 0.8, 0.0])  # not orthogonal to EX
+
+
+@pytest.mark.parametrize("a, b, reason, criterion, args", [
+    (_qubit(1.0, 0.8 * EX), _qubit(1.0, 0.8 * EY), "eq3", busch_criterion, (0.8 * EX, 0.8 * EY)),
+    (_qubit(1.0, 0.6 * EX, ("a", "b")), _qubit(1.0, 0.6 * _U, ("x", "1"), swap=True),
+     "eq3", busch_criterion, (0.6 * EX, -0.6 * _U)),
+    (_qubit(0.6, 0.6 * EX), _qubit(0.7, 0.7 * _U), "eq4", molnar_criterion,
+     (0.6 * EX, 0.7 * _U)),
+    # rank one on the complement outcome: alpha = 2 - ||a|| puts (||a||, -a) on "0"
+    (_qubit(1.4, 0.6 * EX), _qubit(0.7, 0.7 * _U), "eq4", molnar_criterion,
+     (-0.6 * EX, 0.7 * _U)),
+    (_qubit(0.3, 0.3 * EX, ("a", "b"), swap=True), _qubit(1.5, 0.5 * _U, ("x", "1")),
+     "eq4", molnar_criterion, (0.3 * EX, -0.5 * _U)),
+    (_qubit(1.0, 0.99 * EX), _qubit(1.2, 0.3 * EY), "eq5", liu_criterion,
+     (0.99 * EX, 1.2, 0.3 * EY)),
+    # the unbiased member second
+    (_qubit(1.2, 0.3 * EY), _qubit(1.0, 0.9 * EX), "eq5", liu_criterion,
+     (0.9 * EX, 1.2, 0.3 * EY)),
+    (_qubit(0.8, 0.3 * EY, ("a", "b")), _qubit(1.0, 0.9 * EX, ("x", "1"), swap=True),
+     "eq5", liu_criterion, (-0.9 * EX, 0.8, 0.3 * EY)),
+    (_qubit(0.9, np.array([0.2, 0.3, 0.1])), _qubit(1.2, np.array([0.0, 0.3, 0.1])),
+     "qubit-pair", qubit_pair_criterion, (0.9, np.array([0.2, 0.3, 0.1]), 1.2,
+                                          np.array([0.0, 0.3, 0.1]))),
+    (_qubit(0.9, 0.8 * _U, ("a", "b")), _qubit(0.7, 0.5 * EY, ("x", "1"), swap=True),
+     "qubit-pair", qubit_pair_criterion, (0.9, 0.8 * _U, 1.3, -0.5 * EY)),
+])
+@pytest.mark.parametrize("swap_parents", [False, True])
+def test_qubit_pair_route_and_margin_are_pinned(a, b, reason, criterion, args, swap_parents):
+    # the criterion decide names, and its margin on the designated effects
+    # ("1" if present, else the last outcome) or, for eq4, on the rank-one
+    # effect; every margin here is invariant under swapping the parents
+    parents = (b, a) if swap_parents else (a, b)
+    report = decide(FeasibilityProblem(parents))
+    expected = criterion(*args)
+    assert report.reason == reason
+    assert report.margin == pytest.approx(expected.margin, abs=1e-12)
+    assert report.verdict is (Verdict.FEASIBLE if expected.jm else Verdict.INFEASIBLE)
 
 
 def test_unbiased_orthogonal_interior_numeric_witness():
@@ -237,6 +291,16 @@ def test_orthogonal_triple_analytic_infeasibility():
     assert report.verdict is Verdict.INFEASIBLE
     assert report.reason == "eq6"
     assert report.margin == pytest.approx(3 * l * l - 1.0, abs=1e-12)
+
+
+def test_an_orthogonal_triple_outside_the_input_slack_is_decided():
+    # ||a|| = 1 + 1e-8 passes validate at decide's tol but not the eq6 input
+    # check, which used to raise; the barrier route answers instead
+    parents = (unbiased((1.0 + 1e-8) * EX), unbiased(0.3 * EY), unbiased(0.3 * EZ))
+    assert validate(parents[0], tol=FeasibilityOptions().tol).passed
+    report = decide(FeasibilityProblem(parents))
+    assert report.verdict is Verdict.INFEASIBLE
+    assert_dual_certificate(report, parents)
 
 
 # ---------------------------------------------------------------------------
@@ -562,19 +626,22 @@ def test_a_parent_that_passes_validate_is_decided():
 def test_a_qubit_pair_that_passes_validate_is_decided(route, alpha, partner, slack):
     # ||a|| = alpha + 2 slack puts the least eigenvalue of (alpha, a) at
     # -slack: the criteria's input checks, at Bloch slack 2 VALIDATE_TOL,
-    # accept what validate accepts and refuse what it refuses
+    # accept what validate accepts by default.  What only decide's own tol
+    # accepts goes to the barrier route, and an effect with a negative
+    # eigenvalue is the marginal of no joint with positive cells
     a = SimpleQubitObservable(BlochEffect(alpha, (alpha + 2.0 * slack) * EX)).as_observable()
     b = SimpleQubitObservable(BlochEffect(*partner)).as_observable()
     rep = validate(a)
     assert rep.min_eigenvalues["1"] == pytest.approx(-slack, rel=1e-6)
+    report = decide(FeasibilityProblem((a, b)))
+    assert report.verdict is Verdict.INFEASIBLE
     if slack < VALIDATE_TOL:
         assert rep.passed
-        report = decide(FeasibilityProblem((a, b)))
-        assert report.reason == route and report.verdict is Verdict.INFEASIBLE
+        assert report.reason == route
     else:
         assert not rep.passed
-        with pytest.raises(ValueError, match="not a valid effect"):
-            decide(FeasibilityProblem((a, b)))
+        assert validate(a, tol=FeasibilityOptions().tol).passed
+        assert_dual_certificate(report, (a, b))
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-3, 0.12, 0.5])
