@@ -1,6 +1,7 @@
 """Joint-measurability decision engine: routing, witnesses, verdicts."""
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -39,7 +40,8 @@ from jointmeas import (
     witness_residual,
 )
 from jointmeas.feasibility import WITNESS_TOL
-from jointmeas.observables import VALIDATE_TOL, structure_flags
+from jointmeas.observables import STRUCTURE_TOL, VALIDATE_TOL, commute, structure_flags
+from jointmeas.operators import opnorm
 from jointmeas.sampling import random_unitary
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -54,6 +56,16 @@ def unbiased(vec) -> Observable:
 def coin(p: float, dim: int = 2) -> Observable:
     eye = identity(dim)
     return Observable(("0", "1"), {"1": p * eye, "0": (1.0 - p) * eye})
+
+
+def _qubit(alpha, vec, labels=("0", "1"), swap=False) -> Observable:
+    """(alpha, vec) on labels[1] and its complement on labels[0], or the
+    other way round with ``swap``."""
+    e = BlochEffect(alpha, vec)
+    effects = [e.complement().to_operator(), e.to_operator()]
+    if swap:
+        effects.reverse()
+    return Observable(labels, dict(zip(labels, effects)))
 
 
 def assert_witness_ok(report, parents, tol):
@@ -120,6 +132,136 @@ def test_trivial_coin_partner_always_feasible():
     assert numeric.verdict is Verdict.FEASIBLE
 
 
+def _spectral_route_one(parents) -> bool:
+    """Route 1's rule from the spectral tests: every pair of parents commutes
+    and holds a sharp or scalar member."""
+    flags = [any(structure_flags(p)) for p in parents]
+    pairs = list(itertools.combinations(range(len(parents)), 2))
+    return all(flags[i] or flags[j] for i, j in pairs) and all(
+        commute(parents[i], parents[j]) for i, j in pairs
+    )
+
+
+def _structure_values(parents) -> list:
+    """What route 1 compares with STRUCTURE_TOL, by ``eigvalsh``: per parent
+    max |lambda^2 - lambda| and max |lambda - mean lambda|, per pair of
+    effects from two parents ||[A, B]||."""
+    values = []
+    for p in parents:
+        lam = np.linalg.eigvalsh(np.array([p.effects[x].matrix for x in p.outcomes]))
+        values += [np.abs(lam * lam - lam).max(), np.abs(lam - lam.mean(axis=1, keepdims=True)).max()]
+    for a, b in itertools.combinations(parents, 2):
+        for ea in a.effects.values():
+            for eb in b.effects.values():
+                ab = ea.matrix @ eb.matrix
+                values.append(opnorm(1j * (ab - ab.conj().T)))
+    return values
+
+
+def _near_edge(rng) -> float:
+    return 10.0 ** rng.uniform(-10.5, -7.5)
+
+
+def _near_route_one_parent(rng, axis, off) -> Observable:
+    """A two-outcome qubit parent along +-``axis``, possibly tilted towards
+    ``off`` by a near-edge angle: near sharp, near scalar, unsharp, or the
+    zero effect with the identity."""
+    kind = rng.integers(4)
+    tilt = _near_edge(rng) if rng.random() < 0.5 else 0.0
+    direction = rng.choice([-1.0, 1.0]) * (axis + tilt * off) / math.hypot(1.0, tilt)
+    if kind == 0:  # eigenvalues within about the defect of 0 and 1
+        defect = _near_edge(rng) if rng.random() < 0.8 else 0.0
+        alpha, length = 1.0 + rng.uniform(-1.0, 1.0) * defect, 1.0 - defect
+    elif kind == 1:  # eigenvalues alpha / 2 +- length / 2
+        alpha, length = rng.uniform(0.2, 1.8), _near_edge(rng)
+    elif kind == 2:
+        alpha, length = rng.uniform(0.6, 1.4), rng.uniform(0.1, 0.5)
+    else:
+        alpha, length = rng.choice([0.0, 2.0]), 0.0
+    return _random_labels(rng, alpha, length * direction)
+
+
+def _random_labels(rng, alpha, vec) -> Observable:
+    labels = [("0", "1"), ("a", "b"), ("x", "1")][rng.integers(3)]
+    return _qubit(alpha, vec, labels, swap=rng.random() < 0.5)
+
+
+def _near_route_one_pair(rng) -> tuple:
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    off = np.cross(axis, rng.standard_normal(3))
+    off /= np.linalg.norm(off)
+    return tuple(_near_route_one_parent(rng, axis, off) for _ in range(2))
+
+
+def _near_route_one_triple(rng) -> tuple:
+    """Unbiased parents along three orthogonal axes, near sharp, near scalar
+    or unsharp: a family that route 1 or eq6 decides."""
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    parents = []
+    for axis in frame.T:
+        kind = rng.integers(3)
+        if kind == 0:  # eigenvalues (1 +- length) / 2, within about defect / 2 of 0 and 1
+            length = 1.0 - (_near_edge(rng) if rng.random() < 0.8 else 0.0)
+        elif kind == 1:
+            length = _near_edge(rng)
+        else:
+            length = rng.uniform(0.1, 0.5)
+        parents.append(_random_labels(rng, 1.0, rng.choice([-1.0, 1.0]) * length * axis))
+    return tuple(parents)
+
+
+@pytest.mark.parametrize(
+    "draw, count", [(_near_route_one_pair, 2000), (_near_route_one_triple, 300)], ids=["pairs", "triples"]
+)
+def test_route_one_on_qubit_families_matches_the_spectral_test(draw, count):
+    # near-edge sharpness defects, Bloch lengths of near-scalar effects and
+    # (for pairs) off-axis tilts, log-uniform in [1e-10.5, 1e-7.5] around
+    # STRUCTURE_TOL
+    rng = np.random.default_rng(2024 + count)
+    hits = misses = 0
+    for _ in range(count):
+        parents = draw(rng)
+        if any(abs(v - STRUCTURE_TOL) <= 1e-12 * STRUCTURE_TOL for v in _structure_values(parents)):
+            continue
+        expected = _spectral_route_one(parents)
+        assert (decide(FeasibilityProblem(parents)).reason == "commuting-sharp") is expected
+        hits += expected
+        misses += not expected
+    assert min(hits, misses) >= count // 20
+
+
+@pytest.mark.parametrize("eps, reason", [(1.9e-9, "commuting-sharp"), (2.1e-9, "eq3")])
+def test_route_one_commutation_edge_on_a_sharp_qubit_pair(eps, reason):
+    # ||[A, B]|| = ||a x b|| / 2 = eps / 2 against STRUCTURE_TOL = 1e-9
+    parents = (_qubit(1.0, EX), _qubit(1.0, np.array([0.5, eps, 0.0])))
+    assert decide(FeasibilityProblem(parents)).reason == reason
+    assert _spectral_route_one(parents) is (reason == "commuting-sharp")
+
+
+@pytest.mark.parametrize("delta, reason", [(1e-9, "commuting-sharp"), (3e-9, "eq3")])
+def test_route_one_scalar_edge_on_a_qubit_pair(delta, reason):
+    # (1, (delta, 0, 0)) is scalar while ||a|| / 2 = delta / 2 <= 1e-9
+    parents = (_qubit(1.0, delta * EX), _qubit(1.0, 0.9 * EY))
+    assert decide(FeasibilityProblem(parents)).reason == reason
+    assert _spectral_route_one(parents) is (reason == "commuting-sharp")
+
+
+@pytest.mark.parametrize("family", [
+    # a zero-effect partner (alpha = 0, a = 0) against an unsharp effect
+    (_qubit(0.0, np.zeros(3)), _qubit(0.9, np.array([0.2, 0.3, 0.1]))),
+    # four commuting sharp parents, on either outcome and under three label sets
+    (_qubit(1.0, EZ), _qubit(1.0, -EZ, ("a", "b")), _qubit(1.0, EZ, ("x", "1"), swap=True),
+     _qubit(1.0, EZ, swap=True)),
+])
+def test_route_one_takes_zero_effects_and_four_sharp_qubit_parents(family):
+    report = decide(FeasibilityProblem(family))
+    assert report.verdict is Verdict.FEASIBLE
+    assert report.reason == "commuting-sharp"
+    assert report.iterations == 0
+    assert_witness_ok(report, family, 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # dispatch route 2: analytic qubit criteria
 # ---------------------------------------------------------------------------
@@ -134,16 +276,6 @@ def test_unbiased_orthogonal_infeasible_frozen_margin():
     assert report.witness is None
     # |a+b| + |a-b| - 2 for orthogonal equal-length vectors is 2*l*sqrt(2) - 2
     assert report.margin == pytest.approx(2.0 * l * math.sqrt(2.0) - 2.0, abs=1e-12)
-
-
-def _qubit(alpha, vec, labels=("0", "1"), swap=False) -> Observable:
-    """(alpha, vec) on labels[1] and its complement on labels[0], or the
-    other way round with ``swap``."""
-    e = BlochEffect(alpha, vec)
-    effects = [e.complement().to_operator(), e.to_operator()]
-    if swap:
-        effects.reverse()
-    return Observable(labels, dict(zip(labels, effects)))
 
 
 _U = np.array([0.6, 0.8, 0.0])  # not orthogonal to EX
