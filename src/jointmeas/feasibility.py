@@ -54,6 +54,7 @@ from .bloch import (
     three_orthogonal_criterion,
 )
 from .observables import (
+    STRUCTURE_TOL,
     ProductObservable,
     commute,
     designation_order,
@@ -171,19 +172,27 @@ def witness_residual(g: ProductObservable, parents) -> float:
 # route 1: commuting families
 # ---------------------------------------------------------------------------
 
-def _is_commuting_compatible_family(parents) -> bool:
-    """All pairs commute and each pair contains a sharp or scalar member."""
-    flags = [any(structure_flags(p)) for p in parents]
-    n = len(parents)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (flags[i] or flags[j]):
-                return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not commute(parents[i], parents[j]):
-                return False
-    return True
+def _is_commuting_compatible_family(flags, members, commutes) -> bool:
+    """Each pair of members commutes and has a sharp or scalar one, from the
+    per-member ``flags`` (sharp or scalar) and a pairwise test ``commutes``."""
+    pairs = list(itertools.combinations(zip(flags, members), 2))
+    return all(f or g for (f, _), (g, _) in pairs) and all(commutes(a, b) for (_, a), (_, b) in pairs)
+
+
+def _bloch_flag(forms) -> bool:
+    """``structure_flags``' sharp or scalar test on ``_bloch_forms``: an effect
+    (alpha, a) has eigenvalues (alpha +- ||a||) / 2."""
+    lam = [0.5 * (al + s * n) for _, al, _, n in forms for s in (1.0, -1.0)]
+    return min(max(abs(x * x - x) for x in lam), max(0.5 * n for *_, n in forms)) <= STRUCTURE_TOL
+
+
+def _bloch_commute(fa, fb) -> bool:
+    """``commute`` on ``_bloch_forms``: ||[A, B]|| = ||a x b|| / 2 per outcome pair."""
+    vecs = [[a.tolist() for _, _, a, _ in forms] for forms in (fa, fb)]
+    return all(
+        0.5 * math.hypot(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0) <= STRUCTURE_TOL
+        for (a0, a1, a2), (b0, b1, b2) in itertools.product(*vecs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +213,10 @@ def _bloch_forms(obs) -> tuple | None:
     return tuple(forms)
 
 
-def _criterion_forms(parents) -> list | None:
-    """Each parent's ``_bloch_forms`` when every parent is a two-outcome qubit
-    observable whose effects pass the criteria's input check; else None, and
-    the family goes to the barrier route."""
-    family = [_bloch_forms(p) for p in parents]
-    if any(f is None or not all(_is_effect_within(al, n) for _, al, _, n in f) for f in family):
-        return None
-    return family
+def _criterion_forms(family) -> list | None:
+    """The family of ``_bloch_forms`` when every effect passes the criteria's
+    input check; else None, and the family goes to the barrier route."""
+    return family if all(_is_effect_within(al, n) for f in family for _, al, _, n in f) else None
 
 
 def _unbiased(forms) -> bool:
@@ -518,14 +523,19 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
     parents = problem.parents
     opts = problem.options
 
-    if _is_commuting_compatible_family(parents):
+    family = [_bloch_forms(p) for p in parents] if parents[0].dim == 2 else [None]
+    if None in family:  # not all two-outcome qubit observables: the spectral tests
+        family, route_one = None, ([any(structure_flags(p)) for p in parents], parents, commute)
+    else:
+        route_one = ([_bloch_flag(f) for f in family], family, _bloch_commute)
+    if _is_commuting_compatible_family(*route_one):
         witness = product_joint_many(parents)
         resid = witness_residual(witness, parents)
         return FeasibilityReport(
             Verdict.FEASIBLE, witness, REASON_COMMUTING_SHARP, None, resid, 0
         )
 
-    family = _criterion_forms(parents) if len(parents) in (2, 3) else None
+    family = _criterion_forms(family) if family is not None and len(family) in (2, 3) else None
     if family is not None and len(family) == 2:
         reason, result = _match_pair_criterion(*family)
         if not result.jm:

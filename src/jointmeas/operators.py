@@ -62,7 +62,7 @@ class HermitianOperator:
             raise ValueError(f"operator must be square, got shape {m.shape}")
         if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
             raise ValueError(f"dimension {m.shape[0]} outside [1, {MAX_DIM}]")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.isfinite(m).all():  # both parts of a complex entry
             raise ValueError("operator entries must be finite")
         skew = 0.5 * (m - m.conj().T)
         asym = opnorm(1j * skew) if skew.any() else 0.0

@@ -262,6 +262,44 @@ def test_route_one_takes_zero_effects_and_four_sharp_qubit_parents(family):
     assert_witness_ok(report, family, 1e-12)
 
 
+@settings(max_examples=40)
+@given(
+    st.sampled_from([("sharp",), ("unsharp",), ("sharp", "sharp"), ("sharp", "unsharp")]),
+    st.floats(0.0, 2.0),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 1.0),
+    st.lists(st.booleans(), min_size=2, max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_route_one_is_frame_order_and_label_free(kinds, scalar, length, share, flips, seed):
+    # a scalar member and one or two members along a common axis, at most one
+    # of them unsharp: every pair commutes and holds a sharp or scalar member
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    family = [_qubit(scalar, np.zeros(3))]
+    for kind, flip in zip(kinds, flips):
+        sign = -1.0 if flip else 1.0
+        if kind == "sharp":
+            family.append(_qubit(1.0, sign * axis))
+        else:
+            family.append(_qubit(length + share * (2.0 - 2.0 * length), sign * length * axis))
+    u = random_unitary(2, rng)
+    variants = (
+        tuple(family),
+        tuple(_conjugate(p, u) for p in family),
+        tuple(family[::-1]),
+        tuple(_relabel(p) for p in family),
+    )
+    for parents in variants:
+        report = decide(FeasibilityProblem(parents))
+        assert report.verdict is Verdict.FEASIBLE
+        assert report.reason == "commuting-sharp"
+        assert report.iterations == 0
+        assert validate(report.witness).passed
+        assert witness_residual(report.witness, parents) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # dispatch route 2: analytic qubit criteria
 # ---------------------------------------------------------------------------

@@ -61,6 +61,24 @@ def test_rejects_oversized_matrix():
         HermitianOperator(np.eye(MAX_DIM + 1))
 
 
+def test_fortran_ordered_and_transposed_inputs_construct():
+    m = np.array([[0.5, 0.1 - 0.2j, 0.0], [0.1 + 0.2j, 0.3, 0.05j], [0.0, -0.05j, 0.2]])
+    for layout in (np.asfortranarray(m), np.ascontiguousarray(m.T).T):
+        assert not layout.flags.c_contiguous
+        assert np.array_equal(HermitianOperator(layout).matrix, HermitianOperator(m).matrix)
+    assert np.array_equal(HermitianOperator(m.T).matrix, HermitianOperator(m.T.copy()).matrix)
+    assert np.array_equal(HermitianOperator(np.asfortranarray(np.eye(2, dtype=complex))).matrix, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_rejects_a_nonfinite_real_or_imaginary_part(bad, order):
+    m = np.eye(2, dtype=complex)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        HermitianOperator(np.asarray(m, order=order))
+
+
 def test_matrix_is_frozen():
     h = identity(2)
     with pytest.raises(ValueError):
