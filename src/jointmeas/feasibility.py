@@ -4,14 +4,16 @@ robustness problem on the barrier kernel.
 ``decide`` dispatches in a fixed order:
 
 1. commuting families in which every pair contains a sharp (or scalar)
-   member get the exact product joint;
-2. pairs of two-outcome qubit observables, read into Bloch form by
-   ``_bloch_forms``, are decided exactly: eq3, eq4 or eq5 where its
+   member get the exact product joint.  Two-outcome qubit observables are
+   read once into Bloch form by ``_bloch_forms`` and tested there: (alpha,
+   a) has eigenvalues (alpha +- ||a||) / 2, and ||[A, B]|| = ||a x b|| / 2;
+   any other family by ``structure_flags`` and ``commute``;
+2. pairs of such forms are decided exactly: eq3, eq4 or eq5 where its
    hypotheses hold, else the general qubit criterion (reason
    ``qubit-pair``).  A violated criterion gives INFEASIBLE with its margin;
    a satisfied one gets its witness from the planar search below;
-3. orthogonal unbiased triples, read the same way, get the eq6 verdict,
-   with the closed-form signed-sum joint on the feasible side.
+3. orthogonal unbiased triples of them get the eq6 verdict, with the
+   closed-form signed-sum joint on the feasible side.
    Routes 2 and 3 take a family only if every effect passes the criteria's
    input check (``bloch._INPUT_TOL``); one that passes only ``tol`` goes to
    route 4;
@@ -173,17 +175,15 @@ def witness_residual(g: ProductObservable, parents) -> float:
 # ---------------------------------------------------------------------------
 
 def _is_commuting_compatible_family(flags, members, commutes) -> bool:
-    """Each pair of members commutes and has a sharp or scalar one, from the
-    per-member ``flags`` (sharp or scalar) and a pairwise test ``commutes``."""
+    """Every pair of members ``commutes`` and has one that ``flags`` marks sharp or scalar."""
     pairs = list(itertools.combinations(zip(flags, members), 2))
     return all(f or g for (f, _), (g, _) in pairs) and all(commutes(a, b) for (_, a), (_, b) in pairs)
 
 
 def _bloch_flag(forms) -> bool:
-    """``structure_flags``' sharp or scalar test on ``_bloch_forms``: an effect
-    (alpha, a) has eigenvalues (alpha +- ||a||) / 2."""
-    lam = [0.5 * (al + s * n) for _, al, _, n in forms for s in (1.0, -1.0)]
-    return min(max(abs(x * x - x) for x in lam), max(0.5 * n for *_, n in forms)) <= STRUCTURE_TOL
+    """Sharp or scalar, as ``structure_flags`` tests it, on ``_bloch_forms``."""
+    lam = [y for _, al, _, n in forms for y in (0.5 * (al + n), 0.5 * (al - n))]
+    return min(max([abs(x * x - x) for x in lam]), 0.5 * max([n for *_, n in forms])) <= STRUCTURE_TOL
 
 
 def _bloch_commute(fa, fb) -> bool:
