@@ -196,7 +196,8 @@ def _near_route_one_pair(rng) -> tuple:
 
 def _near_route_one_triple(rng) -> tuple:
     """Unbiased parents along three orthogonal axes, near sharp, near scalar
-    or unsharp: a family that route 1 or eq6 decides."""
+    or unsharp.  Route 1 or eq6 decides it, or the barrier route where a
+    near-scalar member's axis is read too coarsely for the orthogonality test."""
     frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     parents = []
     for axis in frame.T:
