@@ -39,7 +39,7 @@ from jointmeas import (
     validate,
     witness_residual,
 )
-from jointmeas.feasibility import WITNESS_TOL
+from jointmeas.feasibility import WITNESS_TOL, _bloch_commute, _bloch_forms
 from jointmeas.observables import STRUCTURE_TOL, VALIDATE_TOL, commute, structure_flags
 from jointmeas.operators import opnorm
 from jointmeas.sampling import random_unitary
@@ -230,6 +230,25 @@ def test_route_one_on_qubit_families_matches_the_spectral_test(draw, count):
         hits += expected
         misses += not expected
     assert min(hits, misses) >= count // 20
+
+
+@pytest.mark.parametrize(
+    "draw, count", [(_near_route_one_pair, 2000), (_near_route_one_triple, 300)], ids=["pairs", "triples"]
+)
+def test_bloch_commute_agrees_with_commute_on_near_edge_draws(draw, count):
+    # route 1 reads commutation of a two-outcome qubit family from its Bloch
+    # forms; pair by pair, that reading must be the spectral test's
+    rng = np.random.default_rng(2024 + count)
+    seen = set()
+    for _ in range(count):
+        for a, b in itertools.combinations(draw(rng), 2):
+            norms = _structure_values((a, b))[4:]  # ||[A, B]|| per outcome pair
+            if any(abs(v - STRUCTURE_TOL) <= 1e-12 * STRUCTURE_TOL for v in norms):
+                continue
+            expected = commute(a, b)
+            assert _bloch_commute(_bloch_forms(a), _bloch_forms(b)) is expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("eps, reason", [(1.9e-9, "commuting-sharp"), (2.1e-9, "eq3")])
