@@ -3,11 +3,11 @@ robustness problem on the barrier kernel.
 
 ``decide`` dispatches in a fixed order:
 
-1. commuting families in which every pair contains a sharp (or scalar)
-   member get the exact product joint.  Two-outcome qubit observables are
-   read once into Bloch form by ``_bloch_forms`` and tested there: (alpha,
-   a) has eigenvalues (alpha +- ||a||) / 2, and ||[A, B]|| = ||a x b|| / 2;
-   any other family by ``structure_flags`` and ``commute``;
+1. families in which every pair of parents commutes get the product joint
+   (reason ``commuting``): commuting effects have positive products, so no
+   parent needs to be sharp.  Two-outcome qubit observables are read once
+   into Bloch form by ``_bloch_forms`` and tested there, ||[A, B]|| =
+   ||a x b|| / 2; any other family by ``commute``;
 2. pairs of such forms are decided exactly: eq3, eq4 or eq5 where its
    hypotheses hold, else the general qubit criterion (reason
    ``qubit-pair``).  A violated criterion gives INFEASIBLE with its margin;
@@ -58,14 +58,13 @@ from .bloch import (
 from .observables import (
     STRUCTURE_TOL,
     ProductObservable,
+    _product_joint,
     commute,
     designation_order,
     joint_from_cell,
     label_key,
     max_marginal_deviation,
     observable_to_json,
-    product_joint_many,
-    structure_flags,
 )
 from .operators import (
     HermitianOperator,
@@ -79,7 +78,7 @@ REASON_BUSCH = "eq3"
 REASON_MOLNAR = "eq4"
 REASON_LIU = "eq5"
 REASON_TRIPLE = "eq6"
-REASON_COMMUTING_SHARP = "commuting-sharp"
+REASON_COMMUTING = "commuting"
 REASON_QUBIT_PAIR = "qubit-pair"
 REASON_DUAL = "dual-certificate"
 
@@ -171,20 +170,8 @@ def witness_residual(g: ProductObservable, parents) -> float:
 
 
 # ---------------------------------------------------------------------------
-# route 1: commuting families
+# route 1: pairwise commuting families
 # ---------------------------------------------------------------------------
-
-def _is_commuting_compatible_family(flags, members, commutes) -> bool:
-    """Every pair of members ``commutes`` and has one that ``flags`` marks sharp or scalar."""
-    pairs = list(itertools.combinations(zip(flags, members), 2))
-    return all(f or g for (f, _), (g, _) in pairs) and all(commutes(a, b) for (_, a), (_, b) in pairs)
-
-
-def _bloch_flag(forms) -> bool:
-    """Sharp or scalar, as ``structure_flags`` tests it, on ``_bloch_forms``."""
-    lam = [y for _, al, _, n in forms for y in (0.5 * (al + n), 0.5 * (al - n))]
-    return min(max([abs(x * x - x) for x in lam]), 0.5 * max([n for *_, n in forms])) <= STRUCTURE_TOL
-
 
 def _bloch_commute(fa, fb) -> bool:
     """``commute`` on ``_bloch_forms``: ||[A, B]|| = ||a x b|| / 2 per outcome pair."""
@@ -427,8 +414,9 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
       margin -<Y, A>, residual 0 and ``gap`` 1 - margin - eta, so that eta*
       lies in [1 - margin - gap, 1 - margin];
     - the barrier's gap bound k d / t <= min(``tol``, ``WITNESS_TOL``) (eta*
-      within about that of 1): FEASIBLE if (1, H / eta) passes the residual
-      test, else UNDETERMINED.
+      within about that of 1), or a singular Newton system: FEASIBLE if
+      (1, H / eta) passes the residual test, else UNDETERMINED, as also when
+      eta is still 0.
 
     The residual test accepts a witness at min(``tol``, ``WITNESS_TOL``).
     ``iterations`` counts the start test and the Newton steps.  Raises
@@ -510,7 +498,9 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         return FeasibilityReport(
             Verdict.INFEASIBLE, None, REASON_DUAL, margin, 0.0, 1 + steps, cert, gap
         )
-    h = np.tensordot((x[1:] / x[0]).reshape(len(null), -1), hermitian_basis(dim), axes=1)
+    if x[0] <= 0.0:  # the barrier ended at its start: no eta to scale H by
+        return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, start.residual, 1 + steps)
+    h = np.tensordot((x[1:] / x[0]).reshape(len(null), dim * dim), hermitian_basis(dim), axes=1)
     return settle(g0 + drift + np.tensordot(null.T, h, axes=1), 1 + steps)
 
 
@@ -524,16 +514,13 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
     opts = problem.options
 
     family = [_bloch_forms(p) for p in parents] if parents[0].dim == 2 else [None]
-    if None in family:  # not all two-outcome qubit observables: the spectral tests
-        family, route_one = None, ([any(structure_flags(p)) for p in parents], parents, commute)
-    else:
-        route_one = ([_bloch_flag(f) for f in family], family, _bloch_commute)
-    if _is_commuting_compatible_family(*route_one):
-        witness = product_joint_many(parents)
+    if None in family:  # not all two-outcome qubit observables: the spectral test
+        family = None
+    members, commutes = (parents, commute) if family is None else (family, _bloch_commute)
+    if all(commutes(a, b) for a, b in itertools.combinations(members, 2)):
+        witness = _product_joint(parents)
         resid = witness_residual(witness, parents)
-        return FeasibilityReport(
-            Verdict.FEASIBLE, witness, REASON_COMMUTING_SHARP, None, resid, 0
-        )
+        return FeasibilityReport(Verdict.FEASIBLE, witness, REASON_COMMUTING, None, resid, 0)
 
     family = _criterion_forms(family) if family is not None and len(family) in (2, 3) else None
     if family is not None and len(family) == 2:

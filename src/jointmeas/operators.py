@@ -154,7 +154,7 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
     barrier falls by s lambda^2 / 4, at most log2(1 + lambda) times: it never
     goes below the damped 1 / (1 + lambda), which self-concordance makes
     feasible and descending.  A round ends when the decrement falls to 1e-12
-    or after ``_ROUND_STEPS``.
+    or after ``_ROUND_STEPS``, and a singular Newton system ends the solve.
 
     The Newton system is built in real coordinates from the fixed Jacobian
     J_z (d^2 x n) of x -> coords(F(x)_z): its x_e column is coords(D_ez),
@@ -207,7 +207,10 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
             np.matmul(sup, jac, out=scaled)
             np.matmul(free_rows, scaled.reshape(m * dd, -1), out=hess[:e])
             np.matmul(weights, scaled.reshape(m, -1), out=hess[e:].reshape(l, dd * len(hess)))
-            dx = -np.linalg.solve(hess, grad)
+            try:
+                dx = -np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:  # singular Newton system: the caller judges x
+                return x, steps, None
             decrement = -float(grad @ dx)
             if decrement <= 1e-12:
                 break

@@ -115,7 +115,7 @@ _CITE_INFIMUM = (
     "[B]A and [A]B are comparable (Ando 1999)"
 )
 _CITE_GAMMA = "one-parameter family exhausting the joints of an unbiased/rank-one pair"
-_CITE_PRODUCT = "symmetrized product joint observable for commuting pairs with a sharp member"
+_CITE_PRODUCT = "symmetrized product joint observable for commuting families"
 _CITE_PARTITION = "pairwise compatibility of all two-outcome coarse-grainings"
 _CITE_DUAL = (
     "re-checked dual certificate of the white-noise robustness SDP "
@@ -386,7 +386,7 @@ def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
             report.verdict.value,
             citation=_CITE_PRODUCT,
         ),
-        Expectation("reason", "equals", "commuting-sharp", report.reason),
+        Expectation("reason", "equals", "commuting", report.reason),
     ]
     payload = {"report": report.to_json()}
     witness = report.witness

@@ -249,6 +249,22 @@ def test_check_jm_pair_decides_a_qubit_input_that_passes_validate_at_tol(tmp_pat
     assert report["margin"] > 0.0 and report["certificate"]
 
 
+def test_check_jm_pair_decides_a_pair_whose_newton_system_turns_singular(tmp_path, capsys):
+    # the barrier's Newton system turns singular before its gap closes; the
+    # pair used to exit 3 with "precondition failed: Singular matrix"
+    forms = [
+        (1.000000001453275, (0.12458641016622927, 0.05603677882002613, 0.99062510675941)),
+        (1.9999999888719222, (8.19216528821268e-09, 4.463982219176062e-09, -1.075713518261523e-08)),
+    ]
+    files = [
+        dump(tmp_path, f"{name}.json", SimpleQubitObservable(BlochEffect(al, np.array(a))).as_observable())
+        for name, (al, a) in zip("ab", forms)
+    ]
+    assert main(["check", "jm-pair", *files, "--expect", "FEASIBLE"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdict"] == "FEASIBLE" and report["witness"] is not None
+
+
 # ---------------------------------------------------------------------------
 # check: order-audit / partitions
 # ---------------------------------------------------------------------------

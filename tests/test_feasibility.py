@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jointmeas
@@ -76,7 +77,7 @@ def assert_witness_ok(report, parents, tol):
 
 
 # ---------------------------------------------------------------------------
-# dispatch route 1: commuting family with a sharp/scalar member per pair
+# dispatch route 1: pairwise commuting families
 # ---------------------------------------------------------------------------
 
 
@@ -85,7 +86,7 @@ def test_commuting_sharp_pair_product_route():
     a, b = random_commuting_sharp_pair(3, rng)
     report = decide(FeasibilityProblem((a, b)))
     assert report.verdict is Verdict.FEASIBLE
-    assert report.reason == "commuting-sharp"
+    assert report.reason == "commuting"
     assert report.residual <= 1e-12
     assert report.iterations == 0
     assert_witness_ok(report, (a, b), 1e-10)
@@ -124,7 +125,7 @@ def test_trivial_coin_partner_always_feasible():
     partner = Observable(("0", "1"), {"1": e, "0": identity(3) - e})
     report = decide(FeasibilityProblem((coin(0.3, 3), partner)))
     assert report.verdict is Verdict.FEASIBLE
-    assert report.reason == "commuting-sharp"
+    assert report.reason == "commuting"
     assert_witness_ok(report, (coin(0.3, 3), partner), 1e-10)
 
     # spec'd qubit case through the pair solver as well
@@ -132,30 +133,21 @@ def test_trivial_coin_partner_always_feasible():
     assert numeric.verdict is Verdict.FEASIBLE
 
 
-def _spectral_route_one(parents) -> bool:
-    """Route 1's rule from the spectral tests: every pair of parents commutes
-    and holds a sharp or scalar member."""
-    flags = [any(structure_flags(p)) for p in parents]
-    pairs = list(itertools.combinations(range(len(parents)), 2))
-    return all(flags[i] or flags[j] for i, j in pairs) and all(
-        commute(parents[i], parents[j]) for i, j in pairs
-    )
+def _every_pair_commutes(parents) -> bool:
+    """Route 1's rule from the spectral test: every pair of parents commutes."""
+    return all(commute(a, b) for a, b in itertools.combinations(parents, 2))
 
 
-def _structure_values(parents) -> list:
-    """What route 1 compares with STRUCTURE_TOL, by ``eigvalsh``: per parent
-    max |lambda^2 - lambda| and max |lambda - mean lambda|, per pair of
-    effects from two parents ||[A, B]||."""
-    values = []
-    for p in parents:
-        lam = np.linalg.eigvalsh(np.array([p.effects[x].matrix for x in p.outcomes]))
-        values += [np.abs(lam * lam - lam).max(), np.abs(lam - lam.mean(axis=1, keepdims=True)).max()]
-    for a, b in itertools.combinations(parents, 2):
-        for ea in a.effects.values():
-            for eb in b.effects.values():
-                ab = ea.matrix @ eb.matrix
-                values.append(opnorm(1j * (ab - ab.conj().T)))
-    return values
+def _near_the_edge(parents) -> bool:
+    """Some ||[A, B]|| over effects of two parents, by ``eigvalsh``, lies
+    within 1e-12 relative of STRUCTURE_TOL, where two readings may differ."""
+    products = [
+        ea.matrix @ eb.matrix
+        for a, b in itertools.combinations(parents, 2)
+        for ea in a.effects.values()
+        for eb in b.effects.values()
+    ]
+    return any(abs(opnorm(1j * (ab - ab.conj().T)) - STRUCTURE_TOL) <= 1e-12 * STRUCTURE_TOL for ab in products)
 
 
 def _near_edge(rng) -> float:
@@ -223,10 +215,10 @@ def test_route_one_on_qubit_families_matches_the_spectral_test(draw, count):
     hits = misses = 0
     for _ in range(count):
         parents = draw(rng)
-        if any(abs(v - STRUCTURE_TOL) <= 1e-12 * STRUCTURE_TOL for v in _structure_values(parents)):
+        if _near_the_edge(parents):
             continue
-        expected = _spectral_route_one(parents)
-        assert (decide(FeasibilityProblem(parents)).reason == "commuting-sharp") is expected
+        expected = _every_pair_commutes(parents)
+        assert (decide(FeasibilityProblem(parents)).reason == "commuting") is expected
         hits += expected
         misses += not expected
     assert min(hits, misses) >= count // 20
@@ -242,8 +234,7 @@ def test_bloch_commute_agrees_with_commute_on_near_edge_draws(draw, count):
     seen = set()
     for _ in range(count):
         for a, b in itertools.combinations(draw(rng), 2):
-            norms = _structure_values((a, b))[4:]  # ||[A, B]|| per outcome pair
-            if any(abs(v - STRUCTURE_TOL) <= 1e-12 * STRUCTURE_TOL for v in norms):
+            if _near_the_edge((a, b)):
                 continue
             expected = commute(a, b)
             assert _bloch_commute(_bloch_forms(a), _bloch_forms(b)) is expected
@@ -251,20 +242,21 @@ def test_bloch_commute_agrees_with_commute_on_near_edge_draws(draw, count):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("eps, reason", [(1.9e-9, "commuting-sharp"), (2.1e-9, "eq3")])
+@pytest.mark.parametrize("eps, reason", [(1.9e-9, "commuting"), (2.1e-9, "eq3")])
 def test_route_one_commutation_edge_on_a_sharp_qubit_pair(eps, reason):
     # ||[A, B]|| = ||a x b|| / 2 = eps / 2 against STRUCTURE_TOL = 1e-9
     parents = (_qubit(1.0, EX), _qubit(1.0, np.array([0.5, eps, 0.0])))
     assert decide(FeasibilityProblem(parents)).reason == reason
-    assert _spectral_route_one(parents) is (reason == "commuting-sharp")
+    assert _every_pair_commutes(parents) is (reason == "commuting")
 
 
-@pytest.mark.parametrize("delta, reason", [(1e-9, "commuting-sharp"), (3e-9, "eq3")])
+@pytest.mark.parametrize("delta, reason", [(1e-9, "commuting"), (3e-9, "eq3")])
 def test_route_one_scalar_edge_on_a_qubit_pair(delta, reason):
-    # (1, (delta, 0, 0)) is scalar while ||a|| / 2 = delta / 2 <= 1e-9
+    # a near-scalar (1, (delta, 0, 0)) against (1, 0.9 e_y): ||a x b|| / 2 =
+    # 0.45 delta against STRUCTURE_TOL
     parents = (_qubit(1.0, delta * EX), _qubit(1.0, 0.9 * EY))
     assert decide(FeasibilityProblem(parents)).reason == reason
-    assert _spectral_route_one(parents) is (reason == "commuting-sharp")
+    assert _every_pair_commutes(parents) is (reason == "commuting")
 
 
 @pytest.mark.parametrize("family", [
@@ -277,30 +269,27 @@ def test_route_one_scalar_edge_on_a_qubit_pair(delta, reason):
 def test_route_one_takes_zero_effects_and_four_sharp_qubit_parents(family):
     report = decide(FeasibilityProblem(family))
     assert report.verdict is Verdict.FEASIBLE
-    assert report.reason == "commuting-sharp"
+    assert report.reason == "commuting"
     assert report.iterations == 0
     assert_witness_ok(report, family, 1e-12)
 
 
+_MEMBER = st.tuples(st.booleans(), st.floats(0.05, 0.95), st.floats(0.0, 1.0), st.booleans())
+
+
 @settings(max_examples=40)
-@given(
-    st.sampled_from([("sharp",), ("unsharp",), ("sharp", "sharp"), ("sharp", "unsharp")]),
-    st.floats(0.0, 2.0),
-    st.floats(0.05, 0.95),
-    st.floats(0.0, 1.0),
-    st.lists(st.booleans(), min_size=2, max_size=2),
-    st.integers(0, 2**32 - 1),
-)
-def test_route_one_is_frame_order_and_label_free(kinds, scalar, length, share, flips, seed):
-    # a scalar member and one or two members along a common axis, at most one
-    # of them unsharp: every pair commutes and holds a sharp or scalar member
+@given(st.floats(0.0, 2.0), st.lists(_MEMBER, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_route_one_is_frame_order_and_label_free(scalar, members, seed):
+    # a scalar member and one to three members along a common axis, each
+    # sharp or unsharp with its own Bloch length, share of its effect band
+    # and sign: every pair commutes
     rng = np.random.default_rng(seed)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     family = [_qubit(scalar, np.zeros(3))]
-    for kind, flip in zip(kinds, flips):
+    for sharp, length, share, flip in members:
         sign = -1.0 if flip else 1.0
-        if kind == "sharp":
+        if sharp:
             family.append(_qubit(1.0, sign * axis))
         else:
             family.append(_qubit(length + share * (2.0 - 2.0 * length), sign * length * axis))
@@ -314,10 +303,67 @@ def test_route_one_is_frame_order_and_label_free(kinds, scalar, length, share, f
     for parents in variants:
         report = decide(FeasibilityProblem(parents))
         assert report.verdict is Verdict.FEASIBLE
-        assert report.reason == "commuting-sharp"
+        assert report.reason == "commuting"
         assert report.iterations == 0
         assert validate(report.witness).passed
         assert witness_residual(report.witness, parents) <= 1e-12
+
+
+def test_route_one_takes_commuting_unsharp_qubit_triples():
+    # (1, e_z) against two unsharp effects along e_z: the unsharp pair holds
+    # no sharp member, and the barrier route raised numpy's LinAlgError on 53
+    # of these 108 triples when route 1 asked for one
+    grid = itertools.product((0.9, 1.0, 1.1, 1.2), (0.2, 0.3, 0.5), (0.8, 1.0, 1.3), (-0.4, 0.25, 0.6))
+    for alpha, c, beta, d in grid:
+        family = (_qubit(1.0, EZ), _qubit(alpha, c * EZ), _qubit(beta, d * EZ))
+        report = decide(FeasibilityProblem(family))
+        assert report.verdict is Verdict.FEASIBLE
+        assert report.reason == "commuting"
+        assert_witness_ok(report, family, 1e-12)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("count", [2, 3])
+def test_route_one_takes_commuting_unsharp_families(dim, count):
+    # unsharp parents of two or three outcomes, diagonal in one random frame:
+    # commute decides them, and none is sharp or scalar
+    rng = np.random.default_rng([dim, count])
+    u = random_unitary(dim, rng)
+    family = []
+    for _ in range(count):
+        weights = rng.dirichlet(np.ones(rng.integers(2, 4)), size=dim)  # rows sum to 1
+        effects = {str(x): HermitianOperator(u @ np.diag(w) @ u.conj().T) for x, w in enumerate(weights.T)}
+        family.append(Observable(tuple(effects), effects))
+    assert not any(any(structure_flags(p)) for p in family)
+    report = decide(FeasibilityProblem(tuple(family)))
+    assert report.verdict is Verdict.FEASIBLE
+    assert report.reason == "commuting"
+    assert report.iterations == 0
+    assert_witness_ok(report, family, 1e-12)
+
+
+def _designated(*forms) -> tuple:
+    """Two-outcome qubit observables from the Bloch forms (alpha, a) of their
+    designated effects."""
+    return tuple(SimpleQubitObservable(BlochEffect(al, np.array(a))).as_observable() for al, a in forms)
+
+
+def test_route_one_takes_four_parents_whose_ordered_product_is_not_hermitian():
+    # every pair passes commute, yet the ordered product at ("1", "1", "1",
+    # "0") has a skew part of 1.121e-9 > STRUCTURE_TOL, on which route 1 used
+    # to raise
+    family = _designated(
+        (2 - 2e-9, (-1.5369641890579545e-09, -8.282372966253603e-10, 4.05135591741157e-10)),
+        (0.9999999996968542, (0.07892747292026428, -0.10673931621323181, 0.991149418575905)),
+        (0.9999999989305848, (0.07892747486782818, -0.10673931703838949, 0.9911494199338355)),
+        (1.7e-9, (-8.481460819058564e-10, -1.4092417273739001e-09, -7.870425921991186e-10)),
+    )
+    assert all(validate(p).passed for p in family) and _every_pair_commutes(family)
+    report = decide(FeasibilityProblem(family))
+    assert report.verdict is Verdict.FEASIBLE
+    assert report.reason == "commuting"
+    assert validate(report.witness).passed
+    assert witness_residual(report.witness, family) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +713,43 @@ def test_zero_effect_gets_zero_cells(offset):
         assert_dual_certificate(report, (a, padded))
 
 
+@pytest.mark.parametrize("forms, verdict", [
+    # the Newton system turns singular in the last barrier steps, where
+    # numpy's solve raised LinAlgError: the iterate is settled instead
+    ([(1.000000001453275, (0.12458641016622927, 0.05603677882002613, 0.99062510675941)),
+      (1.9999999888719222, (8.19216528821268e-09, 4.463982219176062e-09, -1.075713518261523e-08))],
+     Verdict.FEASIBLE),
+    ([(1.0, (0.0, 0.0, 1.0)),
+      (1.1639662057892899, (-2.334015911021174e-07, 9.605142801955277e-07, 0.3356539830988674)),
+      (1.0780541198712057, (3.035908750980355e-08, -1.2812993431056658e-07, 0.20359563031082084))],
+     Verdict.FEASIBLE),
+    # the barrier ends at its start eta = 0, where H / eta was 0 / 0
+    ([(2.901280705694408e-09, (3.1149762681278485e-10, 4.618403207213446e-09, 4.718502074304996e-10)),
+      (1.0000000000924332, (0.358333890699693, 0.39027299348512473, -0.8481060186628326))],
+     Verdict.UNDETERMINED),
+    # a zero-effect parent leaves no free Hermitian variables, whose
+    # coordinates were reshaped with an inferred length
+    ([(-8.347487824298985e-10, (-1.3878158018913734e-07, -1.0035191855106601e-07, 3.051646166507741e-09)),
+      (1.0, (0.0, 0.0, 1.0))],
+     None),
+], ids=["singular-pair", "singular-triple", "eta-zero", "no-free-variables"])
+def test_the_barrier_route_reports_on_near_commuting_qubit_families(forms, verdict):
+    family = _designated(*forms)
+    tol = FeasibilityOptions().tol
+    assert all(validate(p, tol=tol).passed for p in family) and not _every_pair_commutes(family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = decide(FeasibilityProblem(family))
+    assert report.reason is None and report.iterations > 0
+    if verdict is not None:
+        assert report.verdict is verdict
+    if report.verdict is Verdict.FEASIBLE:
+        assert validate(report.witness, tol=tol).passed
+        assert witness_residual(report.witness, family) <= tol
+    else:
+        assert report.verdict is Verdict.UNDETERMINED
+
+
 def _random_povm(dim: int, n: int, v: float, rng) -> Observable:
     """A projective measurement in a random basis, its basis vectors split
     into n nonempty outcomes, mixed with white noise at visibility v."""
@@ -1006,7 +1089,7 @@ def test_pairwise_vs_global_three_commuting_sharp():
     for rep in out.pairwise.values():
         assert rep.verdict is Verdict.FEASIBLE
     assert out.global_report.verdict is Verdict.FEASIBLE
-    assert out.global_report.reason == "commuting-sharp"
+    assert out.global_report.reason == "commuting"
     assert_witness_ok(out.global_report, family, 1e-9)
 
 
@@ -1026,7 +1109,7 @@ def test_pairwise_vs_global_two_sharp_one_unsharp_commuting():
     out = pairwise_vs_global((a, b, c))
     assert all(r.verdict is Verdict.FEASIBLE for r in out.pairwise.values())
     assert out.global_report.verdict is Verdict.FEASIBLE
-    assert out.global_report.reason == "commuting-sharp"
+    assert out.global_report.reason == "commuting"
     assert_witness_ok(out.global_report, (a, b, c), 1e-9)
 
 

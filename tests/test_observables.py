@@ -128,12 +128,12 @@ def test_commute_keeps_its_threshold(scale):
 
 @pytest.mark.parametrize("scale", [0.9, 1.1])
 def test_product_skew_check_keeps_its_threshold(scale):
-    # the ordered product PQ has skew part [P, Q] / 2
-    a, b = _skewed_pair(2.0 * scale * STRUCTURE_TOL)
+    # the product joint refuses exactly the pairs that commute refuses
+    a, b = _skewed_pair(scale * STRUCTURE_TOL)
     if scale < 1.0:
         product_joint_many((a, b))
     else:
-        with pytest.raises(ValueError, match="Hermiticity residual"):
+        with pytest.raises(ValueError, match="parents 0 and 1 do not commute within 1.0e-09"):
             product_joint_many((a, b))
 
 
@@ -178,6 +178,14 @@ def test_product_joint_rejects_noncommuting():
     with pytest.raises(ValueError):
         product_joint_many((a, b))
     assert not commute(a, b)
+
+
+def test_product_joint_names_the_first_pair_that_does_not_commute():
+    x = HermitianOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    tilted = Observable(("0", "1"), {"1": x, "0": identity(2) - x})
+    family = (_diag_sharp([1, 0]), _coin(2, 0.3), tilted)
+    with pytest.raises(ValueError, match="parents 0 and 2 do not commute"):
+        product_joint_many(family)
 
 
 def test_joint_agreement():

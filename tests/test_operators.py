@@ -308,6 +308,18 @@ def test_barrier_steps_stay_feasible_and_never_raise_the_barrier(d, m, e, l):
     assert steps == len(seen) - 1 > 0
 
 
+def test_a_singular_newton_system_ends_the_solve():
+    # a zero direction leaves its Hessian row and column zero: the solve hands
+    # back the iterate it holds instead of raising numpy's LinAlgError
+    rng = np.random.default_rng(5)
+    c, f0, free, weights = random_structured_lmi(rng, 2, 4, 2, 0)
+    free[1] = 0.0
+    x0 = np.zeros(len(c))
+    x, steps, found = barrier_maximize(c, f0, free, weights, x0, 1.0, 1e-6)
+    assert steps == 0 and found is None
+    assert np.array_equal(x, x0)
+
+
 def test_hermitian_basis_is_orthonormal():
     for k in (1, 2, 3, 4):
         b = hermitian_basis(k)

@@ -190,7 +190,7 @@ def test_matrix_on_commuting_sharp_pair_is_all_feasible():
     assert len(mat.rows) == 3 and len(mat.cols) == 1
     assert mat.all_feasible
     for report in mat.cells.values():
-        assert report.reason == "commuting-sharp"
+        assert report.reason == "commuting"
 
 
 def test_rotated_paradox_matrices_decide_every_cell_with_witnesses():
