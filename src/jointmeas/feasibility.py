@@ -29,9 +29,10 @@ vectors share a point, and answers it by a deterministic nested bracketing
 of a convex function of two variables.  It also serves as an independent
 numerical check of the qubit criteria.
 
-The barrier route leaves UNDETERMINED only when the robustness eta* lies
-within about min(``tol``, ``WITNESS_TOL``) of 1, where neither a witness nor
-a certificate can be told from rounding.
+The barrier route leaves UNDETERMINED when the robustness eta* lies within
+about min(``tol``, ``WITNESS_TOL``) of 1, where neither a witness nor a
+certificate can be told from rounding, and when the barrier ends early, on a
+singular Newton system or still at eta = 0, without a witness that passes.
 """
 from __future__ import annotations
 

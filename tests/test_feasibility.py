@@ -147,7 +147,8 @@ def _near_the_edge(parents) -> bool:
         for ea in a.effects.values()
         for eb in b.effects.values()
     ]
-    return any(abs(opnorm(1j * (ab - ab.conj().T)) - STRUCTURE_TOL) <= 1e-12 * STRUCTURE_TOL for ab in products)
+    norms = [opnorm(1j * (ab - ab.conj().T)) for ab in products]
+    return any(abs(v - STRUCTURE_TOL) <= 1e-12 * STRUCTURE_TOL for v in norms)
 
 
 def _near_edge(rng) -> float:
@@ -727,8 +728,9 @@ def test_zero_effect_gets_zero_cells(offset):
     ([(2.901280705694408e-09, (3.1149762681278485e-10, 4.618403207213446e-09, 4.718502074304996e-10)),
       (1.0000000000924332, (0.358333890699693, 0.39027299348512473, -0.8481060186628326))],
      Verdict.UNDETERMINED),
-    # a zero-effect parent leaves no free Hermitian variables, whose
-    # coordinates were reshaped with an inferred length
+    # the near-zero effect's cells drop out and the marginals fix the two
+    # left: no free Hermitian variables, whose coordinates were reshaped
+    # with an inferred length
     ([(-8.347487824298985e-10, (-1.3878158018913734e-07, -1.0035191855106601e-07, 3.051646166507741e-09)),
       (1.0, (0.0, 0.0, 1.0))],
      None),
