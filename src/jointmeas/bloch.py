@@ -90,6 +90,12 @@ class SimpleQubitObservable:
         )
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean length sqrt(v.v) of a real vector array: ``np.linalg.norm``
+    bit for bit, which takes the same dot product, at a fraction of its cost."""
+    return math.sqrt(v.dot(v))
+
+
 def _is_effect_within(alpha: float, norm: float, tol: float = _INPUT_TOL) -> bool:
     """Effect condition in Bloch form from ||a||: ||a|| <= alpha <= 2 - ||a||
     within ``tol``.  At the default ``_INPUT_TOL`` it is every criterion's
@@ -99,19 +105,19 @@ def _is_effect_within(alpha: float, norm: float, tol: float = _INPUT_TOL) -> boo
 
 def is_valid_effect_params(alpha: float, a, tol: float = 0.0) -> bool:
     """Effect condition in Bloch form: ||a|| <= alpha <= 2 - ||a||."""
-    return _is_effect_within(alpha, float(np.linalg.norm(np.asarray(a, dtype=float))), tol)
+    return _is_effect_within(alpha, _norm(np.asarray(a, dtype=float)), tol)
 
 
 def _require_effects(*named):
     """Raise ValueError naming the first (name, alpha, a) outside ``_INPUT_TOL``."""
     for name, alpha, v in named:
-        if not _is_effect_within(float(alpha), float(np.linalg.norm(v))):
+        if not _is_effect_within(float(alpha), _norm(v)):
             raise ValueError(f"({name}) is not a valid effect")
 
 
 def _unit_dot(u, v) -> float:
     """Normalized dot product; zero vectors count as orthogonal to everything."""
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = _norm(u), _norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
@@ -123,7 +129,7 @@ def are_orthogonal(u, v) -> bool:
 
 def are_parallel(u, v) -> bool:
     """Parallel or antiparallel; zero vectors count as parallel to everything."""
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = _norm(u), _norm(v)
     if nu == 0.0 or nv == 0.0:
         return True
     return abs(abs(_unit_dot(u, v)) - 1.0) <= AXIS_TOL
@@ -152,7 +158,7 @@ def busch_criterion(a, b) -> CriterionResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _require_effects(("1, a", 1.0, a), ("1, b", 1.0, b))
-    value = float(np.linalg.norm(a + b) + np.linalg.norm(a - b))
+    value = _norm(a + b) + _norm(a - b)
     return CriterionResult(value, 2.0, value <= 2.0 + CRITERION_TOL)
 
 
@@ -160,10 +166,11 @@ def molnar_criterion(a, b) -> CriterionResult:
     """Pair of scaled rank-one projections: jm iff ||a+b|| + ||a|| + ||b|| <= 2."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _require_effects(("||a||, a", np.linalg.norm(a), a), ("||b||, b", np.linalg.norm(b), b))
+    na, nb = _norm(a), _norm(b)
+    _require_effects(("||a||, a", na, a), ("||b||, b", nb, b))
     if are_parallel(a, b):
         raise ValueError("criterion requires non-parallel (and nonzero) vectors")
-    value = float(np.linalg.norm(a + b) + np.linalg.norm(a) + np.linalg.norm(b))
+    value = _norm(a + b) + na + nb
     return CriterionResult(value, 2.0, value <= 2.0 + CRITERION_TOL)
 
 
@@ -178,7 +185,7 @@ def liu_criterion(a, beta: float, b) -> CriterionResult:
     if not are_orthogonal(a, b):
         raise ValueError("criterion requires a orthogonal to b")
     nb2 = float(np.dot(b, b))
-    lhs = 2.0 * float(np.linalg.norm(a))
+    lhs = 2.0 * _norm(a)
     rhs = float(np.sqrt(max(beta**2 - nb2, 0.0)) + np.sqrt(max((2.0 - beta) ** 2 - nb2, 0.0)))
     return CriterionResult(lhs, rhs, lhs <= rhs + CRITERION_TOL)
 
@@ -227,8 +234,8 @@ def qubit_pair_criterion(alpha: float, a, beta: float, b) -> CriterionResult:
     b = np.asarray(b, dtype=float)
     _require_effects(("alpha, a", alpha, a), ("beta, b", beta, b))
     x, y = float(alpha) - 1.0, float(beta) - 1.0
-    fa = _f_term(float(alpha), float(np.linalg.norm(a)))
-    fb = _f_term(float(beta), float(np.linalg.norm(b)))
+    fa = _f_term(float(alpha), _norm(a))
+    fb = _f_term(float(beta), _norm(b))
     ratio_a = (x / fa) ** 2 if fa > 0.0 else 0.0
     ratio_b = (y / fb) ** 2 if fb > 0.0 else 0.0
     lhs = (1.0 - fa * fa - fb * fb) * (1.0 - ratio_a - ratio_b)
@@ -246,7 +253,7 @@ def boundary_joint(a, b) -> ProductObservable:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    value = float(np.linalg.norm(a + b) + np.linalg.norm(a - b))
+    value = _norm(a + b) + _norm(a - b)
     if abs(value - 2.0) > CRITERION_TOL:
         raise ValueError(
             f"pair is not on the compatibility boundary: ||a+b|| + ||a-b|| = {value!r}"
@@ -257,7 +264,7 @@ def boundary_joint(a, b) -> ProductObservable:
             si = 1.0 if i == "1" else -1.0
             sj = 1.0 if j == "1" else -1.0
             n = 0.5 * (si * a + sj * b)
-            w = float(np.linalg.norm(n))
+            w = _norm(n)
             if w == 0.0:
                 raise ValueError("a = +-b makes a corner effect vanish; no unique direction")
             effects[(i, j)] = HermitianOperator(bloch_matrix(w, n))
@@ -278,7 +285,7 @@ def gamma_interval(a, beta: float) -> Interval:
     0 < ||a|| < 1 and (1-||a||^2)/2 < beta < 1-||a||^2.
     """
     a = np.asarray(a, dtype=float)
-    na = float(np.linalg.norm(a))
+    na = _norm(a)
     if not 0.0 < na < 1.0:
         raise ValueError(f"need 0 < ||a|| < 1, got ||a|| = {na!r}")
     half_gap = 0.5 * (1.0 - na**2)
@@ -301,7 +308,7 @@ def gamma_family_member(a, beta: float, b_hat, gamma: float) -> ProductObservabl
     """
     a = np.asarray(a, dtype=float)
     b_hat = np.asarray(b_hat, dtype=float)
-    if abs(np.linalg.norm(b_hat) - 1.0) > AXIS_TOL:
+    if abs(_norm(b_hat) - 1.0) > AXIS_TOL:
         raise ValueError("b_hat must be a unit vector")
     if not are_orthogonal(a, b_hat):
         raise ValueError("b_hat must be orthogonal to a")

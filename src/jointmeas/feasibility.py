@@ -23,6 +23,13 @@ robustness problem on the barrier kernel.
    exact, or INFEASIBLE with a dual certificate (reason ``dual-certificate``)
    that has been re-checked with ``eigvalsh``.
 
+Two phases run over a batch of families, and ``decide`` is the batch of one.
+Routing gives per family a final INFEASIBLE report or a job pending its
+witness (a product or signed-sum joint, or a pair search).  The witness
+phase serves all jobs in one stacked pass, and holds every FEASIBLE of
+routes 1-3 to ``witness_residual`` <= min(``tol``, ``WITNESS_TOL``); a
+family whose witness misses it, or is not found, goes on to route 4.
+
 The planar search (``decide_pair_qubit_numeric``) reduces a qubit pair to
 the question whether four filled ellipses in the plane of the two Bloch
 vectors share a point, and answers it by a deterministic nested bracketing
@@ -40,6 +47,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +55,7 @@ from .bloch import (
     BlochEffect,
     CriterionResult,
     _is_effect_within,
+    _norm,
     are_orthogonal,
     are_parallel,
     bloch_matrix,
@@ -59,16 +68,19 @@ from .bloch import (
 from .observables import (
     STRUCTURE_TOL,
     ProductObservable,
-    _product_joint,
+    _cell_joint_cells,
+    _cell_stack,
+    _joint,
+    _marginal_gaps,
+    _product_cells,
     commute,
     designation_order,
-    joint_from_cell,
     label_key,
-    max_marginal_deviation,
     observable_to_json,
 )
 from .operators import (
     HermitianOperator,
+    _hermitian_stack,
     barrier_maximize,
     hermitian_basis,
     operator_to_json,
@@ -165,9 +177,16 @@ class FeasibilityReport:
 def witness_residual(g: ProductObservable, parents) -> float:
     """Max marginal deviation (spectral norm) plus worst negative-eigenvalue
     magnitude over the cells."""
-    cells = np.array([g.effects[z].matrix for z in g.outcomes])
-    neg = max(0.0, -float(np.linalg.eigvalsh(cells)[:, 0].min()))
-    return max_marginal_deviation(g, parents) + neg
+    return float(_residuals(_cell_stack(g), g.parents, [parents])[0])
+
+
+def _residuals(cells, factors, parent_sets) -> np.ndarray:
+    """``witness_residual`` of each joint of a stack (J, n, d, d) on the
+    outcomes ``product(*factors)`` against its parents in ``parent_sets``:
+    one ``opnorm`` for every marginal gap and one ``eigvalsh`` for every cell."""
+    axes = [(i, [ps[i] for ps in parent_sets]) for i in range(len(parent_sets[0]))]
+    low = np.linalg.eigvalsh(cells)[..., 0].min(axis=1)
+    return _marginal_gaps(cells, factors, axes).max(axis=1) + np.maximum(0.0, -low)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +215,7 @@ def _bloch_forms(obs) -> tuple | None:
     forms = []
     for x in designation_order(obs):
         be = BlochEffect.from_operator(obs.effects[x])
-        # sqrt(a.a) is np.linalg.norm(a) bit for bit, at a third of its cost
-        forms.append((x, be.alpha, be.a, math.sqrt(be.a.dot(be.a))))
+        forms.append((x, be.alpha, be.a, _norm(be.a)))
     return tuple(forms)
 
 
@@ -247,18 +265,19 @@ def _match_triple_criterion(family) -> tuple[CriterionResult, tuple] | None:
 # witnesses for analytically feasible cases
 # ---------------------------------------------------------------------------
 
-def _signed_sum_joint(parents, designations) -> ProductObservable:
-    """Joint of unbiased qubit observables with designated Bloch vectors v_i:
+def _signed_sum_cells(parents, designations) -> np.ndarray:
+    """Cells, in product-outcome order, of the joint of unbiased qubit
+    observables with designated Bloch vectors v_i:
     G(s) = (1 + (sum_i s_i v_i).sigma) / 8, with s_i = +1 on the designated
     outcome and -1 on the other.  For an orthogonal triple every signed sum
     has length sqrt(sum |v_i|^2), so eq6 makes every cell positive."""
-    effects = {}
+    cells = []
     for combo in itertools.product(*(p.outcomes for p in parents)):
         vec = sum(
             (1.0 if x == d else -1.0) * v for x, (d, v) in zip(combo, designations)
         )
-        effects[combo] = HermitianOperator(bloch_matrix(0.25, 0.25 * vec))
-    return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
+        cells.append(bloch_matrix(0.25, 0.25 * vec))
+    return np.array(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +308,13 @@ def _planar_search(alpha: float, avec, beta: float, bvec):
     first grid evaluation holding a point with excess <= ``_SETTLED``.
     """
     # the plane of a and b as the complex plane, a on the real axis
-    ref = avec if np.linalg.norm(avec) > 0.0 else bvec
-    length = float(np.linalg.norm(ref))
+    ref = avec if _norm(avec) > 0.0 else bvec
+    length = _norm(ref)
     axis = ref / length if length > 0.0 else np.array([1.0, 0.0, 0.0])
 
     def planar(v) -> complex:
         along = float(np.dot(v, axis))
-        return complex(along, float(np.linalg.norm(v - along * axis)))
+        return complex(along, _norm(v - along * axis))
 
     pa, pb = planar(avec), planar(bvec)
     pab = pa + pb
@@ -351,28 +370,17 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     [0, 1].  The largest ellipse excess (sum of focal distances minus the
     bound) is convex in (s, t); nested bracketing on a 17-point grid narrows
     both variables to 1e-12, stopping early once a point with excess <= 1e-12
-    is found.  A least excess within min(``opts.tol``, ``WITNESS_TOL``) gives
-    FEASIBLE with the witness; otherwise the report is UNDETERMINED with that
-    excess as its residual.  Deterministic; ``iterations`` counts grid
-    evaluations.
+    is found.  A least excess and a ``witness_residual`` both within
+    min(``opts.tol``, ``WITNESS_TOL``) give FEASIBLE with the witness;
+    otherwise the report is UNDETERMINED with the excess or the residual
+    that missed.  Deterministic; ``iterations`` counts grid evaluations.
+    The witness phase of ``decide``, run on one pair.
     """
     opts = opts or FeasibilityOptions()
-    fa, fb = _bloch_forms(a_obs), _bloch_forms(b_obs)
-    if fa is None or fb is None:
+    forms = (_bloch_forms(a_obs), _bloch_forms(b_obs))
+    if None in forms:
         raise ValueError("the pair search needs two-outcome qubit observables")
-    (da, alpha, avec, _), (db, beta, bvec, _) = fa[0], fb[0]
-
-    value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec)
-    if value > min(opts.tol, WITNESS_TOL):
-        return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, value, evaluations)
-
-    absum = avec + bvec
-    g = s * avec + t * bvec
-    lo = max(float(np.linalg.norm(g)), float(np.linalg.norm(g - absum)) + alpha + beta - 2.0)
-    hi = min(alpha - float(np.linalg.norm(avec - g)), beta - float(np.linalg.norm(bvec - g)))
-    witness = joint_from_cell(a_obs, b_obs, bloch_matrix(0.5 * (lo + hi), g), da, db)
-    resid = witness_residual(witness, (a_obs, b_obs))
-    return FeasibilityReport(Verdict.FEASIBLE, witness, None, None, resid, evaluations)
+    return _witness([_Job((a_obs, b_obs), None, None, forms=forms)], opts.tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +468,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         resid += max(0.0, -float(np.linalg.eigvalsh(full)[:, 0].min()))
         if resid > accept:
             return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
-        effects = {z: HermitianOperator(g) for z, g in zip(labels, full)}
-        g = ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
+        g = _joint(parents, _hermitian_stack(full)[1])
         return FeasibilityReport(Verdict.FEASIBLE, g, None, None, resid, iterations)
 
     start = settle(g0 + drift, 1)  # the affine projection of G0: eta = 1, H = 0
@@ -506,33 +513,33 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# the dispatcher
+# the two phases: routing per family, then one witness pass over every job
 # ---------------------------------------------------------------------------
 
-def decide(problem: FeasibilityProblem) -> FeasibilityReport:
-    """Decide joint measurability of the problem's parent observables."""
-    parents = problem.parents
-    opts = problem.options
+class _Job(NamedTuple):
+    """A family routes 1-3 hold FEASIBLE: its witness cells, or the pair's forms to search."""
 
-    family = [_bloch_forms(p) for p in parents] if parents[0].dim == 2 else [None]
-    if None in family:  # not all two-outcome qubit observables: the spectral test
-        family = None
+    parents: tuple
+    reason: str | None
+    margin: float | None
+    cells: np.ndarray | None = None
+    forms: tuple | None = None
+
+
+def _route(parents, forms):
+    """Routes 1-3 of one family from its parents' ``_bloch_forms``: a final
+    INFEASIBLE report, a ``_Job``, or None for the barrier route."""
+    family = None if None in forms else forms  # else not all two-outcome qubit observables
     members, commutes = (parents, commute) if family is None else (family, _bloch_commute)
     if all(commutes(a, b) for a, b in itertools.combinations(members, 2)):
-        witness = _product_joint(parents)
-        resid = witness_residual(witness, parents)
-        return FeasibilityReport(Verdict.FEASIBLE, witness, REASON_COMMUTING, None, resid, 0)
+        return _Job(parents, REASON_COMMUTING, None, _product_cells(parents))
 
     family = _criterion_forms(family) if family is not None and len(family) in (2, 3) else None
     if family is not None and len(family) == 2:
         reason, result = _match_pair_criterion(*family)
         if not result.jm:
             return FeasibilityReport(Verdict.INFEASIBLE, None, reason, result.margin, 0.0, 0)
-        search = decide_pair_qubit_numeric(*parents, opts)
-        return FeasibilityReport(
-            search.verdict, search.witness, reason, result.margin, search.residual,
-            search.iterations,
-        )
+        return _Job(parents, reason, result.margin, forms=family)
     if family is not None:
         match = _match_triple_criterion(family)
         if match is not None:
@@ -541,13 +548,81 @@ def decide(problem: FeasibilityProblem) -> FeasibilityReport:
                 return FeasibilityReport(
                     Verdict.INFEASIBLE, None, REASON_TRIPLE, result.margin, 0.0, 0
                 )
-            witness = _signed_sum_joint(parents, designations)
-            resid = witness_residual(witness, parents)
-            return FeasibilityReport(
-                Verdict.FEASIBLE, witness, REASON_TRIPLE, result.margin, resid, 0
-            )
+            return _Job(parents, REASON_TRIPLE, result.margin, _signed_sum_cells(parents, designations))
+    return None
 
-    return _decide_by_robustness(parents, opts.tol)
+
+def _pair_witness_cells(job, accept: float):
+    """The planar search of a pair ``_Job``: (witness cells in
+    product-outcome order, or None when its least excess exceeds ``accept``;
+    that excess; grid evaluations)."""
+    (da, alpha, avec, _), (db, beta, bvec, _) = job.forms[0][0], job.forms[1][0]
+    value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec)
+    if value > accept:
+        return None, value, evaluations
+    g = s * avec + t * bvec
+    lo = max(_norm(g), _norm(g - (avec + bvec)) + alpha + beta - 2.0)
+    hi = min(alpha - _norm(avec - g), beta - _norm(bvec - g))
+    cell = bloch_matrix(0.5 * (lo + hi), g)
+    return _cell_joint_cells(*job.parents, cell, da, db), value, evaluations
+
+
+def _witness(jobs, tol: float) -> list:
+    """The witness phase: a report per job, FEASIBLE when the witness passes
+    the one gate of routes 1-3, ``witness_residual`` <= min(``tol``,
+    ``WITNESS_TOL``), else UNDETERMINED with that residual or the search's
+    excess.  After the pair searches, the cells of all jobs of one outcome
+    structure are checked as one stack and their residuals taken in one pass."""
+    accept = min(tol, WITNESS_TOL)
+    reports, groups = [None] * len(jobs), {}
+    for k, job in enumerate(jobs):
+        cells, iterations = job.cells, 0
+        if cells is None:
+            cells, excess, iterations = _pair_witness_cells(job, accept)
+            if cells is None:
+                reports[k] = FeasibilityReport(Verdict.UNDETERMINED, None, None, None, excess, iterations)
+                continue
+        factors = tuple(tuple(p.outcomes) for p in job.parents)
+        groups.setdefault((factors, cells.shape), []).append((k, cells, iterations))
+
+    for (factors, (n, d, _)), members in groups.items():
+        herm, ops = _hermitian_stack(np.concatenate([c for _, c, _ in members]))
+        parent_sets = [jobs[k].parents for k, _, _ in members]
+        resids = _residuals(herm.reshape(len(members), n, d, d), factors, parent_sets)
+        for j, ((k, _, iterations), resid) in enumerate(zip(members, resids.tolist())):
+            if resid > accept:
+                reports[k] = FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
+                continue
+            parents, reason, margin = jobs[k][:3]
+            witness = _joint(parents, ops[j * n:(j + 1) * n])
+            reports[k] = FeasibilityReport(Verdict.FEASIBLE, witness, reason, margin, resid, iterations)
+    return reports
+
+
+def _decide_batch(families, opts: FeasibilityOptions) -> list:
+    """``decide`` on each family (a tuple of parents): routes 1-3 per family,
+    each distinct parent's ``_bloch_forms`` read once, then one witness phase
+    for all jobs; the barrier route for the rest and for a failed witness."""
+    forms = {}
+    for p in itertools.chain.from_iterable(families):
+        if id(p) not in forms:
+            forms[id(p)] = _bloch_forms(p)
+    routed = [_route(parents, [forms[id(p)] for p in parents]) for parents in families]
+    jobs = [r for r in routed if isinstance(r, _Job)]
+    witnessed = iter(_witness(jobs, opts.tol) if jobs else ())
+    reports = []
+    for parents, report in zip(families, routed):
+        if isinstance(report, _Job):
+            report = next(witnessed)
+        if report is None or report.verdict is Verdict.UNDETERMINED:
+            report = _decide_by_robustness(parents, opts.tol)
+        reports.append(report)
+    return reports
+
+
+def decide(problem: FeasibilityProblem) -> FeasibilityReport:
+    """Decide joint measurability of the problem's parents: the batch of one."""
+    return _decide_batch([problem.parents], problem.options)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .operators import (
     HermitianOperator,
+    _hermitian_stack,
     eigvalsh_checked,
     operator_from_json,
     operator_to_json,
@@ -203,34 +204,41 @@ def marginal(g: ProductObservable, axis: int):
     return Observable(tuple(g.parents[axis]), effects)
 
 
-def _marginal_gaps(g: ProductObservable, axes) -> np.ndarray:
-    """Spectral norms of G's marginal minus the parent effect, one per
-    (axis, parent, outcome) in ``axes``: the cells are stacked once and the
-    norms taken in one batch."""
-    labels = list(g.outcomes)
-    cells = np.array([g.effects[z].matrix for z in labels])
+def _marginal_gaps(cells, factors, axes) -> np.ndarray:
+    """Spectral norms of the marginals minus the parent effects for a stack
+    (J, n, d, d) of joints on the outcomes ``product(*factors)``: one row per
+    joint, one column per (axis, parent, outcome) in ``axes``, whose
+    ``parents`` hold each joint's parent on that axis.  Every marginal is
+    summed in one batch and the norms are taken in one."""
+    labels = list(itertools.product(*factors))
     gaps = []
-    for axis, parent in axes:
-        if not 0 <= axis < len(g.parents):
-            raise ValueError(f"axis {axis} out of range for {len(g.parents)} factors")
-        if set(parent.outcomes) != set(g.parents[axis]):
+    for axis, parents in axes:
+        if not 0 <= axis < len(factors):
+            raise ValueError(f"axis {axis} out of range for {len(factors)} factors")
+        if set(parents[0].outcomes) != set(factors[axis]):
             raise ValueError(f"axis {axis} labels do not match the parent observable")
-        for x in parent.outcomes:
+        for x in parents[0].outcomes:
             keep = [z[axis] == x for z in labels]
-            gaps.append(cells[keep].sum(axis=0) - parent.effects[x].matrix)
-    return opnorm(np.array(gaps))
+            gaps.append(cells[:, keep].sum(axis=1) - np.array([p.effects[x].matrix for p in parents]))
+    return opnorm(np.stack(gaps, axis=1))
+
+
+def _cell_stack(g: ProductObservable) -> np.ndarray:
+    """G's cells as a stack (1, n, d, d) of one joint, in product-outcome order."""
+    return np.array([[g.effects[z].matrix for z in g.outcomes]])
 
 
 def marginal_deviation(g: ProductObservable, axis: int, parent) -> float:
     """Largest spectral-norm distance between an effect of the ``axis``
     marginal of g and the same outcome's effect of ``parent``."""
-    return float(_marginal_gaps(g, [(axis, parent)]).max())
+    return float(_marginal_gaps(_cell_stack(g), g.parents, [(axis, [parent])]).max())
 
 
 def max_marginal_deviation(g: ProductObservable, parents) -> float:
     """``marginal_deviation`` maximized over the axes, with ``parents[i]``
     the observable that axis i should reproduce."""
-    return float(_marginal_gaps(g, enumerate(parents)).max())
+    axes = [(i, [p]) for i, p in enumerate(parents)]
+    return float(_marginal_gaps(_cell_stack(g), g.parents, axes).max())
 
 
 def joint_from_cell(a, b, cell, x, y) -> ProductObservable:
@@ -245,22 +253,30 @@ def joint_from_cell(a, b, cell, x, y) -> ProductObservable:
         raise ValueError(
             f"cell ({label_key(x)}, {label_key(y)}) is not an outcome pair of the parents"
         )
+    return _joint((a, b), _hermitian_stack(_cell_joint_cells(a, b, cell, x, y))[1])
+
+
+def _cell_joint_cells(a, b, cell, x, y) -> np.ndarray:
+    """The cells of ``joint_from_cell``, in product-outcome order."""
     d = np.asarray(cell, dtype=complex)
     ax, by = a.effects[x].matrix, b.effects[y].matrix
     xc = next(o for o in a.outcomes if o != x)
     yc = next(o for o in b.outcomes if o != y)
-    effects = {
-        (x, y): HermitianOperator(d),
-        (x, yc): HermitianOperator(ax - d),
-        (xc, y): HermitianOperator(by - d),
-        (xc, yc): HermitianOperator(np.eye(a.dim) - ax - by + d),
-    }
-    return ProductObservable((tuple(a.outcomes), tuple(b.outcomes)), effects)
+    fixed = {(x, y): d, (x, yc): ax - d, (xc, y): by - d, (xc, yc): np.eye(a.dim) - ax - by + d}
+    return np.array([fixed[z] for z in itertools.product(a.outcomes, b.outcomes)])
 
 
-def _product_joint(parents) -> ProductObservable:
+def _joint(parents, cells) -> ProductObservable:
+    """The joint of ``parents`` with the given cell operators, in
+    product-outcome order."""
+    combos = itertools.product(*(p.outcomes for p in parents))
+    return ProductObservable(tuple(tuple(p.outcomes) for p in parents), dict(zip(combos, cells)))
+
+
+def _product_cells(parents) -> np.ndarray:
     """The Hermitian part of the ordered product A_1(x_1) ... A_n(x_n) in
-    every cell; the caller has found every pair of parents commuting."""
+    every cell, in product-outcome order; the caller has found every pair
+    of parents commuting."""
     dim = parents[0].dim
     combos = list(itertools.product(*(p.outcomes for p in parents)))
     prods = np.empty((len(combos), dim, dim), dtype=complex)
@@ -268,9 +284,7 @@ def _product_joint(parents) -> ProductObservable:
         prods[k] = np.eye(dim)
         for p, x in zip(parents, combo):
             prods[k] = prods[k] @ p.effects[x].matrix
-    adjoints = prods.conj().swapaxes(-1, -2)
-    effects = {z: HermitianOperator(0.5 * m) for z, m in zip(combos, prods + adjoints)}
-    return ProductObservable(tuple(tuple(p.outcomes) for p in parents), effects)
+    return 0.5 * (prods + prods.conj().swapaxes(-1, -2))
 
 
 def product_joint_many(parents) -> ProductObservable:
@@ -280,7 +294,7 @@ def product_joint_many(parents) -> ProductObservable:
     for (i, a), (j, b) in itertools.combinations(enumerate(parents), 2):
         if not commute(a, b):
             raise ValueError(f"parents {i} and {j} do not commute within {STRUCTURE_TOL:.1e}")
-    return _product_joint(parents)
+    return _joint(parents, _hermitian_stack(_product_cells(parents))[1])
 
 
 def max_cell_deviation(g: ProductObservable, f: ProductObservable) -> float:

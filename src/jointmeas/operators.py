@@ -58,20 +58,11 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ValueError(f"operator must be square, got shape {m.shape}")
-        if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {m.shape[0]} outside [1, {MAX_DIM}]")
-        if not np.isfinite(m).all():  # both parts of a complex entry
-            raise ValueError("operator entries must be finite")
-        skew = 0.5 * (m - m.conj().T)
-        asym = opnorm(1j * skew) if skew.any() else 0.0
-        if asym > ASYMMETRY_TOL:
-            raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:.3e}")
-        herm = 0.5 * (m + m.conj().T)
-        herm.flags.writeable = False
+        herm, asym = _symmetrized(m)
         object.__setattr__(self, "matrix", herm)
-        object.__setattr__(self, "asymmetry", asym)
+        object.__setattr__(self, "asymmetry", float(asym))
 
     @property
     def dim(self) -> int:
@@ -93,6 +84,41 @@ class HermitianOperator:
         return HermitianOperator(float(scalar) * self.matrix)
 
     __mul__ = __rmul__
+
+
+def _symmetrized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The constructor's checks and symmetrization on a complex matrix or a
+    stack of them: read-only (M + M*)/2 and each matrix's asymmetry."""
+    d = m.shape[-1]
+    if m.shape[-2] != d:
+        raise ValueError(f"operator must be square, got shape {m.shape[-2:]}")
+    if d < 1 or d > MAX_DIM:
+        raise ValueError(f"dimension {d} outside [1, {MAX_DIM}]")
+    if not np.isfinite(m).all():  # both parts of a complex entry
+        raise ValueError("operator entries must be finite")
+    adjoint = m.conj().swapaxes(-1, -2)
+    skew = 0.5 * (m - adjoint)
+    asym = np.zeros(m.shape[:-2])
+    if skew.any():
+        asym = np.where(skew.any(axis=(-2, -1)), opnorm(1j * skew), 0.0)
+        worst = np.flatnonzero(asym > ASYMMETRY_TOL)
+        if worst.size:
+            raise ValueError(f"matrix asymmetry {asym.flat[worst[0]]:.3e} exceeds {ASYMMETRY_TOL:.3e}")
+    herm = 0.5 * (m + adjoint)
+    herm.flags.writeable = False
+    return herm, asym
+
+
+def _hermitian_stack(m) -> tuple[np.ndarray, list]:
+    """The stacked constructor: the checked, symmetrized stack (n, d, d) and
+    one ``HermitianOperator`` per matrix, a view of it equal to the
+    constructor's, from one run of the constructor's checks."""
+    herm, asym = _symmetrized(np.asarray(m, dtype=complex))
+    ops = [object.__new__(HermitianOperator) for _ in herm]
+    for op, h, a in zip(ops, herm, asym.tolist()):
+        object.__setattr__(op, "matrix", h)
+        object.__setattr__(op, "asymmetry", a)
+    return herm, ops
 
 
 def eigvalsh_checked(h: HermitianOperator) -> np.ndarray:

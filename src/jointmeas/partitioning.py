@@ -15,6 +15,7 @@ from .feasibility import (
     FeasibilityProblem,
     FeasibilityReport,
     Verdict,
+    _decide_batch,
     decide,
 )
 from .observables import (
@@ -151,18 +152,17 @@ def partition_compatibility_matrix(
     """Decide joint measurability for every nontrivial partitioning pair.
 
     Trivial partitionings are omitted: their observables are scalar, hence
-    compatible with everything.
+    compatible with everything.  Every cell is ``decide``'s report, from one
+    batch of its two phases over observables built and keyed once.
     """
     opts = opts or FeasibilityOptions()
     rows = _nontrivial_half(enumerate_partitionings(a))
     cols = _nontrivial_half(enumerate_partitionings(b))
-    col_obs = [pb.observable for pb in cols]
-    cells = {}
-    for pa in rows:
-        oa = pa.observable
-        for pb, ob in zip(cols, col_obs):
-            cells[(pa.key, pb.key)] = decide(FeasibilityProblem((oa, ob), opts))
-    return PartitionMatrix(rows, cols, cells)
+    row_obs, col_obs = [p.observable for p in rows], [p.observable for p in cols]
+    row_keys, col_keys = [p.key for p in rows], [p.key for p in cols]
+    reports = _decide_batch([(oa, ob) for oa in row_obs for ob in col_obs], opts)
+    keys = [(ka, kb) for ka in row_keys for kb in col_keys]
+    return PartitionMatrix(rows, cols, dict(zip(keys, reports)))
 
 
 @dataclass(frozen=True, eq=False)

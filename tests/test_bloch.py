@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jointmeas import bloch
 from jointmeas.bloch import (
     CRITERION_TOL,
     BlochEffect,
@@ -83,6 +84,21 @@ def test_simple_observable_normalizes():
 
 def _norm(v):
     return math.sqrt(float(np.dot(v, v)))
+
+
+def test_the_private_norm_is_numpy_norm_bit_for_bit():
+    # the premise under which the criteria's margins stay unchanged
+    rng = np.random.default_rng(17)
+    vecs = [rng.standard_normal(3) * 10.0 ** rng.uniform(-160.0, 150.0) for _ in range(3000)]
+    vecs += [
+        np.zeros(3), -np.zeros(3), np.array([5e-324, 0.0, -5e-324]),
+        np.array([2.2e-308, -1e-310, 3e-320]), np.array([1e150, -1e150, 1e150]),
+        np.array([-1e150, 0.0, 0.0]), rng.standard_normal((3, 3))[:, 1],
+    ]
+    for v in vecs:
+        got = bloch._norm(v)
+        assert type(got) is float
+        assert got.hex() == float(np.linalg.norm(v)).hex(), v
 
 
 def test_busch_values():

@@ -260,6 +260,26 @@ def test_route_one_scalar_edge_on_a_qubit_pair(delta, reason):
     assert _every_pair_commutes(parents) is (reason == "commuting")
 
 
+def test_a_route_one_witness_beyond_the_residual_bound_goes_to_the_barrier_route():
+    # both commute, but (1, (1 + 1e-6) e_z) is no effect: its product joint
+    # has a cell eigenvalue -5e-7, five times WITNESS_TOL, and the barrier
+    # route proves the exact input incompatible
+    parents = (_qubit(1.0, EZ), _qubit(1.0, (1.0 + 1e-6) * EZ))
+    report = decide(FeasibilityProblem(parents))
+    assert report.verdict is Verdict.INFEASIBLE
+    assert report.reason == "dual-certificate"
+    assert report.margin == pytest.approx(5e-7, rel=1e-4)
+    assert report.iterations == 10
+    assert_dual_certificate(report, parents)
+    # within the bound the product joint is kept: residual 3.75e-8
+    parents = (_qubit(1.0, 0.5 * EZ), _qubit(1.0, (1.0 + 1e-7) * EZ))
+    report = decide(FeasibilityProblem(parents))
+    assert report.verdict is Verdict.FEASIBLE
+    assert report.reason == "commuting"
+    assert report.residual == pytest.approx(3.75e-8, rel=1e-6)
+    assert witness_residual(report.witness, parents) == report.residual <= WITNESS_TOL
+
+
 @pytest.mark.parametrize("family", [
     # a zero-effect partner (alpha = 0, a = 0) against an unsharp effect
     (_qubit(0.0, np.zeros(3)), _qubit(0.9, np.array([0.2, 0.3, 0.1]))),

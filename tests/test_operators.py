@@ -7,6 +7,7 @@ from jointmeas.operators import (
     ASYMMETRY_TOL,
     MAX_DIM,
     HermitianOperator,
+    _hermitian_stack,
     barrier_maximize,
     eigvalsh_checked,
     hermitian_basis,
@@ -166,6 +167,68 @@ def test_opnorm_matches_the_svd_norm_on_stacks(seed, dim, count):
     z = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
     skew = z - z.conj().swapaxes(-1, -2)  # anti-Hermitian: passed as 1j * X
     np.testing.assert_allclose(opnorm(1j * skew), np.linalg.norm(skew, 2, axis=(1, 2)), rtol=1e-12)
+
+
+def _constructed(m):
+    """The constructor's outcome on one matrix: its ValueError message, or
+    its matrix bytes with the repr of its asymmetry."""
+    try:
+        h = HermitianOperator(m)
+    except ValueError as exc:
+        return str(exc)
+    return h.matrix.tobytes(), repr(h.asymmetry)
+
+
+def _assert_stack_matches_constructor(stack):
+    singles = [_constructed(m) for m in stack]
+    errors = [r for r in singles if isinstance(r, str)]
+    if errors:
+        with pytest.raises(ValueError) as exc:
+            _hermitian_stack(stack)
+        assert str(exc.value) == errors[0]
+        return
+    herm, ops = _hermitian_stack(stack)
+    assert [(op.matrix.tobytes(), repr(op.asymmetry)) for op in ops] == singles
+    assert all(type(op.asymmetry) is float for op in ops)
+    assert not herm.flags.writeable and not any(op.matrix.flags.writeable for op in ops)
+
+
+def _nan_at(stack, k):
+    stack = stack.astype(complex)
+    stack[k, 0, -1] = complex(0.0, np.nan)
+    return stack
+
+
+@pytest.mark.parametrize("stack", [
+    np.zeros((2, 3, 2)),  # not square
+    np.zeros((1, 0, 0)),  # dimension 0
+    np.zeros((1, MAX_DIM + 1, MAX_DIM + 1)),
+    _nan_at(np.zeros((3, 2, 2)), 1),
+    np.array([np.eye(2), [[0.0, 1.0 + 3e-8], [1.0 - 3e-8, 0.0]], [[0.0, 1.0], [0.0, 0.0]]]),
+], ids=["not-square", "dim-0", "dim-above-max", "non-finite", "asymmetric"])
+def test_the_stacked_constructor_raises_the_constructors_errors(stack):
+    _assert_stack_matches_constructor(stack)
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.sampled_from([1e-13, 0.5 * ASYMMETRY_TOL, 0.99 * ASYMMETRY_TOL, 1.01 * ASYMMETRY_TOL]),
+)
+def test_the_stacked_constructor_equals_the_constructor(seed, dim, count, eps):
+    # Hermitian matrices, some made slightly skew: a skew part eps K with K
+    # anti-Hermitian of norm 1, near and across ASYMMETRY_TOL
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(count):
+        m = random_hermitian(dim, rng).astype(complex)
+        if rng.random() < 0.5:
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            k = z - z.conj().T
+            m = m + eps * k / opnorm(1j * k)
+        stack.append(m)
+    _assert_stack_matches_constructor(np.array(stack))
 
 
 def test_operator_json_round_trip():

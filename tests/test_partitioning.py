@@ -18,6 +18,7 @@ from jointmeas import (
     Verdict,
     boundary_joint,
     decide,
+    decide_pair_qubit_numeric,
     enumerate_partitionings,
     forward_partition_joint,
     partition_compatibility_matrix,
@@ -215,6 +216,39 @@ def test_rotated_paradox_matrices_decide_every_cell_with_witnesses():
                 assert validate(report.witness, tol=tol).passed, (seed, xk, yk)
                 resid = witness_residual(report.witness, (rows[xk], cols[yk]))
                 assert resid <= tol, (seed, xk, yk, resid)
+
+
+def _decision(report):
+    """Everything a report decides: verdict, reason, the repr of margin and
+    residual, iterations and the witness's matrix bytes."""
+    w = report.witness
+    cells = None if w is None else [w.effects[z].matrix.tobytes() for z in w.outcomes]
+    return report.verdict, report.reason, repr(report.margin), repr(report.residual), \
+        report.iterations, cells
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_matrix_cell_is_decides_report_on_its_pair(seed):
+    # the batch against the batch of one, on rotated boundary-joint matrices
+    # below 1/sqrt(2) (odd seeds) and above it (even seeds)
+    rng = np.random.default_rng([91, seed])
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    la = rng.uniform(0.66, 0.705) if seed % 2 else rng.uniform(0.71, 0.8)
+    a, b, c = la * q[:, 0], math.sqrt(1.0 - la * la) * q[:, 1], la * q[:, 2]
+    mat = partition_compatibility_matrix(boundary_joint(a, b), boundary_joint(b, c))
+    rows = {p.key: p.observable for p in mat.rows}
+    cols = {p.key: p.observable for p in mat.cols}
+    searched = 0
+    for (xk, yk), cell in mat.cells.items():
+        pair = (rows[xk], cols[yk])
+        assert _decision(cell) == _decision(decide(FeasibilityProblem(pair))), (xk, yk)
+        if cell.verdict is Verdict.FEASIBLE and cell.reason != "commuting":
+            # the witness came from the planar search, run here on its own
+            numeric = decide_pair_qubit_numeric(*pair)
+            assert _decision(numeric)[3:] == _decision(cell)[3:], (xk, yk)
+            searched += 1
+    assert searched > 0
 
 
 # ---------------------------------------------------------------------------
