@@ -100,10 +100,12 @@ def _symmetrized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     skew = 0.5 * (m - adjoint)
     asym = np.zeros(m.shape[:-2])
     if skew.any():
-        asym = np.where(skew.any(axis=(-2, -1)), opnorm(1j * skew), 0.0)
-        worst = np.flatnonzero(asym > ASYMMETRY_TOL)
-        if worst.size:
-            raise ValueError(f"matrix asymmetry {asym.flat[worst[0]]:.3e} exceeds {ASYMMETRY_TOL:.3e}")
+        # np.abs: a numpy value, and 0.0 for a zero skew part in a stack, not
+        # the -0.0 that eigvalsh may give
+        asym = np.abs(opnorm(1j * skew))
+        if asym.max() > ASYMMETRY_TOL:
+            first = asym.flat[(asym > ASYMMETRY_TOL).argmax()]
+            raise ValueError(f"matrix asymmetry {first:.3e} exceeds {ASYMMETRY_TOL:.3e}")
     herm = 0.5 * (m + adjoint)
     herm.flags.writeable = False
     return herm, asym
