@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import VALIDATE_TOL, Observable, ProductObservable
-from .operators import PAULI, HermitianOperator
+from .observables import VALIDATE_TOL, Observable, ProductObservable, _joint
+from .operators import PAULI, HermitianOperator, _hermitian_stack
 
 AXIS_TOL = 1e-10  # tolerance on normalized dot products for (anti)parallel / orthogonal tests
 # a criterion holds when value <= threshold + CRITERION_TOL; an unbiased pair
@@ -38,14 +38,29 @@ EFFECT_TOL = 1e-12  # slack of the effect test on gamma-family cells
 # slack of every criterion's input check in Bloch parameters, where an
 # eigenvalue slack s is 2s: the effects that pass ``validate`` by default
 _INPUT_TOL = 2.0 * VALIDATE_TOL
+_QUBIT_PAIR = (("0", "1"), ("0", "1"))  # the outcomes of a joint of two simple qubit observables
+_EYE = np.eye(2, dtype=complex)
 
 
 def bloch_matrix(alpha: float, a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    m = alpha * np.eye(2, dtype=complex)
-    for k in range(3):
-        m = m + a[k] * PAULI[k]
-    return 0.5 * m
+    """(alpha I + a.sigma) / 2."""
+    return _bloch_matrices([alpha], np.asarray(a, dtype=float)[None])[0]
+
+
+def _bloch_params(m) -> tuple:
+    """(alpha, [a_x, a_y, a_z]) of a qubit matrix given as nested lists:
+    tr M and tr(M sigma_k) read off the entries, the same floating-point
+    values as the traces."""
+    (m00, m01), (_, m11) = m
+    return m00.real + m11.real, [2.0 * m01.real, -2.0 * m01.imag, m00.real - m11.real]
+
+
+def _bloch_matrices(alphas, vecs) -> np.ndarray:
+    """``bloch_matrix`` of each (alpha, a) of a stack (n,) and (n, 3): alpha I
+    plus a_x, a_y and a_z times their Pauli matrices in that order, halved."""
+    m = np.asarray(alphas, dtype=float)[:, None, None] * _EYE
+    terms = vecs[:, :, None, None] * PAULI
+    return 0.5 * (((m + terms[:, 0]) + terms[:, 1]) + terms[:, 2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +83,7 @@ class BlochEffect:
     def from_operator(e: HermitianOperator) -> "BlochEffect":
         if e.dim != 2:
             raise ValueError(f"Bloch form needs a qubit operator, got dim {e.dim}")
-        # tr M and tr(M sigma_k) read off the entries: the same floating-point values
-        m = e.matrix
-        a = np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, m[0, 0].real - m[1, 1].real])
-        return BlochEffect(m[0, 0].real + m[1, 1].real, a)
+        return BlochEffect(*_bloch_params(e.matrix.tolist()))
 
     def complement(self) -> "BlochEffect":
         return BlochEffect(2.0 - self.alpha, -self.a)
@@ -109,30 +121,30 @@ def is_valid_effect_params(alpha: float, a, tol: float = 0.0) -> bool:
 
 
 def _require_effects(*named):
-    """Raise ValueError naming the first (name, alpha, a) outside ``_INPUT_TOL``."""
-    for name, alpha, v in named:
-        if not _is_effect_within(float(alpha), _norm(v)):
+    """Raise ValueError naming the first (name, alpha, ||a||) outside ``_INPUT_TOL``."""
+    for name, alpha, norm in named:
+        if not _is_effect_within(float(alpha), norm):
             raise ValueError(f"({name}) is not a valid effect")
 
 
-def _unit_dot(u, v) -> float:
-    """Normalized dot product; zero vectors count as orthogonal to everything."""
+def _cosine(u, v) -> float | None:
+    """Normalized dot product, or None when either vector is zero."""
     nu, nv = _norm(u), _norm(v)
     if nu == 0.0 or nv == 0.0:
-        return 0.0
+        return None
     return float(np.dot(u, v) / (nu * nv))
 
 
 def are_orthogonal(u, v) -> bool:
-    return abs(_unit_dot(u, v)) <= AXIS_TOL
+    """Zero vectors count as orthogonal to everything."""
+    cos = _cosine(u, v)
+    return cos is None or abs(cos) <= AXIS_TOL
 
 
 def are_parallel(u, v) -> bool:
     """Parallel or antiparallel; zero vectors count as parallel to everything."""
-    nu, nv = _norm(u), _norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return True
-    return abs(abs(_unit_dot(u, v)) - 1.0) <= AXIS_TOL
+    cos = _cosine(u, v)
+    return cos is None or abs(abs(cos) - 1.0) <= AXIS_TOL
 
 
 @dataclass(frozen=True)
@@ -157,7 +169,7 @@ def busch_criterion(a, b) -> CriterionResult:
     """Pair of unbiased qubit effects: jm iff ||a+b|| + ||a-b|| <= 2."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _require_effects(("1, a", 1.0, a), ("1, b", 1.0, b))
+    _require_effects(("1, a", 1.0, _norm(a)), ("1, b", 1.0, _norm(b)))
     value = _norm(a + b) + _norm(a - b)
     return CriterionResult(value, 2.0, value <= 2.0 + CRITERION_TOL)
 
@@ -167,7 +179,7 @@ def molnar_criterion(a, b) -> CriterionResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = _norm(a), _norm(b)
-    _require_effects(("||a||, a", na, a), ("||b||, b", nb, b))
+    _require_effects(("||a||, a", na, na), ("||b||, b", nb, nb))
     if are_parallel(a, b):
         raise ValueError("criterion requires non-parallel (and nonzero) vectors")
     value = _norm(a + b) + na + nb
@@ -181,19 +193,19 @@ def liu_criterion(a, beta: float, b) -> CriterionResult:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _require_effects(("1, a", 1.0, a), ("beta, b", beta, b))
+    na, nb2 = _norm(a), float(np.dot(b, b))
+    _require_effects(("1, a", 1.0, na), ("beta, b", beta, math.sqrt(nb2)))
     if not are_orthogonal(a, b):
         raise ValueError("criterion requires a orthogonal to b")
-    nb2 = float(np.dot(b, b))
-    lhs = 2.0 * _norm(a)
-    rhs = float(np.sqrt(max(beta**2 - nb2, 0.0)) + np.sqrt(max((2.0 - beta) ** 2 - nb2, 0.0)))
+    lhs = 2.0 * na
+    rhs = math.sqrt(max(beta**2 - nb2, 0.0)) + math.sqrt(max((2.0 - beta) ** 2 - nb2, 0.0))
     return CriterionResult(lhs, rhs, lhs <= rhs + CRITERION_TOL)
 
 
 def three_orthogonal_criterion(a, b, c) -> CriterionResult:
     """Unbiased triple along pairwise orthogonal axes: jm iff sum of ||.||^2 <= 1."""
     vecs = [np.asarray(v, dtype=float) for v in (a, b, c)]
-    _require_effects(*((f"1, {name}", 1.0, v) for name, v in zip("abc", vecs)))
+    _require_effects(*((f"1, {name}", 1.0, _norm(v)) for name, v in zip("abc", vecs)))
     for (n1, v1), (n2, v2) in (
         (("a", vecs[0]), ("b", vecs[1])),
         (("a", vecs[0]), ("c", vecs[2])),
@@ -232,10 +244,11 @@ def qubit_pair_criterion(alpha: float, a, beta: float, b) -> CriterionResult:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _require_effects(("alpha, a", alpha, a), ("beta, b", beta, b))
+    na, nb = _norm(a), _norm(b)
+    _require_effects(("alpha, a", alpha, na), ("beta, b", beta, nb))
     x, y = float(alpha) - 1.0, float(beta) - 1.0
-    fa = _f_term(float(alpha), _norm(a))
-    fb = _f_term(float(beta), _norm(b))
+    fa = _f_term(float(alpha), na)
+    fb = _f_term(float(beta), nb)
     ratio_a = (x / fa) ** 2 if fa > 0.0 else 0.0
     ratio_b = (y / fb) ** 2 if fb > 0.0 else 0.0
     lhs = (1.0 - fa * fa - fb * fb) * (1.0 - ratio_a - ratio_b)
@@ -258,17 +271,12 @@ def boundary_joint(a, b) -> ProductObservable:
         raise ValueError(
             f"pair is not on the compatibility boundary: ||a+b|| + ||a-b|| = {value!r}"
         )
-    effects = {}
-    for i in ("0", "1"):
-        for j in ("0", "1"):
-            si = 1.0 if i == "1" else -1.0
-            sj = 1.0 if j == "1" else -1.0
-            n = 0.5 * (si * a + sj * b)
-            w = _norm(n)
-            if w == 0.0:
-                raise ValueError("a = +-b makes a corner effect vanish; no unique direction")
-            effects[(i, j)] = HermitianOperator(bloch_matrix(w, n))
-    return ProductObservable((("0", "1"), ("0", "1")), effects)
+    signs = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])  # (0,0) ... (1,1)
+    corners = 0.5 * (signs[:, :1] * a + signs[:, 1:] * b)
+    lengths = [_norm(n) for n in corners]
+    if 0.0 in lengths:
+        raise ValueError("a = +-b makes a corner effect vanish; no unique direction")
+    return _joint(_QUBIT_PAIR, *_hermitian_stack(_bloch_matrices(lengths, corners)))
 
 
 @dataclass(frozen=True)
@@ -327,7 +335,6 @@ def gamma_family_member(a, beta: float, b_hat, gamma: float) -> ProductObservabl
     if bad:
         names = ", ".join(f"({i},{j})" for i, j in sorted(bad))
         raise ValueError(f"gamma = {gamma!r} gives invalid effects at cells {names}")
-    effects = {
-        (i, j): HermitianOperator(bloch_matrix(al, v)) for (i, j), (al, v) in cells.items()
-    }
-    return ProductObservable((("0", "1"), ("0", "1")), effects)
+    order = sorted(cells)  # product-outcome order; ``effects`` lists them as above
+    stack = _bloch_matrices([cells[z][0] for z in order], np.array([cells[z][1] for z in order]))
+    return _joint(_QUBIT_PAIR, *_hermitian_stack(stack), order=list(cells))

@@ -39,7 +39,8 @@ numerical check of the qubit criteria.
 The barrier route leaves UNDETERMINED when the robustness eta* lies within
 about min(``tol``, ``WITNESS_TOL``) of 1, where neither a witness nor a
 certificate can be told from rounding, and when the barrier ends early, on a
-singular Newton system or still at eta = 0, without a witness that passes.
+singular or indefinite Newton system or still at eta = 0, without a witness
+that passes.
 """
 from __future__ import annotations
 
@@ -52,13 +53,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (
-    BlochEffect,
     CriterionResult,
+    _bloch_matrices,
+    _bloch_params,
     _is_effect_within,
     _norm,
     are_orthogonal,
     are_parallel,
-    bloch_matrix,
     busch_criterion,
     liu_criterion,
     molnar_criterion,
@@ -69,7 +70,7 @@ from .observables import (
     STRUCTURE_TOL,
     ProductObservable,
     _cell_joint_cells,
-    _cell_stack,
+    _factors,
     _joint,
     _marginal_gaps,
     _product_cells,
@@ -177,16 +178,18 @@ class FeasibilityReport:
 def witness_residual(g: ProductObservable, parents) -> float:
     """Max marginal deviation (spectral norm) plus worst negative-eigenvalue
     magnitude over the cells."""
-    return float(_residuals(_cell_stack(g), g.parents, [parents])[0])
+    return float(_residuals(g.stack[None], g.parents, [parents])[0])
 
 
 def _residuals(cells, factors, parent_sets) -> np.ndarray:
     """``witness_residual`` of each joint of a stack (J, n, d, d) on the
-    outcomes ``product(*factors)`` against its parents in ``parent_sets``:
-    one ``opnorm`` for every marginal gap and one ``eigvalsh`` for every cell."""
+    outcomes ``product(*factors)`` against its parents in ``parent_sets``,
+    from one ``eigvalsh`` over every cell and every marginal gap."""
     axes = [(i, [ps[i] for ps in parent_sets]) for i in range(len(parent_sets[0]))]
-    low = np.linalg.eigvalsh(cells)[..., 0].min(axis=1)
-    return _marginal_gaps(cells, factors, axes).max(axis=1) + np.maximum(0.0, -low)
+    n = cells.shape[1]
+    lam = np.linalg.eigvalsh(np.concatenate([cells, _marginal_gaps(cells, factors, axes)], axis=1))
+    gaps = np.maximum(-lam[:, n:, 0], lam[:, n:, -1])  # ``opnorm``
+    return np.maximum.reduce(gaps, axis=1) + np.maximum(0.0, -np.minimum.reduce(lam[:, :n, 0], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +212,16 @@ def _bloch_commute(fa, fb) -> bool:
 def _bloch_forms(obs) -> tuple | None:
     """(label, alpha, a, ||a||) per outcome of a two-outcome qubit observable,
     in ``designation_order``, so that the first is its designated effect;
-    None for any other observable."""
+    None for any other observable.  Read from the stack in one pass, as
+    ``BlochEffect.from_operator`` reads an operator."""
     if obs.dim != 2 or len(obs.outcomes) != 2:
         return None
-    forms = []
+    forms, rows = [], obs.stack.tolist()
     for x in designation_order(obs):
-        be = BlochEffect.from_operator(obs.effects[x])
-        forms.append((x, be.alpha, be.a, _norm(be.a)))
+        alpha, a = _bloch_params(rows[obs.outcomes.index(x)])
+        vec = np.array(a)
+        vec.flags.writeable = False
+        forms.append((x, alpha, vec, _norm(vec)))
     return tuple(forms)
 
 
@@ -271,13 +277,10 @@ def _signed_sum_cells(parents, designations) -> np.ndarray:
     G(s) = (1 + (sum_i s_i v_i).sigma) / 8, with s_i = +1 on the designated
     outcome and -1 on the other.  For an orthogonal triple every signed sum
     has length sqrt(sum |v_i|^2), so eq6 makes every cell positive."""
-    cells = []
-    for combo in itertools.product(*(p.outcomes for p in parents)):
-        vec = sum(
-            (1.0 if x == d else -1.0) * v for x, (d, v) in zip(combo, designations)
-        )
-        cells.append(bloch_matrix(0.25, 0.25 * vec))
-    return np.array(cells)
+    combos = itertools.product(*(p.outcomes for p in parents))
+    signs = np.array([[1.0 if x == d else -1.0 for x, (d, _) in zip(z, designations)] for z in combos])
+    vecs = sum(signs[:, i, None] * v for i, (_, v) in enumerate(designations))
+    return _bloch_matrices(np.full(len(signs), 0.25), 0.25 * vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +288,8 @@ def _signed_sum_cells(parents, designations) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _GRID = np.linspace(0.0, 1.0, 17)
-_ROWS = np.arange(len(_GRID))
+_ZEROS, _ONES = np.zeros_like(_GRID), np.ones_like(_GRID)
+_ELLIPSES = np.array([[0, 1], [0, 2], [1, 3], [2, 3]])  # focal pairs among 0, a, b, a + b
 _ROUNDS = 14  # a round narrows a bracket eightfold: 8**-14 < 1e-12
 _SETTLED = 1e-12  # the search's own resolution: a point this good ends it
 
@@ -299,8 +303,9 @@ def _narrow(lo, width, best):
     return new_lo, np.minimum(lo + (best + 1) * step, 1.0) - new_lo
 
 
-def _planar_search(alpha: float, avec, beta: float, bvec):
-    """Minimize the largest ellipse excess over g = s a + t b, s, t in [0, 1].
+def _planar_search(alpha: float, avec, beta: float, bvec, length: float):
+    """Minimize the largest ellipse excess over g = s a + t b, s, t in [0, 1],
+    with ``length`` = ||a||.
 
     Returns (value, s, t, evaluations).  For each s of a grid the minimum
     over t is bracketed by ``_narrow``; the row minima of the last round
@@ -308,8 +313,8 @@ def _planar_search(alpha: float, avec, beta: float, bvec):
     first grid evaluation holding a point with excess <= ``_SETTLED``.
     """
     # the plane of a and b as the complex plane, a on the real axis
-    ref = avec if _norm(avec) > 0.0 else bvec
-    length = _norm(ref)
+    ref = avec if length > 0.0 else bvec
+    length = length if length > 0.0 else _norm(bvec)
     axis = ref / length if length > 0.0 else np.array([1.0, 0.0, 0.0])
 
     def planar(v) -> complex:
@@ -317,35 +322,33 @@ def _planar_search(alpha: float, avec, beta: float, bvec):
         return complex(along, _norm(v - along * axis))
 
     pa, pb = planar(avec), planar(bvec)
-    pab = pa + pb
+    foci = np.array([0.0, pa, pb, pa + pb])[:, None, None]
+    bounds = np.array([alpha, beta, 2.0 - beta, 2.0 - alpha])[:, None, None]
 
-    def excess(p):
-        d0, da, db, dab = np.abs(p), np.abs(p - pa), np.abs(p - pb), np.abs(p - pab)
-        return np.maximum(
-            np.maximum(d0 + da - alpha, d0 + db - beta),
-            np.maximum(da + dab - (2.0 - beta), db + dab - (2.0 - alpha)),
-        )
+    def excess(p):  # each ellipse's focal distances |p - f1| + |p - f2| minus its bound
+        return np.maximum.reduce(np.add.reduce(np.abs(p - foci)[_ELLIPSES], axis=1) - bounds)
 
     best = (np.inf, 0.0, 0.0)
     evaluations = 0
     t_offsets = pb * _GRID
-    s_lo, s_width = 0.0, 1.0
+    s_lo, s_width, s = 0.0, 1.0, _GRID  # 0 + 1 * _GRID
     for _ in range(_ROUNDS):
-        s = s_lo + s_width * _GRID
-        t_lo, t_width = np.zeros_like(s), np.ones_like(s)
-        for _ in range(_ROUNDS):
-            values = excess((s * pa + t_lo * pb)[:, None] + t_width[:, None] * t_offsets)
+        t_lo, t_width, rows = _ZEROS, _ONES, s * pa
+        for k in range(_ROUNDS):
+            # with t_lo = 0 and t_width = 1 the full form below differs only
+            # in signed zeros, which no focal distance sees
+            p = (rows + t_lo * pb)[:, None] + t_width[:, None] * t_offsets if k else rows[:, None] + t_offsets
+            values = excess(p)
             evaluations += 1
-            cols = values.argmin(axis=1)
-            row_min = values[_ROWS, cols]
-            i = int(row_min.argmin())
-            if row_min[i] < best[0]:
-                t = t_lo[i] + t_width[i] * _GRID[cols[i]]
-                best = (float(row_min[i]), float(s[i]), float(t))
+            i, col = divmod(int(values.argmin()), len(_GRID))  # the first least point, row by row
+            value = float(values[i, col])
+            if value < best[0]:
+                best = (value, float(s[i]), float(t_lo[i] + t_width[i] * _GRID[col]))
                 if best[0] <= _SETTLED:
                     return (*best, evaluations)
-            t_lo, t_width = _narrow(t_lo, t_width, cols)
+            t_lo, t_width = _narrow(t_lo, t_width, values.argmin(axis=1))
         s_lo, s_width = _narrow(s_lo, s_width, i)
+        s = s_lo + s_width * _GRID
     return (*best, evaluations)
 
 
@@ -392,8 +395,7 @@ def _marginal_constraints(parents):
     the stacked targets A, so that a joint family G satisfies M G = A."""
     labels = list(itertools.product(*(p.outcomes for p in parents)))
     rows = [[z[i] == x for z in labels] for i, p in enumerate(parents) for x in p.outcomes]
-    targets = [p.effects[x].matrix for p in parents for x in p.outcomes]
-    return labels, np.array(rows, dtype=float), np.array(targets)
+    return labels, np.array(rows, dtype=float), np.concatenate([p.stack for p in parents])
 
 
 _ZERO_SHARE = 1e-12  # an effect with tr A / d at most this counts as zero
@@ -423,7 +425,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
       margin -<Y, A>, residual 0 and ``gap`` 1 - margin - eta, so that eta*
       lies in [1 - margin - gap, 1 - margin];
     - the barrier's gap bound k d / t <= min(``tol``, ``WITNESS_TOL``) (eta*
-      within about that of 1), or a singular Newton system: FEASIBLE if
+      within about that of 1), or a singular or indefinite Newton system: FEASIBLE if
       (1, H / eta) passes the residual test, else UNDETERMINED, as also when
       eta is still 0.
 
@@ -468,7 +470,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         resid += max(0.0, -float(np.linalg.eigvalsh(full)[:, 0].min()))
         if resid > accept:
             return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
-        g = _joint(parents, _hermitian_stack(full)[1])
+        g = _joint(_factors(parents), *_hermitian_stack(full))
         return FeasibilityReport(Verdict.FEASIBLE, g, None, None, resid, iterations)
 
     start = settle(g0 + drift, 1)  # the affine projection of G0: eta = 1, H = 0
@@ -553,18 +555,19 @@ def _route(parents, forms):
 
 
 def _pair_witness_cells(job, accept: float):
-    """The planar search of a pair ``_Job``: (witness cells in
+    """The planar search of a pair ``_Job``: (witness cells (4, 2, 2) in
     product-outcome order, or None when its least excess exceeds ``accept``;
     that excess; grid evaluations)."""
-    (da, alpha, avec, _), (db, beta, bvec, _) = job.forms[0][0], job.forms[1][0]
-    value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec)
+    (da, alpha, avec, length), (db, beta, bvec, _) = job.forms[0][0], job.forms[1][0]
+    value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec, length)
     if value > accept:
         return None, value, evaluations
     g = s * avec + t * bvec
     lo = max(_norm(g), _norm(g - (avec + bvec)) + alpha + beta - 2.0)
     hi = min(alpha - _norm(avec - g), beta - _norm(bvec - g))
-    cell = bloch_matrix(0.5 * (lo + hi), g)
-    return _cell_joint_cells(*job.parents, cell, da, db), value, evaluations
+    (a, b), cell = job.parents, _bloch_matrices([0.5 * (lo + hi)], g[None])
+    i, j = a.outcomes.index(da), b.outcomes.index(db)
+    return _cell_joint_cells(a.stack[i:i + 1], b.stack[j:j + 1], cell, i, j)[0], value, evaluations
 
 
 def _witness(jobs, tol: float) -> list:
@@ -582,19 +585,18 @@ def _witness(jobs, tol: float) -> list:
             if cells is None:
                 reports[k] = FeasibilityReport(Verdict.UNDETERMINED, None, None, None, excess, iterations)
                 continue
-        factors = tuple(tuple(p.outcomes) for p in job.parents)
-        groups.setdefault((factors, cells.shape), []).append((k, cells, iterations))
+        groups.setdefault((_factors(job.parents), cells.shape), []).append((k, cells, iterations))
 
     for (factors, (n, d, _)), members in groups.items():
-        herm, ops = _hermitian_stack(np.concatenate([c for _, c, _ in members]))
+        herm, asym = _hermitian_stack(np.concatenate([c for _, c, _ in members]))
         parent_sets = [jobs[k].parents for k, _, _ in members]
         resids = _residuals(herm.reshape(len(members), n, d, d), factors, parent_sets)
         for j, ((k, _, iterations), resid) in enumerate(zip(members, resids.tolist())):
             if resid > accept:
                 reports[k] = FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
                 continue
-            parents, reason, margin = jobs[k][:3]
-            witness = _joint(parents, ops[j * n:(j + 1) * n])
+            reason, margin = jobs[k][1:3]
+            witness = _joint(factors, herm[j * n:(j + 1) * n], asym[j * n:(j + 1) * n])
             reports[k] = FeasibilityReport(Verdict.FEASIBLE, witness, reason, margin, resid, iterations)
     return reports
 

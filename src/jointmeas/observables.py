@@ -8,7 +8,9 @@ product outcome space, a tuple of parent labels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,15 +58,61 @@ def designation_order(obs) -> list:
     return list(reversed(outs))
 
 
+class _Effects(Mapping):
+    """An observable's effects: a read-only mapping from its outcome labels,
+    in the order they were given, to ``HermitianOperator`` views of the rows
+    of its stack."""
+
+    __slots__ = ("_rows", "_stack", "_asym")
+
+    def __init__(self, rows: dict, stack: np.ndarray, asym: list):
+        self._rows, self._stack, self._asym = rows, stack, asym
+
+    def __getitem__(self, label) -> HermitianOperator:
+        k = self._rows[label]
+        op = object.__new__(HermitianOperator)  # the stack is checked: no second check
+        object.__setattr__(op, "matrix", self._stack[k])
+        object.__setattr__(op, "asymmetry", self._asym[k])
+        return op
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def _hold(obs, labels, given):
+    """Give ``obs`` its stack of the operators ``given`` (label -> operator)
+    in ``labels`` order, stacked once, and its ``effects`` view of it."""
+    ops = [given[x] for x in labels]
+    dims = {op.dim for op in ops}
+    if len(dims) != 1:
+        raise ValueError(f"effects have mixed dimensions {sorted(dims)}")
+    stack = np.array([op.matrix for op in ops])
+    stack.flags.writeable = False
+    row = {x: k for k, x in enumerate(labels)}
+    object.__setattr__(obs, "stack", stack)
+    object.__setattr__(obs, "effects", _Effects({x: row[x] for x in given}, stack, [op.asymmetry for op in ops]))
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """An outcome-labeled effect family.  Construction checks structure only
     (matching labels, equal dimensions); the numerical POVM conditions are
     reported by :func:`validate` so that broken inputs can still be examined.
+
+    The effects are held as one read-only ``stack`` (n, d, d) in outcome
+    order, stacked once at construction; ``effects`` is a read-only mapping
+    of views of it, so changing the dict passed in changes nothing.
     """
 
     outcomes: tuple
-    effects: dict
+    effects: Mapping
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
@@ -75,13 +123,11 @@ class Observable:
             raise ValueError("outcome labels must be unique")
         if set(self.effects) != set(outcomes):
             raise ValueError("effect labels do not match outcome labels")
-        dims = {self.effects[x].dim for x in outcomes}
-        if len(dims) != 1:
-            raise ValueError(f"effects have mixed dimensions {sorted(dims)}")
+        _hold(self, outcomes, self.effects)
 
     @property
     def dim(self) -> int:
-        return self.effects[self.outcomes[0]].dim
+        return self.stack.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,23 +136,23 @@ class ProductObservable:
 
     ``parents`` holds the outcome labels of each factor; outcome labels of the
     product are tuples, one entry per factor, and every combination must be
-    present in ``effects``.
+    present in ``effects``.  The effects are held as in ``Observable``, the
+    stack in product-outcome order.
     """
 
     parents: tuple
-    effects: dict
+    effects: Mapping
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         parents = tuple(tuple(p) for p in self.parents)
         object.__setattr__(self, "parents", parents)
         if len(parents) < 2:
             raise ValueError("product observable needs at least two factors")
-        expected = set(itertools.product(*parents))
-        if set(self.effects) != expected:
+        labels = list(itertools.product(*parents))
+        if set(self.effects) != set(labels):
             raise ValueError("effects do not cover the product outcome set exactly")
-        dims = {e.dim for e in self.effects.values()}
-        if len(dims) != 1:
-            raise ValueError(f"effects have mixed dimensions {sorted(dims)}")
+        _hold(self, labels, self.effects)
 
     @property
     def outcomes(self) -> tuple:
@@ -114,7 +160,23 @@ class ProductObservable:
 
     @property
     def dim(self) -> int:
-        return next(iter(self.effects.values())).dim
+        return self.stack.shape[-1]
+
+
+def _factors(parents) -> tuple:
+    return tuple(tuple(p.outcomes) for p in parents)
+
+
+def _joint(factors, stack, asym, order=None) -> ProductObservable:
+    """The joint on the outcomes ``product(*factors)`` with a checked
+    read-only stack of cells (a ``_hermitian_stack``) in that order and their
+    asymmetries; ``effects`` lists the cells in that order, or in ``order``."""
+    rows = dict(zip(itertools.product(*factors), range(len(stack))))
+    g = object.__new__(ProductObservable)
+    object.__setattr__(g, "parents", factors)
+    object.__setattr__(g, "stack", stack)
+    object.__setattr__(g, "effects", _Effects(rows if order is None else {z: rows[z] for z in order}, stack, asym))
+    return g
 
 
 @dataclass(frozen=True)
@@ -144,13 +206,10 @@ class ValidationReport:
 
 def validate(obs, tol: float = VALIDATE_TOL) -> ValidationReport:
     """Check the POVM conditions: each effect in [0, 1], effects summing to identity."""
-    lows, highs = {}, {}
-    total = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for x in obs.outcomes:
-        evals = eigvalsh_checked(obs.effects[x])
-        lows[x] = float(evals[0])
-        highs[x] = float(evals[-1])
-        total = total + obs.effects[x].matrix
+    evals = eigvalsh_checked(obs.stack)
+    lows = dict(zip(obs.outcomes, evals[:, 0].tolist()))
+    highs = dict(zip(obs.outcomes, evals[:, -1].tolist()))
+    total = sum(obs.stack, np.zeros((obs.dim, obs.dim), dtype=complex))  # in outcome order
     resid = opnorm(total - np.eye(obs.dim))
     return ValidationReport(lows, highs, resid, tol)
 
@@ -160,7 +219,7 @@ def structure_flags(obs) -> tuple[bool, bool]:
     Hermitian E, ||E^2 - E|| = max |lambda^2 - lambda| (sharp) and
     ||E - (tr E / d) I|| = max |lambda - mean lambda| (trivial), each at most
     ``STRUCTURE_TOL`` for every effect."""
-    lam = np.linalg.eigvalsh(np.array([obs.effects[x].matrix for x in obs.outcomes]))
+    lam = np.linalg.eigvalsh(obs.stack)
     sharp = np.abs(lam * lam - lam).max() <= STRUCTURE_TOL
     trivial = np.abs(lam - lam.mean(axis=1, keepdims=True)).max() <= STRUCTURE_TOL
     return bool(sharp), bool(trivial)
@@ -181,9 +240,7 @@ def commute(a, b) -> bool:
     ``STRUCTURE_TOL``: one batched ``opnorm`` over all outcome pairs."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ea = np.array([a.effects[x].matrix for x in a.outcomes])
-    eb = np.array([b.effects[y].matrix for y in b.outcomes])
-    ab = ea[:, None] @ eb[None]
+    ab = a.stack[:, None] @ b.stack[None]
     # [A, B] = AB - (AB)* is anti-Hermitian; i [A, B] has the same norm
     return bool(opnorm(1j * (ab - ab.conj().swapaxes(-1, -2))).max() <= STRUCTURE_TOL)
 
@@ -191,9 +248,7 @@ def commute(a, b) -> bool:
 def effect_sum(obs, labels) -> HermitianOperator:
     """The effects of the outcomes in ``labels``, summed in outcome order."""
     start = np.zeros((obs.dim, obs.dim), dtype=complex)
-    return HermitianOperator(
-        sum((obs.effects[x].matrix for x in obs.outcomes if x in labels), start)
-    )
+    return HermitianOperator(sum((m for x, m in zip(obs.outcomes, obs.stack) if x in labels), start))
 
 
 def marginal(g: ProductObservable, axis: int):
@@ -205,40 +260,39 @@ def marginal(g: ProductObservable, axis: int):
 
 
 def _marginal_gaps(cells, factors, axes) -> np.ndarray:
-    """Spectral norms of the marginals minus the parent effects for a stack
-    (J, n, d, d) of joints on the outcomes ``product(*factors)``: one row per
-    joint, one column per (axis, parent, outcome) in ``axes``, whose
-    ``parents`` hold each joint's parent on that axis.  Every marginal is
-    summed in one batch and the norms are taken in one."""
-    labels = list(itertools.product(*factors))
+    """The marginals minus the parent effects for a stack (J, n, d, d) of
+    joints on the outcomes ``product(*factors)``: (J, c, d, d), one column
+    per (axis, parent, outcome) in ``axes``, whose ``parents`` hold each
+    joint's parent on that axis, all listing their outcomes alike.  The
+    cells are read as a grid (J, n_1, ..., n_k, d, d), and each marginal
+    sums the other axes in product order, one cell after the other."""
+    j, d, sizes = len(cells), cells.shape[-1], [len(f) for f in factors]
     gaps = []
     for axis, parents in axes:
         if not 0 <= axis < len(factors):
             raise ValueError(f"axis {axis} out of range for {len(factors)} factors")
-        if set(parents[0].outcomes) != set(factors[axis]):
+        outcomes = parents[0].outcomes
+        if set(outcomes) != set(factors[axis]):
             raise ValueError(f"axis {axis} labels do not match the parent observable")
-        for x in parents[0].outcomes:
-            keep = [z[axis] == x for z in labels]
-            gaps.append(cells[:, keep].sum(axis=1) - np.array([p.effects[x].matrix for p in parents]))
-    return opnorm(np.stack(gaps, axis=1))
-
-
-def _cell_stack(g: ProductObservable) -> np.ndarray:
-    """G's cells as a stack (1, n, d, d) of one joint, in product-outcome order."""
-    return np.array([[g.effects[z].matrix for z in g.outcomes]])
+        grid = cells.reshape(j, math.prod(sizes[:axis]), sizes[axis], -1, d, d).transpose(0, 2, 1, 3, 4, 5)
+        sums = grid.reshape(j, sizes[axis], -1, d, d).sum(axis=2)
+        if outcomes != factors[axis]:
+            sums = sums[:, [factors[axis].index(x) for x in outcomes]]
+        gaps.append(sums - (parents[0].stack if j == 1 else np.array([p.stack for p in parents])))
+    return np.concatenate(gaps, axis=1)
 
 
 def marginal_deviation(g: ProductObservable, axis: int, parent) -> float:
     """Largest spectral-norm distance between an effect of the ``axis``
     marginal of g and the same outcome's effect of ``parent``."""
-    return float(_marginal_gaps(_cell_stack(g), g.parents, [(axis, [parent])]).max())
+    return float(opnorm(_marginal_gaps(g.stack[None], g.parents, [(axis, [parent])])).max())
 
 
 def max_marginal_deviation(g: ProductObservable, parents) -> float:
     """``marginal_deviation`` maximized over the axes, with ``parents[i]``
     the observable that axis i should reproduce."""
     axes = [(i, [p]) for i, p in enumerate(parents)]
-    return float(_marginal_gaps(_cell_stack(g), g.parents, axes).max())
+    return float(opnorm(_marginal_gaps(g.stack[None], g.parents, axes)).max())
 
 
 def joint_from_cell(a, b, cell, x, y) -> ProductObservable:
@@ -253,24 +307,21 @@ def joint_from_cell(a, b, cell, x, y) -> ProductObservable:
         raise ValueError(
             f"cell ({label_key(x)}, {label_key(y)}) is not an outcome pair of the parents"
         )
-    return _joint((a, b), _hermitian_stack(_cell_joint_cells(a, b, cell, x, y))[1])
+    i, j = a.outcomes.index(x), b.outcomes.index(y)
+    cells = _cell_joint_cells(a.stack[i], b.stack[j], np.asarray(cell, dtype=complex)[None], i, j)
+    return _joint(_factors((a, b)), *_hermitian_stack(cells[0]))
 
 
-def _cell_joint_cells(a, b, cell, x, y) -> np.ndarray:
-    """The cells of ``joint_from_cell``, in product-outcome order."""
-    d = np.asarray(cell, dtype=complex)
-    ax, by = a.effects[x].matrix, b.effects[y].matrix
-    xc = next(o for o in a.outcomes if o != x)
-    yc = next(o for o in b.outcomes if o != y)
-    fixed = {(x, y): d, (x, yc): ax - d, (xc, y): by - d, (xc, yc): np.eye(a.dim) - ax - by + d}
-    return np.array([fixed[z] for z in itertools.product(a.outcomes, b.outcomes)])
-
-
-def _joint(parents, cells) -> ProductObservable:
-    """The joint of ``parents`` with the given cell operators, in
-    product-outcome order."""
-    combos = itertools.product(*(p.outcomes for p in parents))
-    return ProductObservable(tuple(tuple(p.outcomes) for p in parents), dict(zip(combos, cells)))
+def _cell_joint_cells(ax, by, cells, i, j) -> np.ndarray:
+    """The cells of ``joint_from_cell`` for a stack (J, d, d) of its (x, y)
+    cells, with A(x), B(y) given as matrices or stacks and x, y at positions
+    i, j of the outcomes: (J, 4, d, d), in product-outcome order."""
+    grid = np.empty((len(cells), 2, 2) + cells.shape[1:], dtype=complex)
+    grid[:, i, j] = cells
+    grid[:, i, 1 - j] = ax - cells
+    grid[:, 1 - i, j] = by - cells
+    grid[:, 1 - i, 1 - j] = np.eye(cells.shape[-1]) - ax - by + cells
+    return grid.reshape(len(cells), 4, *cells.shape[1:])
 
 
 def _product_cells(parents) -> np.ndarray:
@@ -278,12 +329,12 @@ def _product_cells(parents) -> np.ndarray:
     every cell, in product-outcome order; the caller has found every pair
     of parents commuting."""
     dim = parents[0].dim
-    combos = list(itertools.product(*(p.outcomes for p in parents)))
+    combos = list(itertools.product(*(range(len(p.outcomes)) for p in parents)))
     prods = np.empty((len(combos), dim, dim), dtype=complex)
     for k, combo in enumerate(combos):
         prods[k] = np.eye(dim)
-        for p, x in zip(parents, combo):
-            prods[k] = prods[k] @ p.effects[x].matrix
+        for p, i in zip(parents, combo):
+            prods[k] = prods[k] @ p.stack[i]
     return 0.5 * (prods + prods.conj().swapaxes(-1, -2))
 
 
@@ -294,7 +345,7 @@ def product_joint_many(parents) -> ProductObservable:
     for (i, a), (j, b) in itertools.combinations(enumerate(parents), 2):
         if not commute(a, b):
             raise ValueError(f"parents {i} and {j} do not commute within {STRUCTURE_TOL:.1e}")
-    return _joint(parents, _hermitian_stack(_product_cells(parents))[1])
+    return _joint(_factors(parents), *_hermitian_stack(_product_cells(parents)))
 
 
 def max_cell_deviation(g: ProductObservable, f: ProductObservable) -> float:
@@ -307,8 +358,8 @@ def max_cell_deviation(g: ProductObservable, f: ProductObservable) -> float:
             raise ValueError("parent outcome sets differ")
     if g.dim != f.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {f.dim}")
-    gaps = np.array([g.effects[z].matrix - f.effects[z].matrix for z in g.outcomes])
-    return float(opnorm(gaps).max())
+    cells = f.stack if f.parents == g.parents else f.stack[[f.effects._rows[z] for z in g.outcomes]]
+    return float(opnorm(g.stack - cells).max())
 
 
 def _label_to_json(label):

@@ -22,10 +22,8 @@ import numpy as np
 MAX_DIM = 64
 ASYMMETRY_TOL = 1e-8  # largest skew part (spectral norm) that symmetrization may discard
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI
 
 
 class EigensolverError(RuntimeError):
@@ -60,9 +58,9 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2:
             raise ValueError(f"operator must be square, got shape {m.shape}")
-        herm, asym = _symmetrized(m)
+        herm, asym = _hermitian_stack(m)
         object.__setattr__(self, "matrix", herm)
-        object.__setattr__(self, "asymmetry", float(asym))
+        object.__setattr__(self, "asymmetry", asym)
 
     @property
     def dim(self) -> int:
@@ -86,9 +84,12 @@ class HermitianOperator:
     __mul__ = __rmul__
 
 
-def _symmetrized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The constructor's checks and symmetrization on a complex matrix or a
-    stack of them: read-only (M + M*)/2 and each matrix's asymmetry."""
+def _hermitian_stack(m) -> tuple:
+    """The constructor's checks and symmetrization, run once on a matrix or
+    on a stack (n, d, d): the read-only (M + M*)/2 and the asymmetry of each
+    matrix as a float (a list of them for a stack).  Row k of a stack, with
+    its asymmetry, is what the constructor makes of m[k]."""
+    m = np.asarray(m, dtype=complex)
     d = m.shape[-1]
     if m.shape[-2] != d:
         raise ValueError(f"operator must be square, got shape {m.shape[-2:]}")
@@ -97,40 +98,30 @@ def _symmetrized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(m).all():  # both parts of a complex entry
         raise ValueError("operator entries must be finite")
     adjoint = m.conj().swapaxes(-1, -2)
-    skew = 0.5 * (m - adjoint)
+    twice_skew = m - adjoint
     asym = np.zeros(m.shape[:-2])
-    if skew.any():
+    if twice_skew.any():
         # np.abs: a numpy value, and 0.0 for a zero skew part in a stack, not
         # the -0.0 that eigvalsh may give
-        asym = np.abs(opnorm(1j * skew))
+        asym = np.abs(opnorm(1j * (0.5 * twice_skew)))
         if asym.max() > ASYMMETRY_TOL:
             first = asym.flat[(asym > ASYMMETRY_TOL).argmax()]
             raise ValueError(f"matrix asymmetry {first:.3e} exceeds {ASYMMETRY_TOL:.3e}")
     herm = 0.5 * (m + adjoint)
     herm.flags.writeable = False
-    return herm, asym
+    return herm, asym.tolist()
 
 
-def _hermitian_stack(m) -> tuple[np.ndarray, list]:
-    """The stacked constructor: the checked, symmetrized stack (n, d, d) and
-    one ``HermitianOperator`` per matrix, a view of it equal to the
-    constructor's, from one run of the constructor's checks."""
-    herm, asym = _symmetrized(np.asarray(m, dtype=complex))
-    ops = [object.__new__(HermitianOperator) for _ in herm]
-    for op, h, a in zip(ops, herm, asym.tolist()):
-        object.__setattr__(op, "matrix", h)
-        object.__setattr__(op, "asymmetry", a)
-    return herm, ops
-
-
-def eigvalsh_checked(h: HermitianOperator) -> np.ndarray:
-    """Ascending eigenvalues, wrapping solver failures in EigensolverError."""
+def eigvalsh_checked(h) -> np.ndarray:
+    """Ascending eigenvalues of an operator, or of each matrix of a checked
+    stack (..., d, d), wrapping solver failures in EigensolverError."""
+    m = h.matrix if isinstance(h, HermitianOperator) else h
     try:
-        return np.linalg.eigvalsh(h.matrix)
+        return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise EigensolverError(
-            f"eigensolver failed on dim-{h.dim} operator (largest entry "
-            f"{np.abs(h.matrix).max():.3e}, asymmetry {h.asymmetry:.3e}): {exc}"
+            f"eigensolver failed on dim-{m.shape[-1]} operator (largest entry "
+            f"{np.abs(m).max():.3e}): {exc}"
         ) from exc
 
 
@@ -182,7 +173,9 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
     barrier falls by s lambda^2 / 4, at most log2(1 + lambda) times: it never
     goes below the damped 1 / (1 + lambda), which self-concordance makes
     feasible and descending.  A round ends when the decrement falls to 1e-12
-    or after ``_ROUND_STEPS``, and a singular Newton system ends the solve.
+    or after ``_ROUND_STEPS``.  A singular Newton system ends the solve, as
+    does a decrement <= 0 with a nonzero gradient, which a positive-definite
+    Hessian cannot give (Boyd & Vandenberghe 2004, 9.5.1).
 
     The Newton system is built in real coordinates from the fixed Jacobian
     J_z (d^2 x n) of x -> coords(F(x)_z): its x_e column is coords(D_ez),
@@ -240,6 +233,8 @@ def barrier_maximize(c, f0, free, weights, x, t: float, gap_tol: float, stop=lam
             except np.linalg.LinAlgError:  # singular Newton system: the caller judges x
                 return x, steps, None
             decrement = -float(grad @ dx)
+            if decrement <= 0.0 and grad.any():  # H not positive definite: as if singular
+                return x, steps, None
             if decrement <= 1e-12:
                 break
             lam, size = np.sqrt(decrement), 1.0

@@ -40,9 +40,10 @@ from jointmeas import (
     validate,
     witness_residual,
 )
-from jointmeas.feasibility import WITNESS_TOL, _bloch_commute, _bloch_forms
-from jointmeas.observables import STRUCTURE_TOL, VALIDATE_TOL, commute, structure_flags
-from jointmeas.operators import opnorm
+from jointmeas.bloch import _norm, bloch_matrix
+from jointmeas.feasibility import WITNESS_TOL, _bloch_commute, _bloch_forms, _signed_sum_cells
+from jointmeas.observables import STRUCTURE_TOL, VALIDATE_TOL, commute, designation_order, structure_flags
+from jointmeas.operators import PAULI, opnorm
 from jointmeas.sampling import random_unitary
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -770,6 +771,81 @@ def test_the_barrier_route_reports_on_near_commuting_qubit_families(forms, verdi
         assert witness_residual(report.witness, family) <= tol
     else:
         assert report.verdict is Verdict.UNDETERMINED
+
+
+def test_the_barrier_route_stops_at_a_newton_decrement_that_is_not_positive(monkeypatch):
+    # on the eta-zero family the Newton system is indefinite from the first
+    # step; its decrement <= 0 used to read as convergence, and the system was
+    # rebuilt and solved once per round (9 solves) before the same verdict
+    family = _designated(
+        (2.901280705694408e-09, (3.1149762681278485e-10, 4.618403207213446e-09, 4.718502074304996e-10)),
+        (1.0000000000924332, (0.358333890699693, 0.39027299348512473, -0.8481060186628326)),
+    )
+    solve, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    report = decide(FeasibilityProblem(family))
+    assert len(solves) == 1
+    assert report.verdict is Verdict.UNDETERMINED and report.iterations == 1
+
+
+@st.composite
+def _bloch_vectors(draw):
+    """Bloch vectors with components drawn from signed zeros, axis-aligned
+    values and arbitrary floats."""
+    part = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0]),
+        st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=True),
+    )
+    return np.array([draw(part) for _ in range(3)])
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 2.0), _bloch_vectors()), min_size=1, max_size=4),
+    st.sampled_from([("0", "1"), ("1", "0"), ("a", "b"), ("b", "a")]),
+)
+def test_the_stacked_bloch_forms_equal_the_per_effect_reading_bit_for_bit(effects, labels):
+    for alpha, vec in effects:
+        e = HermitianOperator(bloch_matrix(alpha, vec))
+        obs = Observable(labels, {labels[0]: e, labels[1]: HermitianOperator(np.eye(2) - e.matrix)})
+        want = []
+        for x in designation_order(obs):
+            be = BlochEffect.from_operator(obs.effects[x])
+            want.append((x, repr(be.alpha), be.a.tobytes(), repr(_norm(be.a))))
+            # the entries read as numpy scalars, as ``from_operator`` read them
+            m = obs.effects[x].matrix
+            a = np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, m[0, 0].real - m[1, 1].real])
+            assert (repr(float(m[0, 0].real + m[1, 1].real)), a.tobytes()) == want[-1][1:3]
+        got = [(x, repr(al), v.tobytes(), repr(n)) for x, al, v, n in _bloch_forms(obs)]
+        assert got == want
+
+
+def _bloch_matrix_per_entry_sum(alpha, a) -> np.ndarray:
+    """``bloch_matrix`` as it was computed on one cell at a time."""
+    m = alpha * np.eye(2, dtype=complex)
+    for k in range(3):
+        m = m + a[k] * PAULI[k]
+    return 0.5 * m
+
+
+@given(st.one_of(st.sampled_from([0.0, -0.0, -0.7, 1.0]), st.floats(-2.0, 2.0)), _bloch_vectors())
+def test_bloch_matrix_keeps_its_per_cell_arithmetic_bit_for_bit(alpha, vec):
+    # every combination of signed zeros and signs, where the complex products'
+    # zero parts decide the signs of the result's zeros, then random draws
+    special = (0.0, -0.0, 0.3, -0.7)
+    for a, v in itertools.chain(itertools.product(special, itertools.product(special, repeat=3)), [(alpha, vec)]):
+        v = np.array(v)
+        assert bloch_matrix(a, v).tobytes() == _bloch_matrix_per_entry_sum(a, v).tobytes()
+
+
+@given(st.lists(_bloch_vectors(), min_size=2, max_size=3), st.lists(st.booleans(), min_size=3, max_size=3))
+def test_the_signed_sum_cells_equal_per_cell_bloch_matrices_bit_for_bit(vecs, flips):
+    parents = [unbiased(EZ) for _ in vecs]
+    designations = [("1" if flip else "0", v) for v, flip in zip(vecs, flips)]
+    want = []
+    for combo in itertools.product(*(p.outcomes for p in parents)):
+        vec = sum((1.0 if x == d else -1.0) * v for x, (d, v) in zip(combo, designations))
+        want.append(_bloch_matrix_per_entry_sum(0.25, 0.25 * vec))
+    assert _signed_sum_cells(parents, designations).tobytes() == np.array(want).tobytes()
 
 
 def _random_povm(dim: int, n: int, v: float, rng) -> Observable:

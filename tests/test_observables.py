@@ -275,3 +275,81 @@ def test_joint_from_cell_refuses_parents_without_two_outcomes():
 def test_commuting_sharp_pair_needs_dimension_two(dim):
     with pytest.raises(ValueError, match="dim >= 2"):
         random_commuting_sharp_pair(dim, np.random.default_rng(0))
+
+
+def _qubit_coin_and_dict():
+    given = {"1": HermitianOperator(np.diag([0.75, 0.25])), "0": HermitianOperator(np.diag([0.25, 0.75]))}
+    return Observable(("0", "1"), given), given
+
+
+def test_changing_the_dict_passed_in_leaves_the_observable_alone():
+    obs, given = _qubit_coin_and_dict()
+    before = obs.stack.tobytes()
+    given["1"] = HermitianOperator(np.eye(2))
+    del given["0"]
+    assert obs.stack.tobytes() == before
+    assert set(obs.effects) == {"0", "1"}
+    assert np.array_equal(obs.effects["1"].matrix, np.diag([0.75, 0.25]))
+    cells = {z: HermitianOperator(np.eye(2) / 4) for z in itertools.product("01", "01")}
+    g = ProductObservable((("0", "1"), ("0", "1")), cells)
+    cells[("1", "1")] = HermitianOperator(np.zeros((2, 2)))
+    assert np.array_equal(g.effects[("1", "1")].matrix, np.eye(2) / 4)
+
+
+def test_assigning_into_the_effects_raises():
+    obs, _ = _qubit_coin_and_dict()
+    with pytest.raises(TypeError):
+        obs.effects["1"] = HermitianOperator(np.eye(2))
+    with pytest.raises(TypeError):
+        del obs.effects["0"]
+    assert list(obs.effects) == ["1", "0"]  # the order the effects were given in
+
+
+def test_the_stack_is_read_only():
+    obs, _ = _qubit_coin_and_dict()
+    g = product_joint_many([obs, obs])
+    for held in (obs, g):
+        assert held.stack.shape == (len(held.outcomes), 2, 2) and not held.stack.flags.writeable
+        assert not any(held.effects[x].matrix.flags.writeable for x in held.outcomes)
+        with pytest.raises(ValueError):
+            held.stack[0, 0, 0] = 1.0
+    # the stack is in outcome order, whatever the order of the effects given
+    assert np.array_equal(obs.stack[1], np.diag([0.75, 0.25]))
+
+
+def _masked_marginal_gaps(cells, factors, axes) -> np.ndarray:
+    """The marginal gaps as they were summed before the grid reading: per
+    (axis, outcome), a masked sum over the product outcomes."""
+    labels = list(itertools.product(*factors))
+    gaps = []
+    for axis, parents in axes:
+        for x in parents[0].outcomes:
+            keep = [z[axis] == x for z in labels]
+            gaps.append(cells[:, keep].sum(axis=1) - np.array([p.effects[x].matrix for p in parents]))
+    return np.stack(gaps, axis=1)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.lists(st.integers(2, 3), min_size=2, max_size=3),
+    st.booleans(),
+)
+def test_the_grid_marginal_gaps_equal_the_masked_sums_bit_for_bit(seed, joints, dim, sizes, shuffle):
+    from jointmeas.observables import _marginal_gaps
+
+    rng = np.random.default_rng(seed)
+    factors = tuple(tuple(f"{k}{x}" for x in range(n)) for k, n in enumerate(sizes))
+    axes = []
+    for axis, labels in enumerate(factors):
+        # every parent on an axis lists its outcomes alike, in the factor's
+        # order or, when shuffled, in another
+        order = tuple(rng.permutation(labels)) if shuffle else labels
+        axes.append((axis, [
+            Observable(order, {x: random_effect(dim, rng) for x in order}) for _ in range(joints)
+        ]))
+    cells = np.array([[random_effect(dim, rng).matrix for _ in range(int(np.prod(sizes)))] for _ in range(joints)])
+    cells[:, 0, 0, 0] = -0.0  # a signed zero in every joint's first cell
+    got = _marginal_gaps(cells, factors, axes)
+    assert got.tobytes() == _masked_marginal_gaps(cells, factors, axes).tobytes()

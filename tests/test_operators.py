@@ -187,10 +187,10 @@ def _assert_stack_matches_constructor(stack):
             _hermitian_stack(stack)
         assert str(exc.value) == errors[0]
         return
-    herm, ops = _hermitian_stack(stack)
-    assert [(op.matrix.tobytes(), repr(op.asymmetry)) for op in ops] == singles
-    assert all(type(op.asymmetry) is float for op in ops)
-    assert not herm.flags.writeable and not any(op.matrix.flags.writeable for op in ops)
+    herm, asym = _hermitian_stack(stack)
+    assert [(h.tobytes(), repr(a)) for h, a in zip(herm, asym)] == singles
+    assert all(type(a) is float for a in asym)
+    assert not herm.flags.writeable
 
 
 def _nan_at(stack, k):
