@@ -121,30 +121,30 @@ def is_valid_effect_params(alpha: float, a, tol: float = 0.0) -> bool:
 
 
 def _require_effects(*named):
-    """Raise ValueError naming the first (name, alpha, ||a||) outside ``_INPUT_TOL``."""
-    for name, alpha, norm in named:
-        if not _is_effect_within(float(alpha), norm):
+    """Raise ValueError naming the first (name, alpha, a) outside ``_INPUT_TOL``."""
+    for name, alpha, v in named:
+        if not _is_effect_within(float(alpha), _norm(v)):
             raise ValueError(f"({name}) is not a valid effect")
 
 
-def _cosine(u, v) -> float | None:
-    """Normalized dot product, or None when either vector is zero."""
+def _unit_dot(u, v) -> float:
+    """Normalized dot product; zero vectors count as orthogonal to everything."""
     nu, nv = _norm(u), _norm(v)
     if nu == 0.0 or nv == 0.0:
-        return None
+        return 0.0
     return float(np.dot(u, v) / (nu * nv))
 
 
 def are_orthogonal(u, v) -> bool:
-    """Zero vectors count as orthogonal to everything."""
-    cos = _cosine(u, v)
-    return cos is None or abs(cos) <= AXIS_TOL
+    return abs(_unit_dot(u, v)) <= AXIS_TOL
 
 
 def are_parallel(u, v) -> bool:
     """Parallel or antiparallel; zero vectors count as parallel to everything."""
-    cos = _cosine(u, v)
-    return cos is None or abs(abs(cos) - 1.0) <= AXIS_TOL
+    nu, nv = _norm(u), _norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return True
+    return abs(abs(_unit_dot(u, v)) - 1.0) <= AXIS_TOL
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def busch_criterion(a, b) -> CriterionResult:
     """Pair of unbiased qubit effects: jm iff ||a+b|| + ||a-b|| <= 2."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _require_effects(("1, a", 1.0, _norm(a)), ("1, b", 1.0, _norm(b)))
+    _require_effects(("1, a", 1.0, a), ("1, b", 1.0, b))
     value = _norm(a + b) + _norm(a - b)
     return CriterionResult(value, 2.0, value <= 2.0 + CRITERION_TOL)
 
@@ -179,7 +179,7 @@ def molnar_criterion(a, b) -> CriterionResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = _norm(a), _norm(b)
-    _require_effects(("||a||, a", na, na), ("||b||, b", nb, nb))
+    _require_effects(("||a||, a", na, a), ("||b||, b", nb, b))
     if are_parallel(a, b):
         raise ValueError("criterion requires non-parallel (and nonzero) vectors")
     value = _norm(a + b) + na + nb
@@ -193,19 +193,19 @@ def liu_criterion(a, beta: float, b) -> CriterionResult:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na, nb2 = _norm(a), float(np.dot(b, b))
-    _require_effects(("1, a", 1.0, na), ("beta, b", beta, math.sqrt(nb2)))
+    _require_effects(("1, a", 1.0, a), ("beta, b", beta, b))
     if not are_orthogonal(a, b):
         raise ValueError("criterion requires a orthogonal to b")
-    lhs = 2.0 * na
-    rhs = math.sqrt(max(beta**2 - nb2, 0.0)) + math.sqrt(max((2.0 - beta) ** 2 - nb2, 0.0))
+    nb2 = float(np.dot(b, b))
+    lhs = 2.0 * _norm(a)
+    rhs = float(np.sqrt(max(beta**2 - nb2, 0.0)) + np.sqrt(max((2.0 - beta) ** 2 - nb2, 0.0)))
     return CriterionResult(lhs, rhs, lhs <= rhs + CRITERION_TOL)
 
 
 def three_orthogonal_criterion(a, b, c) -> CriterionResult:
     """Unbiased triple along pairwise orthogonal axes: jm iff sum of ||.||^2 <= 1."""
     vecs = [np.asarray(v, dtype=float) for v in (a, b, c)]
-    _require_effects(*((f"1, {name}", 1.0, _norm(v)) for name, v in zip("abc", vecs)))
+    _require_effects(*((f"1, {name}", 1.0, v) for name, v in zip("abc", vecs)))
     for (n1, v1), (n2, v2) in (
         (("a", vecs[0]), ("b", vecs[1])),
         (("a", vecs[0]), ("c", vecs[2])),
@@ -244,11 +244,10 @@ def qubit_pair_criterion(alpha: float, a, beta: float, b) -> CriterionResult:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na, nb = _norm(a), _norm(b)
-    _require_effects(("alpha, a", alpha, na), ("beta, b", beta, nb))
+    _require_effects(("alpha, a", alpha, a), ("beta, b", beta, b))
     x, y = float(alpha) - 1.0, float(beta) - 1.0
-    fa = _f_term(float(alpha), na)
-    fb = _f_term(float(beta), nb)
+    fa = _f_term(float(alpha), _norm(a))
+    fb = _f_term(float(beta), _norm(b))
     ratio_a = (x / fa) ** 2 if fa > 0.0 else 0.0
     ratio_b = (y / fb) ** 2 if fb > 0.0 else 0.0
     lhs = (1.0 - fa * fa - fb * fb) * (1.0 - ratio_a - ratio_b)

@@ -70,7 +70,6 @@ from .observables import (
     STRUCTURE_TOL,
     ProductObservable,
     _cell_joint_cells,
-    _factors,
     _joint,
     _marginal_gaps,
     _product_cells,
@@ -288,7 +287,6 @@ def _signed_sum_cells(parents, designations) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _GRID = np.linspace(0.0, 1.0, 17)
-_ZEROS, _ONES = np.zeros_like(_GRID), np.ones_like(_GRID)
 _ELLIPSES = np.array([[0, 1], [0, 2], [1, 3], [2, 3]])  # focal pairs among 0, a, b, a + b
 _ROUNDS = 14  # a round narrows a bracket eightfold: 8**-14 < 1e-12
 _SETTLED = 1e-12  # the search's own resolution: a point this good ends it
@@ -303,9 +301,8 @@ def _narrow(lo, width, best):
     return new_lo, np.minimum(lo + (best + 1) * step, 1.0) - new_lo
 
 
-def _planar_search(alpha: float, avec, beta: float, bvec, length: float):
-    """Minimize the largest ellipse excess over g = s a + t b, s, t in [0, 1],
-    with ``length`` = ||a||.
+def _planar_search(alpha: float, avec, beta: float, bvec):
+    """Minimize the largest ellipse excess over g = s a + t b, s, t in [0, 1].
 
     Returns (value, s, t, evaluations).  For each s of a grid the minimum
     over t is bracketed by ``_narrow``; the row minima of the last round
@@ -313,8 +310,8 @@ def _planar_search(alpha: float, avec, beta: float, bvec, length: float):
     first grid evaluation holding a point with excess <= ``_SETTLED``.
     """
     # the plane of a and b as the complex plane, a on the real axis
-    ref = avec if length > 0.0 else bvec
-    length = length if length > 0.0 else _norm(bvec)
+    ref = avec if _norm(avec) > 0.0 else bvec
+    length = _norm(ref)
     axis = ref / length if length > 0.0 else np.array([1.0, 0.0, 0.0])
 
     def planar(v) -> complex:
@@ -326,19 +323,17 @@ def _planar_search(alpha: float, avec, beta: float, bvec, length: float):
     bounds = np.array([alpha, beta, 2.0 - beta, 2.0 - alpha])[:, None, None]
 
     def excess(p):  # each ellipse's focal distances |p - f1| + |p - f2| minus its bound
-        return np.maximum.reduce(np.add.reduce(np.abs(p - foci)[_ELLIPSES], axis=1) - bounds)
+        return np.maximum.reduce(np.add.reduce(np.abs(p - foci).take(_ELLIPSES, axis=0), axis=1) - bounds)
 
     best = (np.inf, 0.0, 0.0)
     evaluations = 0
     t_offsets = pb * _GRID
-    s_lo, s_width, s = 0.0, 1.0, _GRID  # 0 + 1 * _GRID
+    s_lo, s_width = 0.0, 1.0
     for _ in range(_ROUNDS):
-        t_lo, t_width, rows = _ZEROS, _ONES, s * pa
-        for k in range(_ROUNDS):
-            # with t_lo = 0 and t_width = 1 the full form below differs only
-            # in signed zeros, which no focal distance sees
-            p = (rows + t_lo * pb)[:, None] + t_width[:, None] * t_offsets if k else rows[:, None] + t_offsets
-            values = excess(p)
+        s = s_lo + s_width * _GRID
+        t_lo, t_width = np.zeros_like(s), np.ones_like(s)
+        for _ in range(_ROUNDS):
+            values = excess((s * pa + t_lo * pb)[:, None] + t_width[:, None] * t_offsets)
             evaluations += 1
             i, col = divmod(int(values.argmin()), len(_GRID))  # the first least point, row by row
             value = float(values[i, col])
@@ -348,7 +343,6 @@ def _planar_search(alpha: float, avec, beta: float, bvec, length: float):
                     return (*best, evaluations)
             t_lo, t_width = _narrow(t_lo, t_width, values.argmin(axis=1))
         s_lo, s_width = _narrow(s_lo, s_width, i)
-        s = s_lo + s_width * _GRID
     return (*best, evaluations)
 
 
@@ -470,7 +464,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         resid += max(0.0, -float(np.linalg.eigvalsh(full)[:, 0].min()))
         if resid > accept:
             return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
-        g = _joint(_factors(parents), *_hermitian_stack(full))
+        g = _joint(tuple(p.outcomes for p in parents), *_hermitian_stack(full))
         return FeasibilityReport(Verdict.FEASIBLE, g, None, None, resid, iterations)
 
     start = settle(g0 + drift, 1)  # the affine projection of G0: eta = 1, H = 0
@@ -558,8 +552,8 @@ def _pair_witness_cells(job, accept: float):
     """The planar search of a pair ``_Job``: (witness cells (4, 2, 2) in
     product-outcome order, or None when its least excess exceeds ``accept``;
     that excess; grid evaluations)."""
-    (da, alpha, avec, length), (db, beta, bvec, _) = job.forms[0][0], job.forms[1][0]
-    value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec, length)
+    (da, alpha, avec, _), (db, beta, bvec, _) = job.forms[0][0], job.forms[1][0]
+    value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec)
     if value > accept:
         return None, value, evaluations
     g = s * avec + t * bvec
@@ -585,7 +579,8 @@ def _witness(jobs, tol: float) -> list:
             if cells is None:
                 reports[k] = FeasibilityReport(Verdict.UNDETERMINED, None, None, None, excess, iterations)
                 continue
-        groups.setdefault((_factors(job.parents), cells.shape), []).append((k, cells, iterations))
+        factors = tuple(p.outcomes for p in job.parents)
+        groups.setdefault((factors, cells.shape), []).append((k, cells, iterations))
 
     for (factors, (n, d, _)), members in groups.items():
         herm, asym = _hermitian_stack(np.concatenate([c for _, c, _ in members]))

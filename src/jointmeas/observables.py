@@ -11,6 +11,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,35 +59,8 @@ def designation_order(obs) -> list:
     return list(reversed(outs))
 
 
-class _Effects(Mapping):
-    """An observable's effects: a read-only mapping from its outcome labels,
-    in the order they were given, to ``HermitianOperator`` views of the rows
-    of its stack."""
-
-    __slots__ = ("_rows", "_stack", "_asym")
-
-    def __init__(self, rows: dict, stack: np.ndarray, asym: list):
-        self._rows, self._stack, self._asym = rows, stack, asym
-
-    def __getitem__(self, label) -> HermitianOperator:
-        k = self._rows[label]
-        op = object.__new__(HermitianOperator)  # the stack is checked: no second check
-        object.__setattr__(op, "matrix", self._stack[k])
-        object.__setattr__(op, "asymmetry", self._asym[k])
-        return op
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 def _hold(obs, labels, given):
-    """Give ``obs`` its stack of the operators ``given`` (label -> operator)
+    """Give ``obs`` its ``stack`` of the operators ``given`` (label -> operator)
     in ``labels`` order, stacked once, and its ``effects`` view of it."""
     ops = [given[x] for x in labels]
     dims = {op.dim for op in ops}
@@ -94,9 +68,20 @@ def _hold(obs, labels, given):
         raise ValueError(f"effects have mixed dimensions {sorted(dims)}")
     stack = np.array([op.matrix for op in ops])
     stack.flags.writeable = False
-    row = {x: k for k, x in enumerate(labels)}
+    _view(obs, labels, stack, [op.asymmetry for op in ops], given)
+
+
+def _view(obs, labels, stack, asym, order):
+    """Set ``obs.stack`` to a checked read-only stack (outcomes in ``labels``
+    order) with its asymmetries, and ``obs.effects`` to a read-only mapping
+    listing the labels in ``order``, to ``HermitianOperator`` views of its rows."""
+    ops = {}
+    for x, m, s in zip(labels, stack, asym):
+        ops[x] = op = object.__new__(HermitianOperator)  # the stack is checked: no second check
+        object.__setattr__(op, "matrix", m)
+        object.__setattr__(op, "asymmetry", s)
     object.__setattr__(obs, "stack", stack)
-    object.__setattr__(obs, "effects", _Effects({x: row[x] for x in given}, stack, [op.asymmetry for op in ops]))
+    object.__setattr__(obs, "effects", MappingProxyType({x: ops[x] for x in order}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,19 +148,14 @@ class ProductObservable:
         return self.stack.shape[-1]
 
 
-def _factors(parents) -> tuple:
-    return tuple(tuple(p.outcomes) for p in parents)
-
-
 def _joint(factors, stack, asym, order=None) -> ProductObservable:
-    """The joint on the outcomes ``product(*factors)`` with a checked
-    read-only stack of cells (a ``_hermitian_stack``) in that order and their
-    asymmetries; ``effects`` lists the cells in that order, or in ``order``."""
-    rows = dict(zip(itertools.product(*factors), range(len(stack))))
+    """The joint on the outcomes ``product(*factors)`` from a
+    ``_hermitian_stack`` of its cells in that order; ``effects`` lists them
+    in that order, or in ``order``."""
     g = object.__new__(ProductObservable)
     object.__setattr__(g, "parents", factors)
-    object.__setattr__(g, "stack", stack)
-    object.__setattr__(g, "effects", _Effects(rows if order is None else {z: rows[z] for z in order}, stack, asym))
+    labels = list(itertools.product(*factors))
+    _view(g, labels, stack, asym, labels if order is None else order)
     return g
 
 
@@ -276,9 +256,8 @@ def _marginal_gaps(cells, factors, axes) -> np.ndarray:
             raise ValueError(f"axis {axis} labels do not match the parent observable")
         grid = cells.reshape(j, math.prod(sizes[:axis]), sizes[axis], -1, d, d).transpose(0, 2, 1, 3, 4, 5)
         sums = grid.reshape(j, sizes[axis], -1, d, d).sum(axis=2)
-        if outcomes != factors[axis]:
-            sums = sums[:, [factors[axis].index(x) for x in outcomes]]
-        gaps.append(sums - (parents[0].stack if j == 1 else np.array([p.stack for p in parents])))
+        rows = [factors[axis].index(x) for x in outcomes]  # in the parents' outcome order
+        gaps.append(sums.take(rows, axis=1) - np.array([p.stack for p in parents]))
     return np.concatenate(gaps, axis=1)
 
 
@@ -309,7 +288,7 @@ def joint_from_cell(a, b, cell, x, y) -> ProductObservable:
         )
     i, j = a.outcomes.index(x), b.outcomes.index(y)
     cells = _cell_joint_cells(a.stack[i], b.stack[j], np.asarray(cell, dtype=complex)[None], i, j)
-    return _joint(_factors((a, b)), *_hermitian_stack(cells[0]))
+    return _joint((a.outcomes, b.outcomes), *_hermitian_stack(cells[0]))
 
 
 def _cell_joint_cells(ax, by, cells, i, j) -> np.ndarray:
@@ -345,7 +324,7 @@ def product_joint_many(parents) -> ProductObservable:
     for (i, a), (j, b) in itertools.combinations(enumerate(parents), 2):
         if not commute(a, b):
             raise ValueError(f"parents {i} and {j} do not commute within {STRUCTURE_TOL:.1e}")
-    return _joint(_factors(parents), *_hermitian_stack(_product_cells(parents)))
+    return _joint(tuple(p.outcomes for p in parents), *_hermitian_stack(_product_cells(parents)))
 
 
 def max_cell_deviation(g: ProductObservable, f: ProductObservable) -> float:
@@ -358,8 +337,7 @@ def max_cell_deviation(g: ProductObservable, f: ProductObservable) -> float:
             raise ValueError("parent outcome sets differ")
     if g.dim != f.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {f.dim}")
-    cells = f.stack if f.parents == g.parents else f.stack[[f.effects._rows[z] for z in g.outcomes]]
-    return float(opnorm(g.stack - cells).max())
+    return float(opnorm(g.stack - np.array([f.effects[z].matrix for z in g.outcomes])).max())
 
 
 def _label_to_json(label):
