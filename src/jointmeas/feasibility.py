@@ -26,9 +26,9 @@ robustness problem on the barrier kernel.
 Two phases run over a batch of families, and ``decide`` is the batch of one.
 Routing gives per family a final INFEASIBLE report or a job pending its
 witness (a product or signed-sum joint, or a pair search).  The witness
-phase serves all jobs in one stacked pass, and holds every FEASIBLE of
-routes 1-3 to ``witness_residual`` <= min(``tol``, ``WITNESS_TOL``); a
-family whose witness misses it, or is not found, goes on to route 4.
+phase serves all jobs in one stacked pass.  It is the one gate of all four
+routes: a FEASIBLE's exact ``witness_residual`` is within min(``tol``,
+``WITNESS_TOL``).  A family of routes 1-3 that misses it goes to route 4.
 
 The planar search (``decide_pair_qubit_numeric``) reduces a qubit pair to
 the question whether four filled ellipses in the plane of the two Bloch
@@ -403,12 +403,13 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     Cells with a zero-effect outcome must vanish and are left out.  With
     G0(z) = prod_i tr A_i(z_i) / d I, D = M^+ (A - N) and rows K_l spanning
     the null space of M, G(eta, H)_z = G0_z + eta D_z + sum_l K_lz H_l has the
-    noisy marginals for all Hermitian H_l.  After the point (1, 0),
-    ``barrier_maximize`` (G0, one general direction D, weights K) maximizes
-    eta from G0 (t = 1) and stops at the first of:
+    noisy marginals for all Hermitian H_l.  Each witness, zero-padded to
+    every cell, passes the witness phase's gate (``_witness``) or leaves
+    UNDETERMINED.  After the point (1, 0) misses it, ``barrier_maximize``
+    (G0, one general direction D, weights K) maximizes eta from G0 (t = 1)
+    and stops at the first of:
 
-    - eta >= 1: FEASIBLE with the witness (1, H / eta), which is
-      G / eta + (1 - 1 / eta) G0;
+    - eta >= 1: the witness (1, H / eta), which is G / eta + (1 - 1 / eta) G0;
     - any iterate whose Y = (M^T)^+ G^-1 / t, shifted on parent 0's rows so
       that sum_i Y_(i, z_i) >= 0 on every cell, has <Y, A> < 0 in an
       ``eigvalsh`` re-check (run only if the live rows alone give <Y, A> < 0,
@@ -419,11 +420,9 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
       margin -<Y, A>, residual 0 and ``gap`` 1 - margin - eta, so that eta*
       lies in [1 - margin - gap, 1 - margin];
     - the barrier's gap bound k d / t <= min(``tol``, ``WITNESS_TOL``) (eta*
-      within about that of 1), or a singular or indefinite Newton system: FEASIBLE if
-      (1, H / eta) passes the residual test, else UNDETERMINED, as also when
-      eta is still 0.
+      within about that of 1), or a singular or indefinite Newton system: the
+      witness (1, H / eta), or UNDETERMINED when eta is still 0.
 
-    The residual test accepts a witness at min(``tol``, ``WITNESS_TOL``).
     ``iterations`` counts the start test and the Newton steps.  Raises
     ValueError when a parent's effects do not sum to the identity within
     ``tol`` (spectral norm, as in ``validate``): no joint can then have its
@@ -452,20 +451,12 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     rank = int(np.count_nonzero(sv > 1e-9 * sv[0]))
     m_pinv = (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
     drift = np.tensordot(m_pinv, a[live_rows] - share[live_rows, None, None] * eye, axes=1)
-    accept = min(tol, WITNESS_TOL)  # the barrier's stopping gap and the residual test's bound
 
     def settle(cells, iterations):
-        """FEASIBLE with the live cells as witness if a bound on their
-        ``witness_residual`` (marginals in Frobenius norm) is within
-        ``accept``."""
+        """The witness phase's report on the live cells, symmetrized and zero-padded."""
         full = np.zeros((len(labels), dim, dim), dtype=complex)
         full[live] = 0.5 * (cells + cells.conj().swapaxes(-1, -2))
-        resid = float(np.linalg.norm(np.tensordot(m, full, axes=1) - a, axis=(1, 2)).max())
-        resid += max(0.0, -float(np.linalg.eigvalsh(full)[:, 0].min()))
-        if resid > accept:
-            return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
-        g = _joint(tuple(p.outcomes for p in parents), *_hermitian_stack(full))
-        return FeasibilityReport(Verdict.FEASIBLE, g, None, None, resid, iterations)
+        return _witness([_Job(parents, None, None, full, iterations=iterations)], tol)[0]
 
     start = settle(g0 + drift, 1)  # the affine projection of G0: eta = 1, H = 0
     if start.verdict is Verdict.FEASIBLE:
@@ -496,7 +487,8 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 
     c = np.zeros(1 + len(null) * dim * dim)
     c[0] = 1.0
-    x, steps, found = barrier_maximize(c, g0, drift[None], null, np.zeros_like(c), 1.0, accept, stop)
+    gap_tol = min(tol, WITNESS_TOL)
+    x, steps, found = barrier_maximize(c, g0, drift[None], null, np.zeros_like(c), 1.0, gap_tol, stop)
     if isinstance(found, tuple):
         cert, margin, gap = found
         return FeasibilityReport(
@@ -513,13 +505,14 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 # ---------------------------------------------------------------------------
 
 class _Job(NamedTuple):
-    """A family routes 1-3 hold FEASIBLE: its witness cells, or the pair's forms to search."""
+    """A family pending its witness: its cells and iterations spent, or the pair's forms to search."""
 
     parents: tuple
     reason: str | None
     margin: float | None
     cells: np.ndarray | None = None
     forms: tuple | None = None
+    iterations: int = 0
 
 
 def _route(parents, forms):
@@ -566,14 +559,14 @@ def _pair_witness_cells(job, accept: float):
 
 def _witness(jobs, tol: float) -> list:
     """The witness phase: a report per job, FEASIBLE when the witness passes
-    the one gate of routes 1-3, ``witness_residual`` <= min(``tol``,
+    the one gate of every route, ``witness_residual`` <= min(``tol``,
     ``WITNESS_TOL``), else UNDETERMINED with that residual or the search's
     excess.  After the pair searches, the cells of all jobs of one outcome
     structure are checked as one stack and their residuals taken in one pass."""
     accept = min(tol, WITNESS_TOL)
     reports, groups = [None] * len(jobs), {}
     for k, job in enumerate(jobs):
-        cells, iterations = job.cells, 0
+        cells, iterations = job.cells, job.iterations
         if cells is None:
             cells, excess, iterations = _pair_witness_cells(job, accept)
             if cells is None:

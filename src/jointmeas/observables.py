@@ -74,7 +74,8 @@ def _hold(obs, labels, given):
 def _view(obs, labels, stack, asym, order):
     """Set ``obs.stack`` to a checked read-only stack (outcomes in ``labels``
     order) with its asymmetries, and ``obs.effects`` to a read-only mapping
-    listing the labels in ``order``, to ``HermitianOperator`` views of its rows."""
+    listing the labels in ``order``, to ``HermitianOperator`` views of its
+    rows; returns ``obs``."""
     ops = {}
     for x, m, s in zip(labels, stack, asym):
         ops[x] = op = object.__new__(HermitianOperator)  # the stack is checked: no second check
@@ -82,6 +83,7 @@ def _view(obs, labels, stack, asym, order):
         object.__setattr__(op, "asymmetry", s)
     object.__setattr__(obs, "stack", stack)
     object.__setattr__(obs, "effects", MappingProxyType({x: ops[x] for x in order}))
+    return obs
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +136,8 @@ class ProductObservable:
         object.__setattr__(self, "parents", parents)
         if len(parents) < 2:
             raise ValueError("product observable needs at least two factors")
+        if any(len(set(p)) != len(p) for p in parents):
+            raise ValueError("outcome labels must be unique")
         labels = list(itertools.product(*parents))
         if set(self.effects) != set(labels):
             raise ValueError("effects do not cover the product outcome set exactly")
@@ -155,8 +159,7 @@ def _joint(factors, stack, asym, order=None) -> ProductObservable:
     g = object.__new__(ProductObservable)
     object.__setattr__(g, "parents", factors)
     labels = list(itertools.product(*factors))
-    _view(g, labels, stack, asym, labels if order is None else order)
-    return g
+    return _view(g, labels, stack, asym, labels if order is None else order)
 
 
 @dataclass(frozen=True)
@@ -225,18 +228,24 @@ def commute(a, b) -> bool:
     return bool(opnorm(1j * (ab - ab.conj().swapaxes(-1, -2))).max() <= STRUCTURE_TOL)
 
 
-def effect_sum(obs, labels) -> HermitianOperator:
-    """The effects of the outcomes in ``labels``, summed in outcome order."""
-    start = np.zeros((obs.dim, obs.dim), dtype=complex)
-    return HermitianOperator(sum((m for x, m in zip(obs.outcomes, obs.stack) if x in labels), start))
+def _coarse_grained(obs, groups, factors=None):
+    """``obs`` coarse-grained: per key, the effects of the outcomes in
+    ``groups[key]`` summed in outcome order from a zero start and held as
+    ``_joint`` holds a joint; an ``Observable`` on the keys, or the joint on ``product(*factors)``."""
+    zero, rows = np.zeros((obs.dim, obs.dim), dtype=complex), list(zip(obs.outcomes, obs.stack))
+    stack, asym = _hermitian_stack([sum((m for x, m in rows if x in g), zero) for g in groups.values()])
+    if factors is not None:
+        return _joint(factors, stack, asym)
+    coarse = object.__new__(Observable)
+    object.__setattr__(coarse, "outcomes", tuple(groups))
+    return _view(coarse, coarse.outcomes, stack, asym, coarse.outcomes)
 
 
 def marginal(g: ProductObservable, axis: int):
     """Sum the product effects over every factor except ``axis``."""
     if not 0 <= axis < len(g.parents):
         raise ValueError(f"axis {axis} out of range for {len(g.parents)} factors")
-    effects = {x: effect_sum(g, {z for z in g.outcomes if z[axis] == x}) for x in g.parents[axis]}
-    return Observable(tuple(g.parents[axis]), effects)
+    return _coarse_grained(g, {x: {z for z in g.outcomes if z[axis] == x} for x in g.parents[axis]})
 
 
 def _marginal_gaps(cells, factors, axes) -> np.ndarray:

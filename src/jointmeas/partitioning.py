@@ -22,7 +22,7 @@ from .observables import (
     MARGINAL_TOL,
     Observable,
     ProductObservable,
-    effect_sum,
+    _coarse_grained,
     label_key,
     marginal,
     marginal_deviation,
@@ -58,9 +58,8 @@ class Partitioning:
 
     @property
     def observable(self) -> Observable:
-        one = effect_sum(self.parent, self.subset)
         rest = frozenset(self.parent.outcomes) - self.subset
-        return Observable(("0", "1"), {"1": one, "0": effect_sum(self.parent, rest)})
+        return _coarse_grained(self.parent, {"0": rest, "1": self.subset})
 
 
 def enumerate_partitionings(a: Observable) -> list:
@@ -91,14 +90,12 @@ def forward_partition_joint(g: ProductObservable, x, y) -> ProductObservable:
         if unknown:
             keys = ", ".join(sorted(label_key(lab) for lab in unknown))
             raise ValueError(f"labels not on the joint observable axis: {keys}")
-    cells = {
-        (i, j): effect_sum(
-            g, {z for z in g.outcomes if (z[0] in x) == (i == "1") and (z[1] in y) == (j == "1")}
-        )
+    groups = {
+        (i, j): {z for z in g.outcomes if (z[0] in x) == (i == "1") and (z[1] in y) == (j == "1")}
         for i in ("0", "1")
         for j in ("0", "1")
     }
-    return ProductObservable((("0", "1"), ("0", "1")), cells)
+    return _coarse_grained(g, groups, (("0", "1"), ("0", "1")))
 
 
 def _nontrivial_half(parts: list) -> list:

@@ -41,7 +41,13 @@ from jointmeas import (
     witness_residual,
 )
 from jointmeas.bloch import _norm, bloch_matrix
-from jointmeas.feasibility import WITNESS_TOL, _bloch_commute, _bloch_forms, _signed_sum_cells
+from jointmeas.feasibility import (
+    WITNESS_TOL,
+    _bloch_commute,
+    _bloch_forms,
+    _decide_by_robustness,
+    _signed_sum_cells,
+)
 from jointmeas.observables import STRUCTURE_TOL, VALIDATE_TOL, commute, designation_order, structure_flags
 from jointmeas.operators import PAULI, opnorm
 from jointmeas.sampling import random_unitary
@@ -735,16 +741,22 @@ def test_zero_effect_gets_zero_cells(offset):
         assert_dual_certificate(report, (a, padded))
 
 
+# the Newton system turns singular in the last barrier steps, where numpy's
+# solve raised LinAlgError: the iterate is settled instead
+_SINGULAR_PAIR = (
+    (1.000000001453275, (0.12458641016622927, 0.05603677882002613, 0.99062510675941)),
+    (1.9999999888719222, (8.19216528821268e-09, 4.463982219176062e-09, -1.075713518261523e-08)),
+)
+_SINGULAR_TRIPLE = (
+    (1.0, (0.0, 0.0, 1.0)),
+    (1.1639662057892899, (-2.334015911021174e-07, 9.605142801955277e-07, 0.3356539830988674)),
+    (1.0780541198712057, (3.035908750980355e-08, -1.2812993431056658e-07, 0.20359563031082084)),
+)
+
+
 @pytest.mark.parametrize("forms, verdict", [
-    # the Newton system turns singular in the last barrier steps, where
-    # numpy's solve raised LinAlgError: the iterate is settled instead
-    ([(1.000000001453275, (0.12458641016622927, 0.05603677882002613, 0.99062510675941)),
-      (1.9999999888719222, (8.19216528821268e-09, 4.463982219176062e-09, -1.075713518261523e-08))],
-     Verdict.FEASIBLE),
-    ([(1.0, (0.0, 0.0, 1.0)),
-      (1.1639662057892899, (-2.334015911021174e-07, 9.605142801955277e-07, 0.3356539830988674)),
-      (1.0780541198712057, (3.035908750980355e-08, -1.2812993431056658e-07, 0.20359563031082084))],
-     Verdict.FEASIBLE),
+    (_SINGULAR_PAIR, Verdict.FEASIBLE),
+    (_SINGULAR_TRIPLE, Verdict.FEASIBLE),
     # the barrier ends at its start eta = 0, where H / eta was 0 / 0
     ([(2.901280705694408e-09, (3.1149762681278485e-10, 4.618403207213446e-09, 4.718502074304996e-10)),
       (1.0000000000924332, (0.358333890699693, 0.39027299348512473, -0.8481060186628326))],
@@ -1215,3 +1227,103 @@ def test_pairwise_vs_global_needs_three_parents():
     a, b = unbiased(0.5 * EX), unbiased(0.5 * EY)
     with pytest.raises(ValueError):
         pairwise_vs_global((a, b))
+
+
+# ---------------------------------------------------------------------------
+# one witness gate on every route
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, reason, iterations", [
+    pytest.param(lambda: (unbiased(0.6 * EZ), _qubit(0.7, 0.2 * EZ)), "commuting", 0, id="commuting"),
+    pytest.param(lambda: (unbiased(0.6 * EX), unbiased(0.6 * EY)), "eq3", None, id="planar-search"),
+    pytest.param(lambda: tuple(unbiased(0.5 * v) for v in (EX, EY, EZ)), "eq6", 0, id="signed-sum"),
+    # the affine projection of G0 (eta = 1, H = 0) is already a witness
+    pytest.param(lambda: noisy_fourier_mubs(3, 0.3), None, 1, id="barrier-start"),
+    pytest.param(lambda: noisy_fourier_mubs(3, critical_visibility(3) - 0.01), None, None, id="mub3-in"),
+    pytest.param(lambda: noisy_fourier_mubs(4, critical_visibility(4) - 0.01), None, None, id="mub4-in"),
+    pytest.param(lambda: _designated(*_SINGULAR_PAIR), None, None, id="singular-pair"),
+    pytest.param(lambda: _designated(*_SINGULAR_TRIPLE), None, None, id="singular-triple"),
+])
+def test_every_feasible_reports_its_witness_residual_exactly(family, reason, iterations):
+    # the barrier route used to report a Frobenius-norm bound on the residual
+    # instead of the residual of its witness
+    parents = family()
+    report = decide(FeasibilityProblem(parents))
+    assert report.verdict is Verdict.FEASIBLE and report.reason == reason
+    if iterations is not None:
+        assert report.iterations == iterations
+    assert report.residual == witness_residual(report.witness, parents)
+    assert report.residual <= WITNESS_TOL
+
+
+def _pair_scale(alpha, a, beta, b) -> float:
+    """The scale s at which (alpha, s a) and (beta, s b) cross the general
+    qubit criterion, by bisection; inf when they stay compatible up to the
+    largest scale at which both are effects."""
+    top = min(min(alpha, 2.0 - alpha) / _norm(a), min(beta, 2.0 - beta) / _norm(b))
+    if qubit_pair_criterion(alpha, top * a, beta, top * b).jm:
+        return math.inf
+    lo, hi = 0.0, top
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if qubit_pair_criterion(alpha, mid * a, beta, mid * b).jm else (lo, mid)
+    return lo
+
+
+def _boundary_pair(rng, factor: float) -> tuple:
+    """Two two-outcome qubit observables, unbiased or not, with Bloch
+    vectors at ``factor`` times their criterion boundary."""
+    while True:
+        alpha, beta = rng.uniform(0.6, 1.4, 2) if rng.random() < 0.5 else (1.0, 1.0)
+        a, b = rng.standard_normal(3), rng.standard_normal(3)
+        scale = _pair_scale(alpha, a, beta, b)
+        top = min(min(alpha, 2.0 - alpha) / _norm(a), min(beta, 2.0 - beta) / _norm(b))
+        if factor * scale <= top:
+            return _qubit(alpha, factor * scale * a), _qubit(beta, factor * scale * b)
+
+
+def _boundary_triple(rng, factor: float) -> tuple:
+    """An orthogonal unbiased triple at ``factor`` times the eq6 boundary
+    sum |v_i|^2 = 1."""
+    lengths = rng.uniform(0.5, 1.0, 3)
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return tuple(unbiased(factor * l / _norm(lengths) * v) for l, v in zip(lengths, frame.T))
+
+
+def _commuting_family(rng) -> tuple:
+    """Two or three two-outcome observables in d = 2-4, diagonal in one
+    basis with eigenvalues in [0.05, 0.95]."""
+    dim = int(rng.integers(2, 5))
+    family = []
+    for _ in range(int(rng.integers(2, 4))):
+        p = rng.uniform(0.05, 0.95, dim)
+        family.append(Observable(("0", "1"), {
+            "1": HermitianOperator(np.diag(p)), "0": HermitianOperator(np.diag(1.0 - p)),
+        }))
+    return tuple(family)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.floats(1.0, 6.0, exclude_max=True), st.sampled_from([-1.0, 1.0]))
+@pytest.mark.parametrize("kind", ["pair", "triple", "commuting"])
+def test_decide_agrees_with_the_barrier_route_off_the_boundary(kind, seed, k, side):
+    # the barrier route is the oracle: a criterion's verdict is about the
+    # exact input, a witness about one within the gate; at 1e-6 relative or
+    # more from the boundary the two must agree
+    rng = np.random.default_rng(seed)
+    factor = 1.0 + side * 10.0 ** -k
+    if kind == "pair":
+        family = _boundary_pair(rng, factor)
+    elif kind == "triple":
+        family = _boundary_triple(rng, factor)
+    else:
+        family = _commuting_family(rng)
+    u = random_unitary(family[0].dim, rng)
+    family = tuple(_conjugate(p, u) for p in family)
+    tol = FeasibilityOptions().tol
+    report, oracle = decide(FeasibilityProblem(family)), _decide_by_robustness(family, tol)
+    assert report.verdict is oracle.verdict is not Verdict.UNDETERMINED, (report.reason, factor)
+    for r in (report, oracle):
+        if r.verdict is Verdict.FEASIBLE:
+            assert witness_residual(r.witness, family) <= min(tol, WITNESS_TOL)

@@ -24,7 +24,7 @@ from jointmeas.observables import (
     subset_key,
     validate,
 )
-from jointmeas.operators import HermitianOperator, opnorm
+from jointmeas.operators import HermitianOperator, operator_to_json, opnorm
 from jointmeas.sampling import random_commuting_sharp_pair, random_unitary
 
 from conftest import identity, random_effect
@@ -203,6 +203,21 @@ def test_product_observable_requires_full_grid():
     e = 0.25 * identity(2)
     with pytest.raises(ValueError):
         ProductObservable((("0", "1"), ("0", "1")), {("0", "0"): e})
+
+
+def test_a_product_factor_that_repeats_a_label_is_refused():
+    # the repeated "0" left four outcomes on two effects, and the joint
+    # passed validate
+    quarter = 0.25 * identity(2)
+    with pytest.raises(ValueError, match="outcome labels must be unique"):
+        ProductObservable((("0", "0"), ("a", "b")), {("0", "a"): quarter, ("0", "b"): quarter})
+    data = {
+        "outcomes": [["0", "a"], ["0", "b"]],
+        "effects": {"0a": operator_to_json(quarter), "0b": operator_to_json(quarter)},
+        "parents": [["0", "0"], ["a", "b"]],
+    }
+    with pytest.raises(ValueError, match="outcome labels must be unique"):
+        observable_from_json(data)
 
 
 def test_observable_json_round_trip():

@@ -1,10 +1,13 @@
 """Two-outcome coarse-grainings and the compatibility-matrix paradox audit."""
 
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import assert_dual_certificate, sharp_within
 from jointmeas import (
@@ -21,6 +24,7 @@ from jointmeas import (
     decide_pair_qubit_numeric,
     enumerate_partitionings,
     forward_partition_joint,
+    marginal,
     partition_compatibility_matrix,
     partition_paradox_audit,
     product_joint_many,
@@ -168,6 +172,62 @@ def test_forward_partition_rejects_foreign_labels():
         forward_partition_joint(g, {"2"}, {"1"})
 
 
+def _per_effect_sum(obs, labels) -> HermitianOperator:
+    """A coarse-grained effect as it was built before the stacked path: one
+    operator on the effects of ``labels``, summed in outcome order from a
+    zero start."""
+    start = np.zeros((obs.dim, obs.dim), dtype=complex)
+    return HermitianOperator(sum((obs.effects[x].matrix for x in obs.outcomes if x in labels), start))
+
+
+def _assert_held_as(obs, want):
+    """``obs`` lists ``want``'s (label, operator) pairs in outcome order and
+    holds their matrices and asymmetries byte for byte."""
+    assert obs.outcomes == tuple(x for x, _ in want) == tuple(obs.effects)
+    got = [(obs.effects[x].matrix.tobytes(), repr(obs.effects[x].asymmetry)) for x in obs.outcomes]
+    assert got == [(op.matrix.tobytes(), repr(op.asymmetry)) for _, op in want]
+    assert obs.stack.tobytes() == b"".join(op.matrix.tobytes() for _, op in want)
+
+
+def _signed_zero_cells(rng, n: int, dim: int) -> list:
+    """n Hermitian cells with about a third of their entries +0.0 or -0.0,
+    and the real part of entry (0, 0) -0.0 in every cell."""
+    cells = []
+    for _ in range(n):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        zeros = rng.random((dim, dim)) < 0.35
+        z = np.where(zeros, np.where(rng.random((dim, dim)) < 0.5, -0.0, 0.0) * (1 + 1j), z)
+        m = np.triu(z, 1)
+        m = m + m.conj().T + np.diag(z.diagonal().real)
+        m[0, 0] = -0.0
+        cells.append(HermitianOperator(m))
+    return cells
+
+
+@given(st.integers(0, 10_000), st.integers(2, 3), st.lists(st.integers(2, 3), min_size=2, max_size=3))
+def test_coarse_grainings_equal_the_per_effect_sums_bit_for_bit(seed, dim, sizes):
+    rng = np.random.default_rng(seed)
+    factors = tuple(tuple(f"{k}{x}" for x in range(n)) for k, n in enumerate(sizes))
+    labels = list(itertools.product(*factors))
+    g = ProductObservable(factors, dict(zip(labels, _signed_zero_cells(rng, len(labels), dim))))
+    assert np.signbit(g.stack.real[g.stack.real == 0.0]).any()
+    for axis, outcomes in enumerate(factors):
+        want = [(x, _per_effect_sum(g, {z for z in labels if z[axis] == x})) for x in outcomes]
+        _assert_held_as(marginal(g, axis), want)
+    subset = frozenset(z for z in labels if rng.random() < 0.5)
+    want = [("0", _per_effect_sum(g, set(labels) - subset)), ("1", _per_effect_sum(g, subset))]
+    _assert_held_as(Partitioning(g, subset).observable, want)
+    pair = list(itertools.product(*factors[:2]))
+    h = ProductObservable(factors[:2], dict(zip(pair, _signed_zero_cells(rng, len(pair), dim))))
+    x, y = ({o for o in f if rng.random() < 0.5} for f in factors[:2])
+    want = [
+        ((i, j), _per_effect_sum(h, {z for z in pair if (z[0] in x) == (i == "1") and (z[1] in y) == (j == "1")}))
+        for i in ("0", "1")
+        for j in ("0", "1")
+    ]
+    _assert_held_as(forward_partition_joint(h, x, y), want)
+
+
 # ---------------------------------------------------------------------------
 # compatibility matrices
 # ---------------------------------------------------------------------------
@@ -225,6 +285,17 @@ def _decision(report):
     cells = None if w is None else [w.effects[z].matrix.tobytes() for z in w.outcomes]
     return report.verdict, report.reason, repr(report.margin), repr(report.residual), \
         report.iterations, cells
+
+
+def test_the_partition_matrix_constructs_no_operator(monkeypatch):
+    # the row and column observables used to be built from two operators
+    # each, 28 per matrix of two four-outcome joints
+    lb = math.sqrt(1.0 - 0.75**2)
+    g, f = boundary_joint(0.75 * EX, lb * EY), boundary_joint(lb * EY, 0.75 * EZ)
+    built, init = [], HermitianOperator.__post_init__
+    monkeypatch.setattr(HermitianOperator, "__post_init__", lambda op: built.append(op) or init(op))
+    matrix = partition_compatibility_matrix(g, f)
+    assert len(matrix.cells) == 49 and built == []
 
 
 @pytest.mark.parametrize("seed", range(8))
