@@ -48,13 +48,13 @@ def _emit(report: dict, json_out: str | None):
 
 def _load_observable(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:  # ValueError: JSON or UTF-8 decoding
         raise _ParseError(f"cannot read {path}: {err}") from err
     try:
         return observable_from_json(payload)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise _ParseError(f"{path} is not a valid observable: {err}") from err
 
 

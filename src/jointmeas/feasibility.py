@@ -72,6 +72,7 @@ from .observables import (
     _cell_joint_cells,
     _joint,
     _marginal_gaps,
+    _marginal_map,
     _product_cells,
     commute,
     designation_order,
@@ -384,14 +385,6 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
 # general sets: the white-noise robustness problem on the barrier kernel
 # ---------------------------------------------------------------------------
 
-def _marginal_constraints(parents):
-    """Cell labels, the constraint matrix M (one row per parent effect) and
-    the stacked targets A, so that a joint family G satisfies M G = A."""
-    labels = list(itertools.product(*(p.outcomes for p in parents)))
-    rows = [[z[i] == x for z in labels] for i, p in enumerate(parents) for x in p.outcomes]
-    return labels, np.array(rows, dtype=float), np.concatenate([p.stack for p in parents])
-
-
 _ZERO_SHARE = 1e-12  # an effect with tr A / d at most this counts as zero
 
 
@@ -400,14 +393,16 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     (Wolf, Perez-Garcia & Fernandez, PRL 103, 230402, 2009; Designolle,
     Farkas & Kaniewski, NJP 21, 113053, 2019): the largest eta for which the
     noisy parents eta A + (1 - eta) N, N(i, x) = tr A_i(x) / d I, have a joint.
-    Cells with a zero-effect outcome must vanish and are left out.  With
-    G0(z) = prod_i tr A_i(z_i) / d I, D = M^+ (A - N) and rows K_l spanning
-    the null space of M, G(eta, H)_z = G0_z + eta D_z + sum_l K_lz H_l has the
-    noisy marginals for all Hermitian H_l.  Each witness, zero-padded to
-    every cell, passes the witness phase's gate (``_witness``) or leaves
-    UNDETERMINED.  After the point (1, 0) misses it, ``barrier_maximize``
-    (G0, one general direction D, weights K) maximizes eta from G0 (t = 1)
-    and stops at the first of:
+    Cells with a zero-effect outcome must vanish and are left out.  M is the
+    witness gate's own marginal map (``observables._marginal_map``), which
+    gives the live cells, M^+, the null space and the dual cells M^T Y.
+    With G0(z) = prod_i tr A_i(z_i) / d I, D = M^+ (A - N) and rows K_l
+    spanning the null space of M, G(eta, H)_z = G0_z + eta D_z +
+    sum_l K_lz H_l has the noisy marginals for all Hermitian H_l.  Each
+    witness, zero-padded to every cell, passes the witness phase's gate
+    (``_witness``) or leaves UNDETERMINED.  After the point (1, 0) misses
+    it, ``barrier_maximize`` (G0, one general direction D, weights K)
+    maximizes eta from G0 (t = 1) and stops at the first of:
 
     - eta >= 1: the witness (1, H / eta), which is G / eta + (1 - 1 / eta) G0;
     - any iterate whose Y = (M^T)^+ G^-1 / t, shifted on parent 0's rows so
@@ -428,12 +423,11 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     ``tol`` (spectral norm, as in ``validate``): no joint can then have its
     marginals.
     """
-    labels, m, a = _marginal_constraints(parents)
+    factors = tuple(p.outcomes for p in parents)
+    m, a = _marginal_map(factors, tuple(enumerate(factors))), np.concatenate([p.stack for p in parents])
     dim = parents[0].dim
     eye = np.eye(dim)
-    starts = np.cumsum([0] + [len(p.outcomes) for p in parents[:-1]])
-    gaps = np.add.reduceat(a, starts) - eye
-    unnormalized = opnorm(gaps)
+    unnormalized = opnorm(np.array([p.stack.sum(axis=0) for p in parents]) - eye)
     if unnormalized.max() > tol:
         i = int(unnormalized.argmax())
         raise ValueError(
@@ -454,7 +448,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 
     def settle(cells, iterations):
         """The witness phase's report on the live cells, symmetrized and zero-padded."""
-        full = np.zeros((len(labels), dim, dim), dtype=complex)
+        full = np.zeros((m.shape[1], dim, dim), dtype=complex)
         full[live] = 0.5 * (cells + cells.conj().swapaxes(-1, -2))
         return _witness([_Job(parents, None, None, full, iterations=iterations)], tol)[0]
 

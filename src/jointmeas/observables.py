@@ -2,13 +2,17 @@
 the joint constructions: product joints and the two-outcome joint fixed by
 one cell.
 
+The marginal check, ``decide``'s witness gate and its barrier route read the
+marginals of joint cells through one cached 0/1 matrix per outcome
+structure, ``_marginal_map``; ``marginal`` keeps its zero-start sum.
+
 An outcome label is either a plain string or, for observables living on a
 product outcome space, a tuple of parent labels.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -248,26 +252,33 @@ def marginal(g: ProductObservable, axis: int):
     return _coarse_grained(g, {x: {z for z in g.outcomes if z[axis] == x} for x in g.parents[axis]})
 
 
-def _marginal_gaps(cells, factors, axes) -> np.ndarray:
-    """The marginals minus the parent effects for a stack (J, n, d, d) of
-    joints on the outcomes ``product(*factors)``: (J, c, d, d), one column
-    per (axis, parent, outcome) in ``axes``, whose ``parents`` hold each
-    joint's parent on that axis, all listing their outcomes alike.  The
-    cells are read as a grid (J, n_1, ..., n_k, d, d), and each marginal
-    sums the other axes in product order, one cell after the other."""
-    j, d, sizes = len(cells), cells.shape[-1], [len(f) for f in factors]
-    gaps = []
-    for axis, parents in axes:
+@functools.lru_cache(maxsize=256)
+def _marginal_map(factors, axes) -> np.ndarray:
+    """The read-only 0/1 matrix M with one row per (axis, outcome) of
+    ``axes``, pairs (axis, outcomes) in the parent's own outcome order, and
+    one column per outcome of ``product(*factors)``: (M G)_(i, x) sums the
+    cells G_z with z_i = x.  Built once per outcome structure."""
+    for axis, outcomes in axes:
         if not 0 <= axis < len(factors):
             raise ValueError(f"axis {axis} out of range for {len(factors)} factors")
-        outcomes = parents[0].outcomes
         if set(outcomes) != set(factors[axis]):
             raise ValueError(f"axis {axis} labels do not match the parent observable")
-        grid = cells.reshape(j, math.prod(sizes[:axis]), sizes[axis], -1, d, d).transpose(0, 2, 1, 3, 4, 5)
-        sums = grid.reshape(j, sizes[axis], -1, d, d).sum(axis=2)
-        rows = [factors[axis].index(x) for x in outcomes]  # in the parents' outcome order
-        gaps.append(sums.take(rows, axis=1) - np.array([p.stack for p in parents]))
-    return np.concatenate(gaps, axis=1)
+    labels = list(itertools.product(*factors))
+    m = np.array([[z[i] == x for z in labels] for i, outcomes in axes for x in outcomes], dtype=float)
+    m.flags.writeable = False
+    return m
+
+
+def _marginal_gaps(cells, factors, axes) -> np.ndarray:
+    """The marginals minus the parent effects for a stack (J, n, d, d) of
+    joints on the outcomes ``product(*factors)``: (J, c, d, d), one row of
+    ``_marginal_map`` per (axis, parent, outcome) in ``axes``, whose
+    ``parents`` hold each joint's parent on that axis, all listing their
+    outcomes alike.  Each joint's marginals are M times its (n, d^2) cells."""
+    j, n, d = cells.shape[:3]
+    m = _marginal_map(factors, tuple((axis, parents[0].outcomes) for axis, parents in axes))
+    targets = np.concatenate([np.array([p.stack for p in parents]) for _, parents in axes], axis=1)
+    return (m @ cells.reshape(j, n, d * d)).reshape(j, len(m), d, d) - targets
 
 
 def marginal_deviation(g: ProductObservable, axis: int, parent) -> float:

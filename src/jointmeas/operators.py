@@ -271,7 +271,9 @@ def operator_to_json(h: HermitianOperator) -> dict:
 
 def operator_from_json(data: dict) -> HermitianOperator:
     """Rebuild an operator from its JSON dict, re-running the Hermiticity check."""
-    dim = int(data["dim"])
+    dim = data["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .observables import Observable
-from .operators import HermitianOperator
+from .operators import MAX_DIM, HermitianOperator
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -25,9 +25,10 @@ def _nonconstant_bits(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_commuting_sharp_pair(dim: int, rng: np.random.Generator):
     """Two sharp two-outcome observables diagonal in a common random basis.
-    Raises ValueError for dim < 2, where no projection is nontrivial."""
-    if dim < 2:
-        raise ValueError(f"a nontrivial sharp pair needs dim >= 2, got {dim}")
+    Raises ValueError for dim < 2, where no projection is nontrivial, and for
+    dim > ``MAX_DIM``, before the unitary is drawn."""
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"a nontrivial sharp pair needs dim >= 2 and dim <= {MAX_DIM}, got {dim}")
     u = random_unitary(dim, rng)
 
     def sharp(bits):

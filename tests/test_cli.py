@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -195,6 +196,27 @@ def test_check_jm_pair_bad_payload(tmp_path, capsys):
     not_obs.write_text(json.dumps({"outcomes": ["0"]}))
     assert main(["check", "jm-pair", a, str(not_obs)]) == 2
     assert "not a valid observable" in capsys.readouterr().err
+
+
+_MALFORMED = {
+    # JSON reads 1e999 as inf; a dim must be an integer
+    "infinite-dim": lambda good: good.replace('"dim": 2', '"dim": 1e999', 1).encode(),
+    "fractional-dim": lambda good: good.replace('"dim": 2', '"dim": 2.7', 1).encode(),
+    "deep-nesting": lambda good: b"[" * 200_000,
+    # an integer entry too large for a float raises OverflowError
+    "huge-entry": lambda good: re.sub(r'"re": \[\[[^,]*', '"re": [[1' + "0" * 400, good, count=1).encode(),
+    "not-utf-8": lambda good: good.replace('"0"', '"\xe9"', 1).encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_check_validate_refuses_a_malformed_file_as_a_parse_error(kind, tmp_path, capsys):
+    good = json.dumps(observable_to_json(unbiased(0.5 * EX)))
+    path = tmp_path / "bad.json"
+    path.write_bytes(_MALFORMED[kind](good))
+    assert main(["check", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_check_jm_set_triple_reports_pairs_and_global(tmp_path, capsys):
@@ -443,6 +465,15 @@ def test_run_commuting_sharp_product_rejects_dim_below_two(dim):
     )
     assert proc.returncode == 3
     assert "dim >= 2" in proc.stderr
+
+
+@pytest.mark.parametrize("dim", ["65", "1000000"])
+def test_run_commuting_sharp_product_refuses_dim_above_the_cap_before_drawing(dim, monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr("jointmeas.sampling.random_unitary", lambda *args: drawn.append(args))
+    assert main(["run", "commuting-sharp-product", "--dim", dim]) == 3
+    assert "dim <= 64" in capsys.readouterr().err
+    assert drawn == []
 
 
 def test_module_entry_point():

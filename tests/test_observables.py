@@ -351,7 +351,7 @@ def _masked_marginal_gaps(cells, factors, axes) -> np.ndarray:
     st.lists(st.integers(2, 3), min_size=2, max_size=3),
     st.booleans(),
 )
-def test_the_grid_marginal_gaps_equal_the_masked_sums_bit_for_bit(seed, joints, dim, sizes, shuffle):
+def test_the_mapped_marginal_gaps_equal_the_masked_sums_bit_for_bit(seed, joints, dim, sizes, shuffle):
     from jointmeas.observables import _marginal_gaps
 
     rng = np.random.default_rng(seed)
@@ -368,3 +368,13 @@ def test_the_grid_marginal_gaps_equal_the_masked_sums_bit_for_bit(seed, joints, 
     cells[:, 0, 0, 0] = -0.0  # a signed zero in every joint's first cell
     got = _marginal_gaps(cells, factors, axes)
     assert got.tobytes() == _masked_marginal_gaps(cells, factors, axes).tobytes()
+
+
+@pytest.mark.parametrize("axis", [2, -1])
+def test_a_marginal_axis_out_of_range_is_refused(axis):
+    coin = _coin(2)
+    g = product_joint_many((coin, coin))
+    with pytest.raises(ValueError, match="out of range"):
+        marginal_deviation(g, axis, coin)
+    with pytest.raises(ValueError, match="out of range"):
+        marginal(g, axis)

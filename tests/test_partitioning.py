@@ -314,6 +314,9 @@ def test_every_matrix_cell_is_decides_report_on_its_pair(seed):
     for (xk, yk), cell in mat.cells.items():
         pair = (rows[xk], cols[yk])
         assert _decision(cell) == _decision(decide(FeasibilityProblem(pair))), (xk, yk)
+        if cell.verdict is Verdict.FEASIBLE:
+            # the gate checked 49 joints as one stack, witness_residual checks one
+            assert cell.residual == witness_residual(cell.witness, pair), (xk, yk)
         if cell.verdict is Verdict.FEASIBLE and cell.reason != "commuting":
             # the witness came from the planar search, run here on its own
             numeric = decide_pair_qubit_numeric(*pair)
