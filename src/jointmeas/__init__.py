@@ -33,7 +33,6 @@ from .observables import (
     ProductObservable,
     ValidationReport,
     commute,
-    is_sharp,
     is_trivial,
     joint_from_cell,
     label_key,
@@ -43,7 +42,6 @@ from .observables import (
     max_marginal_deviation,
     observable_from_json,
     observable_to_json,
-    product_joint_many,
     subset_key,
     validate,
 )

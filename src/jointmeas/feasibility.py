@@ -385,7 +385,8 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
 # general sets: the white-noise robustness problem on the barrier kernel
 # ---------------------------------------------------------------------------
 
-_ZERO_SHARE = 1e-12  # an effect with tr A / d at most this counts as zero
+# largest Newton system the barrier route builds: n variables, an n x n Hessian
+MAX_BARRIER_VARIABLES = 4096
 
 
 def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
@@ -393,9 +394,11 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     (Wolf, Perez-Garcia & Fernandez, PRL 103, 230402, 2009; Designolle,
     Farkas & Kaniewski, NJP 21, 113053, 2019): the largest eta for which the
     noisy parents eta A + (1 - eta) N, N(i, x) = tr A_i(x) / d I, have a joint.
-    Cells with a zero-effect outcome must vanish and are left out.  M is the
-    witness gate's own marginal map (``observables._marginal_map``), which
-    gives the live cells, M^+, the null space and the dual cells M^T Y.
+    An effect whose share tr A / d is within min(``tol``, ``WITNESS_TOL``)
+    counts as zero; cells with a zero-effect outcome must vanish and are left
+    out.  M is the witness gate's own marginal map
+    (``observables._marginal_map``), which gives the live cells, M^+, the
+    null space and the dual cells M^T Y.
     With G0(z) = prod_i tr A_i(z_i) / d I, D = M^+ (A - N) and rows K_l
     spanning the null space of M, G(eta, H)_z = G0_z + eta D_z +
     sum_l K_lz H_l has the noisy marginals for all Hermitian H_l.  Each
@@ -421,10 +424,13 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
     ``iterations`` counts the start test and the Newton steps.  Raises
     ValueError when a parent's effects do not sum to the identity within
     ``tol`` (spectral norm, as in ``validate``): no joint can then have its
-    marginals.
+    marginals.  Raises ValueError, before M or anything of the family's size
+    is built, when the Newton system would have more than
+    ``MAX_BARRIER_VARIABLES`` variables: n = 1 + (prod l_i - sum l_i + k - 1)
+    d^2 for k parents with l_i live outcomes, as M has rank sum l_i - k + 1.
     """
     factors = tuple(p.outcomes for p in parents)
-    m, a = _marginal_map(factors, tuple(enumerate(factors))), np.concatenate([p.stack for p in parents])
+    a = np.concatenate([p.stack for p in parents])
     dim = parents[0].dim
     eye = np.eye(dim)
     unnormalized = opnorm(np.array([p.stack.sum(axis=0) for p in parents]) - eye)
@@ -435,10 +441,16 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
             f"{unnormalized[i]:.3e} > tol {tol:.1e}"
         )
     share = np.trace(a, axis1=1, axis2=2).real / dim
-    live_rows = share > _ZERO_SHARE
-    live = ~m[~live_rows].any(axis=0)
-    if not live.any():
+    live_rows = share > min(tol, WITNESS_TOL)
+    rows = iter(live_rows.tolist())
+    counts = [sum(itertools.islice(rows, len(f))) for f in factors]  # live outcomes per parent
+    if 0 in counts:
         raise ValueError("a parent observable has no nonzero effect")
+    n = 1 + (math.prod(counts) - sum(counts) + len(counts) - 1) * dim * dim
+    if n > MAX_BARRIER_VARIABLES:
+        raise ValueError(f"the barrier route needs {n} variables, above its bound {MAX_BARRIER_VARIABLES}")
+    m = _marginal_map(factors, tuple(enumerate(factors)))
+    live = ~m[~live_rows].any(axis=0)
     ml = m[np.ix_(live_rows, live)]
     g0 = np.prod(np.where(ml.T > 0, share[live_rows], 1.0), axis=1)[:, None, None] * eye
     u, sv, vt = np.linalg.svd(ml)

@@ -28,9 +28,9 @@ from .operators import (
     opnorm,
 )
 
-# spectral-norm bound of the structural tests: ||E^2 - E|| for ``is_sharp``,
-# ||E - (tr E / d) I|| for ``is_trivial``, ||[A, B]|| for ``commute`` (and so
-# for ``product_joint_many``)
+# spectral-norm bound of the structural tests: ||E^2 - E|| for sharpness in
+# ``structure_flags``, ||E - (tr E / d) I|| for ``is_trivial``, ||[A, B]|| for
+# ``commute``
 STRUCTURE_TOL = 1e-9
 # largest ``marginal_deviation`` at which a joint's marginal counts as a given
 # parent (the order audit and the paradox audit)
@@ -212,11 +212,6 @@ def structure_flags(obs) -> tuple[bool, bool]:
     return bool(sharp), bool(trivial)
 
 
-def is_sharp(obs) -> bool:
-    """True iff every effect is a projection: ||E^2 - E|| <= ``STRUCTURE_TOL``."""
-    return structure_flags(obs)[0]
-
-
 def is_trivial(obs) -> bool:
     """True iff every effect is a multiple of the identity."""
     return structure_flags(obs)[1]
@@ -325,26 +320,14 @@ def _cell_joint_cells(ax, by, cells, i, j) -> np.ndarray:
 
 def _product_cells(parents) -> np.ndarray:
     """The Hermitian part of the ordered product A_1(x_1) ... A_n(x_n) in
-    every cell, in product-outcome order; the caller has found every pair
-    of parents commuting."""
-    dim = parents[0].dim
-    combos = list(itertools.product(*(range(len(p.outcomes)) for p in parents)))
-    prods = np.empty((len(combos), dim, dim), dtype=complex)
-    for k, combo in enumerate(combos):
-        prods[k] = np.eye(dim)
-        for p, i in zip(parents, combo):
-            prods[k] = prods[k] @ p.stack[i]
+    every cell, in product-outcome order: one broadcast product from the
+    identity over the parents' stacks, in parent order.  The caller has found
+    every pair of parents commuting."""
+    prods = np.eye(parents[0].dim, dtype=complex)
+    for p in parents:
+        prods = prods[..., None, :, :] @ p.stack
+    prods = prods.reshape(-1, *prods.shape[-2:])
     return 0.5 * (prods + prods.conj().swapaxes(-1, -2))
-
-
-def product_joint_many(parents) -> ProductObservable:
-    """Symmetrized ordered product G(x_1..x_n) = A_1(x_1) ... A_n(x_n) of a
-    family in which every pair passes ``commute``; raises ValueError naming
-    the first pair that does not."""
-    for (i, a), (j, b) in itertools.combinations(enumerate(parents), 2):
-        if not commute(a, b):
-            raise ValueError(f"parents {i} and {j} do not commute within {STRUCTURE_TOL:.1e}")
-    return _joint(tuple(p.outcomes for p in parents), *_hermitian_stack(_product_cells(parents)))
 
 
 def max_cell_deviation(g: ProductObservable, f: ProductObservable) -> float:
@@ -381,6 +364,8 @@ def observable_to_json(obs) -> dict:
 def observable_from_json(data: dict):
     """Rebuild an Observable (or ProductObservable when "parents" is present)."""
     outcomes = tuple(_label_from_json(x) for x in data["outcomes"])
+    if len(set(outcomes)) != len(outcomes):  # a product's outcomes are read from its parents
+        raise ValueError("outcome labels must be unique")
     effects = {}
     for x in outcomes:
         key = label_key(x)

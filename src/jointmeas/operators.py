@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_DIM = 64
+# largest entry magnitude ``operator_from_json`` reads: an effect's entries lie in
+# [-1, 1], and sums, products and eigensolves of such matrices stay finite
+_MAX_ENTRY = 1e150
 ASYMMETRY_TOL = 1e-8  # largest skew part (spectral norm) that symmetrization may discard
 
 PAULI = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
@@ -69,19 +72,8 @@ class HermitianOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.matrix + other.matrix)
-
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         return HermitianOperator(self.matrix - other.matrix)
-
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(-self.matrix)
-
-    def __rmul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(float(scalar) * self.matrix)
-
-    __mul__ = __rmul__
 
 
 def _hermitian_stack(m) -> tuple:
@@ -278,4 +270,6 @@ def operator_from_json(data: dict) -> HermitianOperator:
     im = np.asarray(data["im"], dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"re/im shapes {re.shape}/{im.shape} do not match dim {dim}")
+    if (np.abs(re) > _MAX_ENTRY).any() or (np.abs(im) > _MAX_ENTRY).any():
+        raise ValueError(f"re/im entries above {_MAX_ENTRY:.0e} in magnitude")
     return HermitianOperator(re + 1j * im)

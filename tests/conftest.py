@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from jointmeas import BlochEffect, HermitianOperator, Observable, SimpleQubitObservable
+from jointmeas import (
+    BlochEffect,
+    FeasibilityProblem,
+    HermitianOperator,
+    Observable,
+    SimpleQubitObservable,
+    decide,
+)
 from jointmeas.sampling import random_unitary
 
 settings.register_profile(
@@ -68,19 +75,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num} ({title}): {word}")
 
 
+def product_joint(parents):
+    """The product joint of a family whose pairs commute: ``decide``'s
+    witness on route 1, the symmetrized ordered product of the effects."""
+    report = decide(FeasibilityProblem(tuple(parents)))
+    assert report.reason == "commuting"
+    return report.witness
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (z + z.conj().T)
 
 
-def identity(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.eye(dim, dtype=complex))
+def identity(dim: int, scale: float = 1.0) -> HermitianOperator:
+    return HermitianOperator(scale * np.eye(dim, dtype=complex))
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> HermitianOperator:
     u = random_unitary(dim, rng)
     w = rng.uniform(0.0, 1.0, dim)
     return HermitianOperator((u * w) @ u.conj().T)
+
+
+def spread_axes(count: int) -> np.ndarray:
+    """``count`` distinct unit vectors, spread over the sphere on a Fibonacci
+    lattice."""
+    k = np.arange(count) + 0.5
+    z, phi = 1.0 - 2.0 * k / count, math.pi * (1.0 + math.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 def _random_direction(rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ from conftest import (
     assert_dual_certificate,
     in_lb_within,
     loewner_leq_within,
+    product_joint,
     random_orthogonal_unbiased_vs_biased_pair,
     random_rank_one_pair,
     random_unbiased_pair,
@@ -44,7 +45,6 @@ from jointmeas import (
     pairwise_vs_global,
     Partitioning,
     partition_paradox_audit,
-    product_joint_many,
     qubit_pair_criterion,
     random_commuting_sharp_pair,
     refute_greatest,
@@ -185,7 +185,7 @@ def test_criterion_6_commuting_sharp_products(criterion):
             dim = 2 + (i % 7)
             rng = np.random.default_rng([60, i])
             a, b = random_commuting_sharp_pair(dim, rng)
-            g = product_joint_many((a, b))
+            g = product_joint((a, b))
             assert validate(g, tol=1e-10).passed
             assert max_marginal_deviation(g, (a, b)) <= 1e-10
             for x in a.outcomes:
@@ -290,7 +290,7 @@ def suite_joints():
     for i in range(10):
         rng = np.random.default_rng([80, i])
         a, b = random_commuting_sharp_pair(2 + (i % 7), rng)
-        add(product_joint_many((a, b)), a, b, f"product-{i}")
+        add(product_joint((a, b)), a, b, f"product-{i}")
 
     # numeric witnesses
     pair = (unbiased(0.5 * EX), unbiased(0.5 * EY))

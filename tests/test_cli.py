@@ -1,5 +1,8 @@
 """Command-line contract: exit codes, JSON output, env tolerance."""
 
+import contextlib
+import copy
+import io
 import itertools
 import json
 import math
@@ -13,6 +16,8 @@ from pathlib import Path
 import jointmeas
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointmeas import (
     REGISTRY,
@@ -26,6 +31,8 @@ from jointmeas import (
     observable_to_json,
 )
 from jointmeas.cli import main
+
+from conftest import spread_axes
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -206,6 +213,16 @@ _MALFORMED = {
     # an integer entry too large for a float raises OverflowError
     "huge-entry": lambda good: re.sub(r'"re": \[\[[^,]*', '"re": [[1' + "0" * 400, good, count=1).encode(),
     "not-utf-8": lambda good: good.replace('"0"', '"\xe9"', 1).encode("latin-1"),
+    # found by the fuzz below: the reader ignored a product's outcome list
+    # beyond its lookups, and so a repeated outcome, and passed validate
+    "product-repeats-an-outcome": lambda good: json.dumps(
+        {**observable_to_json(_PRODUCT), "outcomes": [["a", "0"], ["a", "1"], ["b", "0"], ["b", "1"], ["a", "0"]]}
+    ).encode(),
+    # found by the fuzz below: 2 x 1e308 overflows in the symmetrization, so
+    # an imaginary diagonal passed the asymmetry check (as NaN) and validate,
+    # and a real one ended in an eigensolver traceback
+    "overflowing-imaginary-diagonal": lambda good: good.replace('"im": [[0.0', '"im": [[1e308', 1).encode(),
+    "overflowing-real-diagonal": lambda good: re.sub(r'"re": \[\[[^,]*', '"re": [[1e308', good, count=1).encode(),
 }
 
 
@@ -217,6 +234,117 @@ def test_check_validate_refuses_a_malformed_file_as_a_parse_error(kind, tmp_path
     assert main(["check", "validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON document, the document first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_PRODUCT = ProductObservable(
+    (("a", "b"), ("0", "1")),
+    {z: HermitianOperator(0.25 * np.eye(2)) for z in itertools.product("ab", "01")},
+)
+# a qubit, a three-outcome qutrit and a product on two factors, each a POVM
+_DOCUMENTS = [
+    observable_to_json(unbiased(0.5 * EX)),
+    observable_to_json(Observable(("0", "1", "2"), {x: HermitianOperator(np.eye(3) / 3) for x in "012"})),
+    observable_to_json(_PRODUCT),
+]
+_WRONG_TYPES = [None, "x", [], {}, {"a": 1}]
+_BAD_NUMBERS = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 10**400]
+
+
+@st.composite
+def _mutated_files(draw):
+    """The bytes of a valid observable file with one mutation that makes it
+    no POVM or no observable file at all."""
+    doc = draw(st.sampled_from(_DOCUMENTS))
+    paths = [p for p, _ in _nodes(doc)]
+    numbers = [p for p, v in _nodes(doc) if p and p[-1] == "dim" or len(p) > 3 and p[2] in ("re", "im")]
+    kind = draw(st.sampled_from(["type", "number", "nesting", "encoding", "duplicate", "parents"]))
+    if kind == "type":
+        doc = _replaced(doc, draw(st.sampled_from(paths)), draw(st.sampled_from(_WRONG_TYPES)))
+    elif kind == "number":
+        doc = _replaced(doc, draw(st.sampled_from(numbers)), draw(st.sampled_from(_BAD_NUMBERS)))
+    elif kind == "nesting":
+        # a label wrapped in a list is a product label, which can be valid
+        path = draw(st.sampled_from([p for p in paths if not p or p[0] != "outcomes" or len(p) == 1]))
+        value = dict(_nodes(doc))[path]
+        for _ in range(draw(st.integers(1, 3))):
+            value = [value]
+        doc = _replaced(doc, path, value)
+    elif kind == "encoding":
+        # the label "0" renamed to a non-ASCII one, in an encoding other than UTF-8
+        text = json.dumps(doc).replace('"0"', '"\u00e9"')
+        return text.encode(draw(st.sampled_from(["latin-1", "utf-16", "utf-32", "utf-8-sig", "cp1252"])))
+    elif kind == "duplicate":
+        outcomes = doc["outcomes"]
+        doc = _replaced(doc, ("outcomes",), outcomes + [outcomes[draw(st.integers(0, len(outcomes) - 1))]])
+    else:
+        factors = copy.deepcopy(doc.get("parents", [["0", "1"], ["0", "1"]]))
+        i = draw(st.integers(0, len(factors) - 1))
+        change = draw(st.sampled_from(["drop-label", "add-label", "rename", "drop-factor", "add-factor", "swap"]))
+        if change == "drop-label":
+            factors[i].pop()
+        elif change in ("add-label", "rename"):
+            factors[i][-1:] = ["z"] if change == "rename" else [factors[i][-1], "z"]
+        elif change == "drop-factor":
+            factors.pop(i)
+        else:
+            factors = factors[::-1] if change == "swap" else factors + [["z"]]
+        doc = _replaced(doc, ("parents",), factors)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=150)
+@given(_mutated_files())
+def test_check_refuses_a_mutated_file_with_exit_2_or_3(tmp_path_factory, data):
+    # every check reads the file; a reader defect would end in a traceback
+    # (exit 1 from the console script), not in exit 2 or 3
+    folder = tmp_path_factory.mktemp("fuzz")
+    bad, good = folder / "bad.json", folder / "good.json"
+    bad.write_bytes(data)
+    good.write_text(json.dumps(_DOCUMENTS[0]))
+    for argv in (["validate", bad], ["jm-pair", bad, good], ["jm-set", good, bad, good]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check", *map(str, argv)])
+        assert code in (2, 3), (argv[0], code, err.getvalue())
+
+
+def test_every_fuzzed_document_is_a_valid_file_before_its_mutation(tmp_path, capsys):
+    for k, doc in enumerate(_DOCUMENTS):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "validate", str(path), "--expect", "valid"]) == 0
+
+
+def test_check_jm_set_refuses_twelve_qubit_files_over_the_size_bound(tmp_path, capsys, monkeypatch):
+    # the global family would need 16333 Newton variables; the 66 pairs are
+    # decided first
+    def refuse(*_, **__):
+        raise AssertionError("allocated before the size bound")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    files = [dump(tmp_path, f"p{i:02d}.json", unbiased(0.3 * v)) for i, v in enumerate(spread_axes(12))]
+    assert main(["check", "jm-set", *files]) == 3
+    err = capsys.readouterr().err
+    assert err == "precondition failed: the barrier route needs 16333 variables, above its bound 4096\n"
 
 
 def test_check_jm_set_triple_reports_pairs_and_global(tmp_path, capsys):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_dual_certificate, identity
+from conftest import assert_dual_certificate, identity, spread_axes
 from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
@@ -41,15 +41,24 @@ from jointmeas import (
     witness_residual,
 )
 from jointmeas.bloch import _norm, bloch_matrix
+from jointmeas import feasibility
 from jointmeas.feasibility import (
+    MAX_BARRIER_VARIABLES,
     WITNESS_TOL,
     _bloch_commute,
     _bloch_forms,
     _decide_by_robustness,
     _signed_sum_cells,
 )
-from jointmeas.observables import STRUCTURE_TOL, VALIDATE_TOL, commute, designation_order, structure_flags
-from jointmeas.operators import PAULI, opnorm
+from jointmeas.observables import (
+    STRUCTURE_TOL,
+    VALIDATE_TOL,
+    _marginal_map,
+    commute,
+    designation_order,
+    structure_flags,
+)
+from jointmeas.operators import PAULI, barrier_maximize, opnorm
 from jointmeas.sampling import random_unitary
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -62,8 +71,7 @@ def unbiased(vec) -> Observable:
 
 
 def coin(p: float, dim: int = 2) -> Observable:
-    eye = identity(dim)
-    return Observable(("0", "1"), {"1": p * eye, "0": (1.0 - p) * eye})
+    return Observable(("0", "1"), {"1": identity(dim, p), "0": identity(dim, 1.0 - p)})
 
 
 def _qubit(alpha, vec, labels=("0", "1"), swap=False) -> Observable:
@@ -724,6 +732,36 @@ def test_barrier_verdicts_and_steps_are_pinned(d, v, count, verdict, iterations)
         assert report.to_json()["gap"] == report.gap
 
 
+def test_an_oversized_barrier_family_is_refused_before_anything_is_built(monkeypatch):
+    # twelve two-outcome qubit parents need n = 1 + (4096 - 24 + 11) 4 = 16333
+    # Newton variables: a 2.1 GB Hessian after a 134 MB SVD of the marginal map
+    def refuse(*_, **__):
+        raise AssertionError("allocated before the size bound")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(feasibility, "_marginal_map", refuse)
+    monkeypatch.setattr(feasibility, "barrier_maximize", refuse)
+    parents = tuple(unbiased(0.3 * v) for v in spread_axes(12))
+    bound = f"the barrier route needs 16333 variables, above its bound {MAX_BARRIER_VARIABLES}"
+    with pytest.raises(ValueError, match=bound):
+        decide(FeasibilityProblem(parents))
+
+
+def test_three_mubs_in_dimension_five_stay_under_the_size_bound(monkeypatch):
+    # n = 1 + (125 - 15 + 2) 25 = 2801, the largest family any use needs; the
+    # solve itself is left out to keep the suite fast
+    class Reached(Exception):
+        pass
+
+    def reached(c, *_):
+        raise Reached(len(c))
+
+    monkeypatch.setattr(feasibility, "barrier_maximize", reached)
+    with pytest.raises(Reached) as info:
+        decide(FeasibilityProblem(noisy_fourier_mubs(5, 0.5, count=3)))
+    assert info.value.args == (2801,) and 2801 <= MAX_BARRIER_VARIABLES
+
+
 @pytest.mark.parametrize("offset", [-0.05, 0.05])
 def test_zero_effect_gets_zero_cells(offset):
     vc = 0.5 * (1.0 + 1.0 / (1.0 + math.sqrt(3.0)))
@@ -757,10 +795,11 @@ _SINGULAR_TRIPLE = (
 @pytest.mark.parametrize("forms, verdict", [
     (_SINGULAR_PAIR, Verdict.FEASIBLE),
     (_SINGULAR_TRIPLE, Verdict.FEASIBLE),
-    # the barrier ends at its start eta = 0, where H / eta was 0 / 0
+    # the barrier ended at its start eta = 0, where H / eta was 0 / 0, and
+    # gave UNDETERMINED; the first effect's share 1.5e-9 now counts as zero
     ([(2.901280705694408e-09, (3.1149762681278485e-10, 4.618403207213446e-09, 4.718502074304996e-10)),
       (1.0000000000924332, (0.358333890699693, 0.39027299348512473, -0.8481060186628326))],
-     Verdict.UNDETERMINED),
+     Verdict.FEASIBLE),
     # the near-zero effect's cells drop out and the marginals fix the two
     # left: no free Hermitian variables, whose coordinates were reshaped
     # with an inferred length
@@ -786,18 +825,27 @@ def test_the_barrier_route_reports_on_near_commuting_qubit_families(forms, verdi
 
 
 def test_the_barrier_route_stops_at_a_newton_decrement_that_is_not_positive(monkeypatch):
-    # on the eta-zero family the Newton system is indefinite from the first
-    # step; its decrement <= 0 used to read as convergence, and the system was
-    # rebuilt and solved once per round (9 solves) before the same verdict
+    # the barrier's input for the eta-zero family with its near-zero effect
+    # kept live, as the route built it while only a share <= 1e-12 counted as
+    # zero: the Newton system is indefinite from the first step.  Its
+    # decrement <= 0 used to read as convergence, and the system was rebuilt
+    # and solved once per round (9 solves)
     family = _designated(
         (2.901280705694408e-09, (3.1149762681278485e-10, 4.618403207213446e-09, 4.718502074304996e-10)),
         (1.0000000000924332, (0.358333890699693, 0.39027299348512473, -0.8481060186628326)),
     )
+    factors = tuple(p.outcomes for p in family)
+    m, a = _marginal_map(factors, tuple(enumerate(factors))), np.concatenate([p.stack for p in family])
+    share = np.trace(a, axis1=1, axis2=2).real / 2
+    g0 = np.prod(np.where(m.T > 0, share, 1.0), axis=1)[:, None, None] * np.eye(2)
+    u, sv, vt = np.linalg.svd(m)
+    drift = np.tensordot((vt[:3].T / sv[:3]) @ u[:, :3].T, a - share[:, None, None] * np.eye(2), axes=1)
+    c = np.eye(5)[0]
     solve, solves = np.linalg.solve, []
     monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
-    report = decide(FeasibilityProblem(family))
+    x, steps, found = barrier_maximize(c, g0, drift[None], vt[3:], np.zeros(5), 1.0, WITNESS_TOL)
     assert len(solves) == 1
-    assert report.verdict is Verdict.UNDETERMINED and report.iterations == 1
+    assert steps == 0 and found is None and not x.any()
 
 
 @st.composite
@@ -918,7 +966,7 @@ def test_barrier_verdict_is_frame_and_label_free(shape, v, seed):
 
 
 def test_trivial_joint_construction_and_refusal():
-    quarter = Observable(("0", "1"), {"1": 0.25 * identity(2), "0": 0.75 * identity(2)})
+    quarter = Observable(("0", "1"), {"1": identity(2, 0.25), "0": identity(2, 0.75)})
     g = joint_from_cell(quarter, quarter, np.zeros((2, 2)), "1", "1")
     assert np.allclose(g.effects[("1", "1")].matrix, np.zeros((2, 2)), atol=1e-15)
     assert np.allclose(g.effects[("0", "0")].matrix, 0.5 * np.eye(2), atol=1e-15)
@@ -977,13 +1025,12 @@ def test_unnormalized_parent_is_rejected_not_undetermined():
     # effects 0.5 I and 0.2 I sum to 0.7 I, 0.3 from I in spectral norm: no
     # joint has that marginal, and the barrier route used to end UNDETERMINED
     # on it after reaching eta >= 1
-    eye = identity(2)
-    short = Observable(("0", "1"), {"0": 0.5 * eye, "1": 0.2 * eye})
+    short = Observable(("0", "1"), {"0": identity(2, 0.5), "1": identity(2, 0.2)})
     parents = (unbiased(0.6 * EX), unbiased(0.6 * EY), short)
     with pytest.raises(ValueError, match="parent 2's effects sum to the identity only within 3.000e-01"):
         decide(FeasibilityProblem(parents))
     # the same family, normalized, is decided
-    fixed = Observable(("0", "1"), {"0": 0.8 * eye, "1": 0.2 * eye})
+    fixed = Observable(("0", "1"), {"0": identity(2, 0.8), "1": identity(2, 0.2)})
     assert decide(FeasibilityProblem(parents[:2] + (fixed,))).verdict is Verdict.FEASIBLE
 
 
@@ -992,7 +1039,9 @@ def test_a_parent_that_passes_validate_is_decided():
     # spectral norm, as validate measures it, but within 1.386e-7 in the
     # Frobenius norm, which decide used to apply and refuse at tol 1e-7
     z, x = noisy_fourier_mubs(3, 0.6)
-    scaled = Observable(z.outcomes, {k: (1.0 + 8e-8) * e for k, e in z.effects.items()})
+    scaled = Observable(
+        z.outcomes, {k: HermitianOperator((1.0 + 8e-8) * e.matrix) for k, e in z.effects.items()}
+    )
     tol = FeasibilityOptions().tol
     assert validate(scaled, tol=tol).passed
     report = decide(FeasibilityProblem((scaled, x)))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jointmeas.feasibility import FeasibilityProblem, decide
 from jointmeas.observables import (
     STRUCTURE_TOL,
     Observable,
     ProductObservable,
     commute,
-    is_sharp,
     is_trivial,
     joint_from_cell,
     label_key,
@@ -20,18 +20,18 @@ from jointmeas.observables import (
     max_marginal_deviation,
     observable_from_json,
     observable_to_json,
-    product_joint_many,
+    structure_flags,
     subset_key,
     validate,
 )
 from jointmeas.operators import HermitianOperator, operator_to_json, opnorm
 from jointmeas.sampling import random_commuting_sharp_pair, random_unitary
 
-from conftest import identity, random_effect
+from conftest import identity, product_joint, random_effect
 
 
 def _coin(dim: int, p: float = 0.5) -> Observable:
-    return Observable(("0", "1"), {"1": p * identity(dim), "0": (1 - p) * identity(dim)})
+    return Observable(("0", "1"), {"1": identity(dim, p), "0": identity(dim, 1 - p)})
 
 
 def _diag_sharp(bits) -> Observable:
@@ -64,7 +64,7 @@ def test_structural_checks():
 def test_validate_reports_residuals():
     good = _coin(2)
     assert validate(good).passed
-    bad = Observable(("0", "1"), {"0": 0.6 * identity(2), "1": 0.6 * identity(2)})
+    bad = Observable(("0", "1"), {"0": identity(2, 0.6), "1": identity(2, 0.6)})
     rep = validate(bad)
     assert not rep.passed
     assert rep.normalization_residual == pytest.approx(0.2)
@@ -79,8 +79,8 @@ def test_validate_reports_residuals():
 
 
 def test_sharp_and_trivial_predicates():
-    assert is_sharp(_diag_sharp([1, 0, 1]))
-    assert not is_sharp(_coin(3))
+    assert structure_flags(_diag_sharp([1, 0, 1]))[0]
+    assert not structure_flags(_coin(3))[0]
     assert is_trivial(_coin(3))
     assert not is_trivial(_diag_sharp([1, 0]))
 
@@ -98,10 +98,10 @@ def _framed(diagonal, seed: int) -> np.ndarray:
 # each pin sets the norm the tolerance bounds to 0.9 or 1.1 STRUCTURE_TOL,
 # measured independently with the SVD norm
 @pytest.mark.parametrize("scale", [0.9, 1.1])
-def test_is_sharp_keeps_its_threshold(scale):
+def test_structure_flags_keeps_its_sharp_threshold(scale):
     e = _framed([1.0 + scale * STRUCTURE_TOL, 1.0, 0.0], 31)  # ||E^2 - E|| = eps + eps^2
     assert np.linalg.norm(e @ e - e, 2) == pytest.approx(scale * STRUCTURE_TOL, rel=1e-5)
-    assert is_sharp(_two_outcome(e)) is (scale < 1.0)
+    assert structure_flags(_two_outcome(e))[0] is (scale < 1.0)
 
 
 @pytest.mark.parametrize("scale", [0.9, 1.1])
@@ -128,19 +128,16 @@ def test_commute_keeps_its_threshold(scale):
 
 @pytest.mark.parametrize("scale", [0.9, 1.1])
 def test_product_skew_check_keeps_its_threshold(scale):
-    # the product joint refuses exactly the pairs that commute refuses
+    # decide builds the product joint for exactly the pairs that commute accepts
     a, b = _skewed_pair(scale * STRUCTURE_TOL)
-    if scale < 1.0:
-        product_joint_many((a, b))
-    else:
-        with pytest.raises(ValueError, match="parents 0 and 1 do not commute within 1.0e-09"):
-            product_joint_many((a, b))
+    report = decide(FeasibilityProblem((a, b)))
+    assert (report.reason == "commuting") is commute(a, b) is (scale < 1.0)
 
 
 def test_marginals_of_product():
     a = _diag_sharp([1, 0])
     b = _coin(2, 0.3)
-    g = product_joint_many((a, b))
+    g = product_joint((a, b))
     for axis, parent in enumerate((a, b)):
         got = marginal(g, axis)
         for x in parent.outcomes:
@@ -152,7 +149,7 @@ def test_marginal_normalization_property(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     a, b = random_commuting_sharp_pair(dim, rng)
-    g = product_joint_many((a, b))
+    g = product_joint((a, b))
     total = sum(e.matrix for e in g.effects.values())
     assert opnorm(total - np.eye(dim)) <= 1e-12
     for axis in (0, 1):
@@ -164,7 +161,7 @@ def test_product_joint_oracle_on_diagonal_pair():
     # hand-computed product of commuting diagonal effects
     a = _diag_sharp([1, 1, 0])
     b = _diag_sharp([1, 0, 0])
-    g = product_joint_many((a, b))
+    g = product_joint((a, b))
     expected_11 = np.diag([1.0, 0.0, 0.0])
     assert opnorm(g.effects[("1", "1")].matrix - expected_11) <= 1e-14
     expected_10 = np.diag([0.0, 1.0, 0.0])
@@ -175,23 +172,14 @@ def test_product_joint_rejects_noncommuting():
     x = HermitianOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
     a = Observable(("0", "1"), {"1": x, "0": identity(2) - x})
     b = _diag_sharp([1, 0])
-    with pytest.raises(ValueError):
-        product_joint_many((a, b))
+    assert decide(FeasibilityProblem((a, b))).reason != "commuting"
     assert not commute(a, b)
-
-
-def test_product_joint_names_the_first_pair_that_does_not_commute():
-    x = HermitianOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    tilted = Observable(("0", "1"), {"1": x, "0": identity(2) - x})
-    family = (_diag_sharp([1, 0]), _coin(2, 0.3), tilted)
-    with pytest.raises(ValueError, match="parents 0 and 2 do not commute"):
-        product_joint_many(family)
 
 
 def test_joint_agreement():
     rng = np.random.default_rng(7)
     a, b = random_commuting_sharp_pair(3, rng)
-    g = product_joint_many((a, b))
+    g = product_joint((a, b))
     assert max_cell_deviation(g, g) <= 1e-9
     other = ProductObservable(
         g.parents, {k: v for k, v in g.effects.items()}
@@ -200,7 +188,7 @@ def test_joint_agreement():
 
 
 def test_product_observable_requires_full_grid():
-    e = 0.25 * identity(2)
+    e = identity(2, 0.25)
     with pytest.raises(ValueError):
         ProductObservable((("0", "1"), ("0", "1")), {("0", "0"): e})
 
@@ -208,7 +196,7 @@ def test_product_observable_requires_full_grid():
 def test_a_product_factor_that_repeats_a_label_is_refused():
     # the repeated "0" left four outcomes on two effects, and the joint
     # passed validate
-    quarter = 0.25 * identity(2)
+    quarter = identity(2, 0.25)
     with pytest.raises(ValueError, match="outcome labels must be unique"):
         ProductObservable((("0", "0"), ("a", "b")), {("0", "a"): quarter, ("0", "b"): quarter})
     data = {
@@ -230,7 +218,7 @@ def test_observable_json_round_trip():
         assert opnorm(back.effects[x].matrix - obs.effects[x].matrix) <= 1e-12
 
     a, b = random_commuting_sharp_pair(2, rng)
-    g = product_joint_many((a, b))
+    g = product_joint((a, b))
     back_g = observable_from_json(observable_to_json(g))
     assert isinstance(back_g, ProductObservable)
     assert max_cell_deviation(g, back_g) <= 1e-12
@@ -277,7 +265,7 @@ def test_joint_from_cell_has_exact_marginals(seed, dim):
 
 def test_joint_from_cell_refuses_parents_without_two_outcomes():
     two = _coin(2)
-    three = Observable(("a", "b", "c"), {x: identity(2) * (1 / 3) for x in "abc"})
+    three = Observable(("a", "b", "c"), {x: identity(2, 1 / 3) for x in "abc"})
     with pytest.raises(ValueError, match="two two-outcome parents"):
         joint_from_cell(two, three, np.zeros((2, 2)), "1", "a")
     with pytest.raises(ValueError, match="two two-outcome parents"):
@@ -322,7 +310,7 @@ def test_assigning_into_the_effects_raises():
 
 def test_the_stack_is_read_only():
     obs, _ = _qubit_coin_and_dict()
-    g = product_joint_many([obs, obs])
+    g = product_joint([obs, obs])
     for held in (obs, g):
         assert held.stack.shape == (len(held.outcomes), 2, 2) and not held.stack.flags.writeable
         assert not any(held.effects[x].matrix.flags.writeable for x in held.outcomes)
@@ -370,10 +358,40 @@ def test_the_mapped_marginal_gaps_equal_the_masked_sums_bit_for_bit(seed, joints
     assert got.tobytes() == _masked_marginal_gaps(cells, factors, axes).tobytes()
 
 
+def _looped_product_cells(parents) -> np.ndarray:
+    """The product cells as they were built before the broadcast: per cell,
+    the identity times each parent's effect in parent order."""
+    dim = parents[0].dim
+    combos = list(itertools.product(*(range(len(p.outcomes)) for p in parents)))
+    prods = np.empty((len(combos), dim, dim), dtype=complex)
+    for k, combo in enumerate(combos):
+        prods[k] = np.eye(dim)
+        for p, i in zip(parents, combo):
+            prods[k] = prods[k] @ p.stack[i]
+    return 0.5 * (prods + prods.conj().swapaxes(-1, -2))
+
+
+@given(st.integers(0, 10_000), st.lists(st.integers(2, 3), min_size=2, max_size=4), st.integers(2, 4))
+def test_the_broadcast_product_cells_equal_the_per_cell_loop_bit_for_bit(seed, sizes, dim):
+    from jointmeas.observables import _product_cells
+
+    rng = np.random.default_rng(seed)
+    parents = []
+    for k, n in enumerate(sizes):
+        effects = {}
+        for x in range(n):
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            # signed zeros in about a third of the entries
+            m = np.where(rng.random((dim, dim)) < 0.3, rng.choice([0.0, -0.0], (dim, dim)), z + z.conj().T)
+            effects[f"{k}{x}"] = HermitianOperator(0.5 * (m + m.conj().T))
+        parents.append(Observable(tuple(effects), effects))
+    assert _product_cells(parents).tobytes() == _looped_product_cells(parents).tobytes()
+
+
 @pytest.mark.parametrize("axis", [2, -1])
 def test_a_marginal_axis_out_of_range_is_refused(axis):
     coin = _coin(2)
-    g = product_joint_many((coin, coin))
+    g = product_joint((coin, coin))
     with pytest.raises(ValueError, match="out of range"):
         marginal_deviation(g, axis, coin)
     with pytest.raises(ValueError, match="out of range"):

@@ -23,7 +23,6 @@ from jointmeas import (
     marginal,
     max_cell_deviation,
     maximality_probe,
-    product_joint_many,
     refute_greatest,
     validate,
 )
@@ -35,6 +34,7 @@ from conftest import (
     identity,
     in_lb_within,
     loewner_leq_within,
+    product_joint,
     random_effect,
 )
 
@@ -496,7 +496,7 @@ def test_audit_commuting_sharp_product_joint():
 
     a = diag_obs({"0": (0,), "1": (1, 2)})
     b = diag_obs({"0": (0, 1), "1": (2,)})
-    g = product_joint_many((a, b))
+    g = product_joint((a, b))
     audit = joint_observable_order_audit(g, a, b)
     assert all(cell.in_lb for cell in audit.cells.values())
     assert audit.all_greatest

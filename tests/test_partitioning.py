@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_dual_certificate, sharp_within
+from conftest import assert_dual_certificate, product_joint, sharp_within
 from jointmeas import (
     BlochEffect,
     FeasibilityOptions,
@@ -27,7 +27,6 @@ from jointmeas import (
     marginal,
     partition_compatibility_matrix,
     partition_paradox_audit,
-    product_joint_many,
     validate,
     witness_residual,
 )
@@ -156,7 +155,7 @@ def test_forward_partition_full_axis_collapses_to_marginal():
 def test_forward_partition_matches_operator_products_for_diagonal_joints():
     a = diag_obs({"p": (0,), "q": (1,), "r": (2, 3)}, 4)
     b = diag_obs({"u": (0, 2), "v": (1, 3)}, 4)
-    g = product_joint_many((a, b))
+    g = product_joint((a, b))
     x, y = {"p", "r"}, {"v"}
     h = forward_partition_joint(g, x, y)
     pa, pb = Partitioning(a, frozenset(x)).observable, Partitioning(b, frozenset(y)).observable
@@ -403,7 +402,7 @@ def test_paradox_audit_invariant_under_conjugation_relabeling_and_swap(seed):
 def test_paradox_audit_commuting_pair_is_negative():
     a = diag_obs({"0": (0,), "1": (1,)}, 2)
     b = diag_obs({"0": (0,), "1": (1,)}, 2)
-    g = product_joint_many((a, b))
+    g = product_joint((a, b))
     report = partition_paradox_audit(g, g)
     assert report.matrix.all_feasible
     assert report.global_report.verdict is Verdict.FEASIBLE
