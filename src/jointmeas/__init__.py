@@ -11,7 +11,6 @@ from .bloch import (
     busch_criterion,
     gamma_family_member,
     gamma_interval,
-    is_valid_effect_params,
     liu_criterion,
     molnar_criterion,
     qubit_pair_criterion,
@@ -33,7 +32,6 @@ from .observables import (
     ProductObservable,
     ValidationReport,
     commute,
-    is_trivial,
     joint_from_cell,
     label_key,
     marginal,

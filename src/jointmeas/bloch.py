@@ -79,12 +79,6 @@ class BlochEffect:
     def to_operator(self) -> HermitianOperator:
         return HermitianOperator(bloch_matrix(self.alpha, self.a))
 
-    @staticmethod
-    def from_operator(e: HermitianOperator) -> "BlochEffect":
-        if e.dim != 2:
-            raise ValueError(f"Bloch form needs a qubit operator, got dim {e.dim}")
-        return BlochEffect(*_bloch_params(e.matrix.tolist()))
-
     def complement(self) -> "BlochEffect":
         return BlochEffect(2.0 - self.alpha, -self.a)
 
@@ -113,11 +107,6 @@ def _is_effect_within(alpha: float, norm: float, tol: float = _INPUT_TOL) -> boo
     within ``tol``.  At the default ``_INPUT_TOL`` it is every criterion's
     input check and the guard of ``decide``'s qubit routes."""
     return norm <= alpha + tol and alpha <= 2.0 - norm + tol
-
-
-def is_valid_effect_params(alpha: float, a, tol: float = 0.0) -> bool:
-    """Effect condition in Bloch form: ||a|| <= alpha <= 2 - ||a||."""
-    return _is_effect_within(alpha, _norm(np.asarray(a, dtype=float)), tol)
 
 
 def _require_effects(*named):
@@ -311,7 +300,8 @@ def gamma_family_member(a, beta: float, b_hat, gamma: float) -> ProductObservabl
     The four joint effects are fixed by gamma = weight of the (1,1) cell along
     b_hat; the marginal equations then force the rest.  Every cell must pass
     the effect test, and gamma outside the admissible interval is rejected
-    with the failing cells named.
+    with the failing cells named; a cell with a Bloch-vector entry above 2,
+    which no effect has, fails before its length is taken.
     """
     a = np.asarray(a, dtype=float)
     b_hat = np.asarray(b_hat, dtype=float)
@@ -329,7 +319,7 @@ def gamma_family_member(a, beta: float, b_hat, gamma: float) -> ProductObservabl
     bad = [
         (i, j)
         for (i, j), (al, v) in cells.items()
-        if not is_valid_effect_params(al, v, EFFECT_TOL)
+        if not (np.abs(v) <= 2.0).all() or not _is_effect_within(al, _norm(v), EFFECT_TOL)
     ]
     if bad:
         names = ", ".join(f"({i},{j})" for i, j in sorted(bad))

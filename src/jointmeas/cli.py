@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .feasibility import FeasibilityOptions, FeasibilityProblem, decide, pairwise_vs_global
@@ -87,6 +88,10 @@ def _cmd_run(args) -> int:
         print("run: scenario name required (or --list)", file=sys.stderr)
         return EXIT_PARSE
     overrides = {name: getattr(args, name) for name in _SCENARIO_PARAMS}
+    for name, value in overrides.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"run: --{name.replace('_', '-')} must be finite, got {value!r}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         report = run_scenario(args.name, overrides, FeasibilityOptions(args.tol))
     except KeyError as err:

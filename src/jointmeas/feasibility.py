@@ -24,11 +24,11 @@ robustness problem on the barrier kernel.
    that has been re-checked with ``eigvalsh``.
 
 Two phases run over a batch of families, and ``decide`` is the batch of one.
-Routing gives per family a final INFEASIBLE report or a job pending its
-witness (a product or signed-sum joint, or a pair search).  The witness
-phase serves all jobs in one stacked pass.  It is the one gate of all four
-routes: a FEASIBLE's exact ``witness_residual`` is within min(``tol``,
-``WITNESS_TOL``).  A family of routes 1-3 that misses it goes to route 4.
+Routing builds every witness: per family a final report or a job holding its
+witness cells (a product, signed-sum or planar-search joint).  The witness
+phase only gates, all jobs in one stacked pass: a FEASIBLE of any route has
+its exact ``witness_residual`` within min(``tol``, ``WITNESS_TOL``).  A family
+of routes 1-3 that misses the gate, or whose search fails, goes to route 4.
 
 The planar search (``decide_pair_qubit_numeric``) reduces a qubit pair to
 the question whether four filled ellipses in the plane of the two Bloch
@@ -212,8 +212,8 @@ def _bloch_commute(fa, fb) -> bool:
 def _bloch_forms(obs) -> tuple | None:
     """(label, alpha, a, ||a||) per outcome of a two-outcome qubit observable,
     in ``designation_order``, so that the first is its designated effect;
-    None for any other observable.  Read from the stack in one pass, as
-    ``BlochEffect.from_operator`` reads an operator."""
+    None for any other observable.  Read from the stack in one pass by
+    ``bloch._bloch_params``, the one Bloch reader."""
     if obs.dim != 2 or len(obs.outcomes) != 2:
         return None
     forms, rows = [], obs.stack.tolist()
@@ -372,13 +372,14 @@ def decide_pair_qubit_numeric(a_obs, b_obs, opts: FeasibilityOptions | None = No
     min(``opts.tol``, ``WITNESS_TOL``) give FEASIBLE with the witness;
     otherwise the report is UNDETERMINED with the excess or the residual
     that missed.  Deterministic; ``iterations`` counts grid evaluations.
-    The witness phase of ``decide``, run on one pair.
+    The qubit-pair route of ``decide`` and its gate, run on one pair.
     """
     opts = opts or FeasibilityOptions()
     forms = (_bloch_forms(a_obs), _bloch_forms(b_obs))
     if None in forms:
         raise ValueError("the pair search needs two-outcome qubit observables")
-    return _witness([_Job((a_obs, b_obs), None, None, forms=forms)], opts.tol)[0]
+    job = _pair_job((a_obs, b_obs), forms, None, None, opts.tol)
+    return _witness([job], opts.tol)[0] if isinstance(job, _Job) else job
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +463,7 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
         """The witness phase's report on the live cells, symmetrized and zero-padded."""
         full = np.zeros((m.shape[1], dim, dim), dtype=complex)
         full[live] = 0.5 * (cells + cells.conj().swapaxes(-1, -2))
-        return _witness([_Job(parents, None, None, full, iterations=iterations)], tol)[0]
+        return _witness([_Job(parents, None, None, full, iterations)], tol)[0]
 
     start = settle(g0 + drift, 1)  # the affine projection of G0: eta = 1, H = 0
     if start.verdict is Verdict.FEASIBLE:
@@ -511,19 +512,18 @@ def _decide_by_robustness(parents, tol: float) -> FeasibilityReport:
 # ---------------------------------------------------------------------------
 
 class _Job(NamedTuple):
-    """A family pending its witness: its cells and iterations spent, or the pair's forms to search."""
+    """A family pending the gate: its witness cells and the iterations spent."""
 
     parents: tuple
     reason: str | None
     margin: float | None
-    cells: np.ndarray | None = None
-    forms: tuple | None = None
+    cells: np.ndarray
     iterations: int = 0
 
 
-def _route(parents, forms):
+def _route(parents, forms, tol: float):
     """Routes 1-3 of one family from its parents' ``_bloch_forms``: a final
-    INFEASIBLE report, a ``_Job``, or None for the barrier route."""
+    report, a ``_Job``, or None for the barrier route."""
     family = None if None in forms else forms  # else not all two-outcome qubit observables
     members, commutes = (parents, commute) if family is None else (family, _bloch_commute)
     if all(commutes(a, b) for a, b in itertools.combinations(members, 2)):
@@ -534,7 +534,7 @@ def _route(parents, forms):
         reason, result = _match_pair_criterion(*family)
         if not result.jm:
             return FeasibilityReport(Verdict.INFEASIBLE, None, reason, result.margin, 0.0, 0)
-        return _Job(parents, reason, result.margin, forms=family)
+        return _pair_job(parents, family, reason, result.margin, tol)
     if family is not None:
         match = _match_triple_criterion(family)
         if match is not None:
@@ -547,49 +547,42 @@ def _route(parents, forms):
     return None
 
 
-def _pair_witness_cells(job, accept: float):
-    """The planar search of a pair ``_Job``: (witness cells (4, 2, 2) in
-    product-outcome order, or None when its least excess exceeds ``accept``;
-    that excess; grid evaluations)."""
-    (da, alpha, avec, _), (db, beta, bvec, _) = job.forms[0][0], job.forms[1][0]
+def _pair_job(parents, forms, reason, margin, tol: float):
+    """The planar search of a pair from its ``_bloch_forms``: a ``_Job`` with
+    the witness cells (4, 2, 2) in product-outcome order and the grid
+    evaluations, or UNDETERMINED with the least excess when that exceeds
+    min(``tol``, ``WITNESS_TOL``)."""
+    (da, alpha, avec, _), (db, beta, bvec, _) = forms[0][0], forms[1][0]
     value, s, t, evaluations = _planar_search(alpha, avec, beta, bvec)
-    if value > accept:
-        return None, value, evaluations
+    if value > min(tol, WITNESS_TOL):
+        return FeasibilityReport(Verdict.UNDETERMINED, None, None, None, value, evaluations)
     g = s * avec + t * bvec
     lo = max(_norm(g), _norm(g - (avec + bvec)) + alpha + beta - 2.0)
     hi = min(alpha - _norm(avec - g), beta - _norm(bvec - g))
-    (a, b), cell = job.parents, _bloch_matrices([0.5 * (lo + hi)], g[None])
+    (a, b), cell = parents, _bloch_matrices([0.5 * (lo + hi)], g[None])
     i, j = a.outcomes.index(da), b.outcomes.index(db)
-    return _cell_joint_cells(a.stack[i:i + 1], b.stack[j:j + 1], cell, i, j)[0], value, evaluations
+    cells = _cell_joint_cells(a.stack[i:i + 1], b.stack[j:j + 1], cell, i, j)[0]
+    return _Job(parents, reason, margin, cells, evaluations)
 
 
 def _witness(jobs, tol: float) -> list:
-    """The witness phase: a report per job, FEASIBLE when the witness passes
-    the one gate of every route, ``witness_residual`` <= min(``tol``,
-    ``WITNESS_TOL``), else UNDETERMINED with that residual or the search's
-    excess.  After the pair searches, the cells of all jobs of one outcome
-    structure are checked as one stack and their residuals taken in one pass."""
-    accept = min(tol, WITNESS_TOL)
+    """The witness phase, only a gate: a report per job, FEASIBLE when its
+    witness passes the one gate of every route, ``witness_residual`` <=
+    min(``tol``, ``WITNESS_TOL``), else UNDETERMINED with that residual.  The
+    cells of all jobs of one outcome structure are checked as one stack and
+    their residuals taken in one pass."""
     reports, groups = [None] * len(jobs), {}
     for k, job in enumerate(jobs):
-        cells, iterations = job.cells, job.iterations
-        if cells is None:
-            cells, excess, iterations = _pair_witness_cells(job, accept)
-            if cells is None:
-                reports[k] = FeasibilityReport(Verdict.UNDETERMINED, None, None, None, excess, iterations)
-                continue
-        factors = tuple(p.outcomes for p in job.parents)
-        groups.setdefault((factors, cells.shape), []).append((k, cells, iterations))
+        groups.setdefault((tuple(p.outcomes for p in job.parents), job.cells.shape), []).append(k)
 
     for (factors, (n, d, _)), members in groups.items():
-        herm, asym = _hermitian_stack(np.concatenate([c for _, c, _ in members]))
-        parent_sets = [jobs[k].parents for k, _, _ in members]
-        resids = _residuals(herm.reshape(len(members), n, d, d), factors, parent_sets)
-        for j, ((k, _, iterations), resid) in enumerate(zip(members, resids.tolist())):
-            if resid > accept:
+        herm, asym = _hermitian_stack(np.concatenate([jobs[k].cells for k in members]))
+        resids = _residuals(herm.reshape(len(members), n, d, d), factors, [jobs[k].parents for k in members])
+        for j, (k, resid) in enumerate(zip(members, resids.tolist())):
+            _, reason, margin, _, iterations = jobs[k]
+            if resid > min(tol, WITNESS_TOL):
                 reports[k] = FeasibilityReport(Verdict.UNDETERMINED, None, None, None, resid, iterations)
                 continue
-            reason, margin = jobs[k][1:3]
             witness = _joint(factors, herm[j * n:(j + 1) * n], asym[j * n:(j + 1) * n])
             reports[k] = FeasibilityReport(Verdict.FEASIBLE, witness, reason, margin, resid, iterations)
     return reports
@@ -598,14 +591,15 @@ def _witness(jobs, tol: float) -> list:
 def _decide_batch(families, opts: FeasibilityOptions) -> list:
     """``decide`` on each family (a tuple of parents): routes 1-3 per family,
     each distinct parent's ``_bloch_forms`` read once, then one witness phase
-    for all jobs; the barrier route for the rest and for a failed witness."""
+    for all jobs; the barrier route for the rest and for a failed witness or
+    planar search."""
     forms = {}
     for p in itertools.chain.from_iterable(families):
         if id(p) not in forms:
             forms[id(p)] = _bloch_forms(p)
-    routed = [_route(parents, [forms[id(p)] for p in parents]) for parents in families]
+    routed = [_route(parents, [forms[id(p)] for p in parents], opts.tol) for parents in families]
     jobs = [r for r in routed if isinstance(r, _Job)]
-    witnessed = iter(_witness(jobs, opts.tol) if jobs else ())
+    witnessed = iter(_witness(jobs, opts.tol) if jobs else ())  # no call for a batch of final reports
     reports = []
     for parents, report in zip(families, routed):
         if isinstance(report, _Job):
@@ -636,16 +630,14 @@ class PairwiseGlobalReport:
 def pairwise_vs_global(parents, opts: FeasibilityOptions | None = None) -> PairwiseGlobalReport:
     """Decide every pair and the full family.
 
-    Each verdict is ``decide``'s own.  A family of sharp observables that
-    are pairwise compatible commutes, so n - 1 such sharp parents make a
+    Each report is ``decide``'s own, from one ``_decide_batch`` that reads
+    each parent's Bloch forms once.  A family of sharp observables that are
+    pairwise compatible commutes, so n - 1 such sharp parents make a
     commuting family that ``decide`` answers with the product joint.
     """
-    opts = opts or FeasibilityOptions()
     parents = tuple(parents)
     if len(parents) < 3:
         raise ValueError("need at least three observables to compare pairwise vs global")
-    pairwise = {}
-    for i in range(len(parents)):
-        for j in range(i + 1, len(parents)):
-            pairwise[(i, j)] = decide(FeasibilityProblem((parents[i], parents[j]), opts))
-    return PairwiseGlobalReport(pairwise, decide(FeasibilityProblem(parents, opts)))
+    problem = FeasibilityProblem(parents, opts or FeasibilityOptions())
+    *pairwise, whole = _decide_batch([*itertools.combinations(parents, 2), parents], problem.options)
+    return PairwiseGlobalReport(dict(zip(itertools.combinations(range(len(parents)), 2), pairwise)), whole)

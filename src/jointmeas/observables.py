@@ -28,9 +28,8 @@ from .operators import (
     opnorm,
 )
 
-# spectral-norm bound of the structural tests: ||E^2 - E|| for sharpness in
-# ``structure_flags``, ||E - (tr E / d) I|| for ``is_trivial``, ||[A, B]|| for
-# ``commute``
+# spectral-norm bound of the structural tests: ||E^2 - E|| (sharp) and
+# ||E - (tr E / d) I|| (trivial) in ``structure_flags``, ||[A, B]|| in ``commute``
 STRUCTURE_TOL = 1e-9
 # largest ``marginal_deviation`` at which a joint's marginal counts as a given
 # parent (the order audit and the paradox audit)
@@ -212,11 +211,6 @@ def structure_flags(obs) -> tuple[bool, bool]:
     return bool(sharp), bool(trivial)
 
 
-def is_trivial(obs) -> bool:
-    """True iff every effect is a multiple of the identity."""
-    return structure_flags(obs)[1]
-
-
 def commute(a, b) -> bool:
     """True iff every effect of a commutes with every effect of b within
     ``STRUCTURE_TOL``: one batched ``opnorm`` over all outcome pairs."""
@@ -347,10 +341,6 @@ def _label_to_json(label):
     return list(label) if isinstance(label, tuple) else label
 
 
-def _label_from_json(entry):
-    return tuple(entry) if isinstance(entry, list) else str(entry)
-
-
 def observable_to_json(obs) -> dict:
     data = {
         "outcomes": [_label_to_json(x) for x in obs.outcomes],
@@ -362,8 +352,12 @@ def observable_to_json(obs) -> dict:
 
 
 def observable_from_json(data: dict):
-    """Rebuild an Observable (or ProductObservable when "parents" is present)."""
-    outcomes = tuple(_label_from_json(x) for x in data["outcomes"])
+    """Rebuild an Observable (or ProductObservable when "parents" is present):
+    "outcomes" is a list of strings, or of lists for a product."""
+    product, outcomes = "parents" in data, data["outcomes"]
+    if not isinstance(outcomes, list) or not all(isinstance(x, list if product else str) for x in outcomes):
+        raise ValueError(f"outcomes must be a list of {'lists' if product else 'strings'}")
+    outcomes = tuple(map(tuple, outcomes) if product else outcomes)
     if len(set(outcomes)) != len(outcomes):  # a product's outcomes are read from its parents
         raise ValueError("outcome labels must be unique")
     effects = {}
@@ -372,7 +366,7 @@ def observable_from_json(data: dict):
         if key not in data["effects"]:
             raise ValueError(f"missing effect for outcome {key!r}")
         effects[x] = operator_from_json(data["effects"][key])
-    if "parents" in data:
+    if product:
         parents = tuple(tuple(str(l) for l in p) for p in data["parents"])
         return ProductObservable(parents, effects)
     return Observable(outcomes, effects)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_DIM = 64
-# largest entry magnitude ``operator_from_json`` reads: an effect's entries lie in
-# [-1, 1], and sums, products and eigensolves of such matrices stay finite
+# largest entry modulus of any operator or stack built: an effect's entries lie
+# in [-1, 1], and sums, products and eigensolves of such matrices stay finite
 _MAX_ENTRY = 1e150
 ASYMMETRY_TOL = 1e-8  # largest skew part (spectral norm) that symmetrization may discard
 
@@ -87,8 +87,8 @@ def _hermitian_stack(m) -> tuple:
         raise ValueError(f"operator must be square, got shape {m.shape[-2:]}")
     if d < 1 or d > MAX_DIM:
         raise ValueError(f"dimension {d} outside [1, {MAX_DIM}]")
-    if not np.isfinite(m).all():  # both parts of a complex entry
-        raise ValueError("operator entries must be finite")
+    if not np.abs(m).max(initial=0.0) <= _MAX_ENTRY:  # before any arithmetic; NaN fails too
+        raise ValueError(f"operator entries must be finite and of modulus at most {_MAX_ENTRY:.0e}")
     adjoint = m.conj().swapaxes(-1, -2)
     twice_skew = m - adjoint
     asym = np.zeros(m.shape[:-2])
@@ -270,6 +270,6 @@ def operator_from_json(data: dict) -> HermitianOperator:
     im = np.asarray(data["im"], dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"re/im shapes {re.shape}/{im.shape} do not match dim {dim}")
-    if (np.abs(re) > _MAX_ENTRY).any() or (np.abs(im) > _MAX_ENTRY).any():
-        raise ValueError(f"re/im entries above {_MAX_ENTRY:.0e} in magnitude")
-    return HermitianOperator(re + 1j * im)
+    m = re.astype(complex)
+    m.imag = im  # not re + 1j * im, whose 0 * inf would warn before the constructor's check
+    return HermitianOperator(m)

@@ -9,6 +9,7 @@ default parameters.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,8 +128,8 @@ def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
     l = params["l"]
     a, b = l * EX, l * EY
     obs_a, obs_b = _unbiased(a), _unbiased(b)
+    crit = busch_criterion(a, b)  # first: it refuses non-effects
     report = decide(FeasibilityProblem((obs_a, obs_b), opts))
-    crit = busch_criterion(a, b)
     want = Verdict.FEASIBLE if crit.jm else Verdict.INFEASIBLE
     exps = [
         Expectation("verdict", "equals", want.value, report.verdict.value, citation=_CITE_PAIR),
@@ -169,9 +170,9 @@ def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
 def _run_pairwise_not_triple(params: dict, opts: FeasibilityOptions):
     l = params["l"]
     parents = tuple(_unbiased(l * axis) for axis in AXES)
-    pg = pairwise_vs_global(parents, opts)
-    pair_crit = busch_criterion(l * AXES[0], l * AXES[1])
+    pair_crit = busch_criterion(l * AXES[0], l * AXES[1])  # first: they refuse non-effects
     triple_crit = three_orthogonal_criterion(*(l * axis for axis in AXES))
+    pg = pairwise_vs_global(parents, opts)
     want_pair = Verdict.FEASIBLE if pair_crit.jm else Verdict.INFEASIBLE
     want_global = Verdict.FEASIBLE if triple_crit.jm else Verdict.INFEASIBLE
     exps = []
@@ -273,10 +274,9 @@ def _run_no_maximal_family(params: dict, opts: FeasibilityOptions):
         Expectation("interval-lo", "close", lo_want, interval.lo, tol=1e-12, citation=_CITE_GAMMA),
         Expectation("interval-hi", "close", hi_want, interval.hi, tol=1e-12, citation=_CITE_GAMMA),
     ]
-    endpoints_ok = True
-    for gamma in (interval.lo, interval.hi):
-        member = gamma_family_member(a, beta, b_hat, gamma)
-        endpoints_ok = endpoints_ok and validate(member).passed
+    grid = np.linspace(interval.lo, interval.hi, 5)  # its first and last entries are lo and hi exactly
+    members = [gamma_family_member(a, beta, b_hat, float(g)) for g in grid]
+    endpoints_ok = validate(members[0]).passed and validate(members[-1]).passed
     exps.append(Expectation("endpoint-joints-valid", "is_true", True, endpoints_ok))
 
     bad_gamma = params["bad_gamma"]
@@ -297,21 +297,17 @@ def _run_no_maximal_family(params: dict, opts: FeasibilityOptions):
         )
     )
 
-    grid = np.linspace(interval.lo, interval.hi, 5)
     opposite = True
     min_gap = np.inf
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            g1 = gamma_family_member(a, beta, b_hat, float(grid[i]))
-            g2 = gamma_family_member(a, beta, b_hat, float(grid[j]))
-            up = g2.effects[("1", "1")] - g1.effects[("1", "1")]
-            down = g1.effects[("0", "1")] - g2.effects[("0", "1")]
-            ok = (
-                loewner_leq(g1.effects[("1", "1")], g2.effects[("1", "1")])
-                and loewner_leq(g2.effects[("0", "1")], g1.effects[("0", "1")])
-            )
-            opposite = opposite and ok
-            min_gap = min(min_gap, up.trace(), down.trace())
+    for g1, g2 in itertools.combinations(members, 2):
+        up = g2.effects[("1", "1")] - g1.effects[("1", "1")]
+        down = g1.effects[("0", "1")] - g2.effects[("0", "1")]
+        ok = (
+            loewner_leq(g1.effects[("1", "1")], g2.effects[("1", "1")])
+            and loewner_leq(g2.effects[("0", "1")], g1.effects[("0", "1")])
+        )
+        opposite = opposite and ok
+        min_gap = min(min_gap, up.trace(), down.trace())
     exps.append(
         Expectation(
             "opposite-cell-ordering",

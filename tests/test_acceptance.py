@@ -200,8 +200,10 @@ def test_criterion_7_oracle_agreement(criterion):
         band = 1e-3
 
         def params(obs):
-            e = BlochEffect.from_operator(obs.effects["1"])
-            return e.alpha, e.a
+            m = obs.effects["1"].matrix  # the Bloch form read off the entries
+            return m[0, 0].real + m[1, 1].real, np.array(
+                [2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, m[0, 0].real - m[1, 1].real]
+            )
 
         def check(result, a_obs, b_obs):
             if abs(result.margin) < band:

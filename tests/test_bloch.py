@@ -15,7 +15,6 @@ from jointmeas.bloch import (
     busch_criterion,
     gamma_family_member,
     gamma_interval,
-    is_valid_effect_params,
     liu_criterion,
     molnar_criterion,
     qubit_pair_criterion,
@@ -36,30 +35,34 @@ vectors = st.builds(
 )
 
 
+def _is_effect(alpha, a) -> bool:
+    """The effect condition ||a|| <= alpha <= 2 - ||a|| with no slack."""
+    return bloch._is_effect_within(alpha, bloch._norm(np.asarray(a, dtype=float)), 0.0)
+
+
 def test_effect_validity_region():
-    assert is_valid_effect_params(1.0, 0.9 * EX)
-    assert is_valid_effect_params(0.5, 0.5 * EX)  # rank-one boundary
-    assert not is_valid_effect_params(0.4, 0.5 * EX)  # alpha below the norm
-    assert not is_valid_effect_params(1.8, 0.5 * EX)  # complement fails
-    assert is_valid_effect_params(2.0, np.zeros(3))  # identity
+    assert _is_effect(1.0, 0.9 * EX)
+    assert _is_effect(0.5, 0.5 * EX)  # rank-one boundary
+    assert not _is_effect(0.4, 0.5 * EX)  # alpha below the norm
+    assert not _is_effect(1.8, 0.5 * EX)  # complement fails
+    assert _is_effect(2.0, np.zeros(3))  # identity
 
 
 @given(st.floats(0.0, 1.9), vectors)
 def test_bloch_round_trip(alpha, a):
-    if not is_valid_effect_params(alpha, a):
+    if not _is_effect(alpha, a):
         return
-    eff = BlochEffect(alpha, a)
-    back = BlochEffect.from_operator(eff.to_operator())
-    assert abs(back.alpha - alpha) <= 1e-12
-    assert np.linalg.norm(back.a - a) <= 1e-12
+    back_alpha, back_a = bloch._bloch_params(BlochEffect(alpha, a).to_operator().matrix.tolist())
+    assert abs(back_alpha - alpha) <= 1e-12
+    assert np.linalg.norm(np.array(back_a) - a) <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_bloch_form_equals_the_pauli_traces_bit_for_bit(seed):
     e = random_effect(2, np.random.default_rng(seed))
-    got = BlochEffect.from_operator(e)
-    assert got.alpha == float(np.trace(e.matrix).real)
-    assert np.array_equal(got.a, [float(np.trace(e.matrix @ s).real) for s in PAULI])
+    alpha, a = bloch._bloch_params(e.matrix.tolist())
+    assert alpha == float(np.trace(e.matrix).real)
+    assert np.array_equal(a, [float(np.trace(e.matrix @ s).real) for s in PAULI])
 
 
 def test_complement_involution():

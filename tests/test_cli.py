@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jointmeas
@@ -223,6 +224,11 @@ _MALFORMED = {
     # and a real one ended in an eigensolver traceback
     "overflowing-imaginary-diagonal": lambda good: good.replace('"im": [[0.0', '"im": [[1e308', 1).encode(),
     "overflowing-real-diagonal": lambda good: re.sub(r'"re": \[\[[^,]*', '"re": [[1e308', good, count=1).encode(),
+    # found by the fuzz below: a plain label wrapped in a list was read as a
+    # product label, and a string of outcomes as its characters; both passed
+    # validate
+    "label-wrapped-in-a-list": lambda good: good.replace('["0", "1"]', '[["0"], "1"]', 1).encode(),
+    "outcomes-as-a-string": lambda good: good.replace('["0", "1"]', '"01"', 1).encode(),
 }
 
 
@@ -276,18 +282,21 @@ def _mutated_files(draw):
     doc = draw(st.sampled_from(_DOCUMENTS))
     paths = [p for p, _ in _nodes(doc)]
     numbers = [p for p, v in _nodes(doc) if p and p[-1] == "dim" or len(p) > 3 and p[2] in ("re", "im")]
-    kind = draw(st.sampled_from(["type", "number", "nesting", "encoding", "duplicate", "parents"]))
+    kind = draw(st.sampled_from(["type", "number", "nesting", "joined", "encoding", "duplicate", "parents"]))
     if kind == "type":
         doc = _replaced(doc, draw(st.sampled_from(paths)), draw(st.sampled_from(_WRONG_TYPES)))
     elif kind == "number":
         doc = _replaced(doc, draw(st.sampled_from(numbers)), draw(st.sampled_from(_BAD_NUMBERS)))
     elif kind == "nesting":
-        # a label wrapped in a list is a product label, which can be valid
-        path = draw(st.sampled_from([p for p in paths if not p or p[0] != "outcomes" or len(p) == 1]))
+        path = draw(st.sampled_from(paths))
         value = dict(_nodes(doc))[path]
         for _ in range(draw(st.integers(1, 3))):
             value = [value]
         doc = _replaced(doc, path, value)
+    elif kind == "joined":
+        # the outcome labels run together into one string: "01" for ["0", "1"]
+        joined = "".join(x if isinstance(x, str) else "".join(x) for x in doc["outcomes"])
+        doc = _replaced(doc, ("outcomes",), joined)
     elif kind == "encoding":
         # the label "0" renamed to a non-ASCII one, in an encoding other than UTF-8
         text = json.dumps(doc).replace('"0"', '"\u00e9"')
@@ -602,6 +611,37 @@ def test_run_commuting_sharp_product_refuses_dim_above_the_cap_before_drawing(di
     assert main(["run", "commuting-sharp-product", "--dim", dim]) == 3
     assert "dim <= 64" in capsys.readouterr().err
     assert drawn == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["busch-boundary", "--l", "inf"], 2),
+    (["pairwise-not-triple", "--l", "nan"], 2),
+    (["no-maximal-family", "--bad-gamma=-inf"], 2),
+    # the effects' entries exceed the constructor's bound
+    (["busch-boundary", "--l", "1e200"], 3),
+    (["pairwise-not-triple", "--l", "1e200"], 3),
+    # not an effect: the criterion refuses it
+    (["busch-boundary", "--l", "1.5"], 3),
+    # refused by the cell check before its length overflows, as gamma = 5 is
+    (["no-maximal-family", "--bad-gamma", "1e160"], 0),
+], ids=["l-inf", "l-nan", "gamma-minus-inf", "l-huge", "triple-l-huge", "l-not-an-effect", "gamma-huge"])
+def test_run_checks_its_scenario_parameters_without_a_warning(argv, code, capsys):
+    # each of these raised a RuntimeWarning (exit 1 under PYTHONWARNINGS=error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", *argv]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == (code != 0) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["busch-boundary", "pairwise-not-triple"])
+def test_run_refuses_parents_that_are_not_effects_before_deciding(name, monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("the barrier route ran on non-effects")
+
+    monkeypatch.setattr("jointmeas.feasibility._decide_by_robustness", refuse)
+    assert main(["run", name, "--l", "1.5"]) == 3
+    assert "not a valid effect" in capsys.readouterr().err
 
 
 def test_module_entry_point():

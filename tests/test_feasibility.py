@@ -869,12 +869,10 @@ def test_the_stacked_bloch_forms_equal_the_per_effect_reading_bit_for_bit(effect
         obs = Observable(labels, {labels[0]: e, labels[1]: HermitianOperator(np.eye(2) - e.matrix)})
         want = []
         for x in designation_order(obs):
-            be = BlochEffect.from_operator(obs.effects[x])
-            want.append((x, repr(be.alpha), be.a.tobytes(), repr(_norm(be.a))))
-            # the entries read as numpy scalars, as ``from_operator`` read them
+            # the entries read one effect at a time, as numpy scalars
             m = obs.effects[x].matrix
             a = np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, m[0, 0].real - m[1, 1].real])
-            assert (repr(float(m[0, 0].real + m[1, 1].real)), a.tobytes()) == want[-1][1:3]
+            want.append((x, repr(float(m[0, 0].real + m[1, 1].real)), a.tobytes(), repr(_norm(a))))
         got = [(x, repr(al), v.tobytes(), repr(n)) for x, al, v, n in _bloch_forms(obs)]
         assert got == want
 
@@ -1187,13 +1185,12 @@ def test_pair_verdict_invariant_under_rotation_swap_and_relabeling(pa, pb, seed)
     assert len(verdicts) == 1
 
 
-def test_only_three_tolerances_are_settable():
+def test_only_two_tolerances_are_settable():
     # every other bound is a module constant; Expectation.tol and
     # ValidationReport.tol record the bound a report was checked at
     allowed = {
         ("FeasibilityOptions", "tol"),
         ("validate", "tol"),
-        ("is_valid_effect_params", "tol"),
         ("Expectation", "tol"),
         ("ValidationReport", "tol"),
     }
@@ -1278,6 +1275,44 @@ def test_pairwise_vs_global_needs_three_parents():
         pairwise_vs_global((a, b))
 
 
+def _report_bytes(report):
+    """Everything a report says: verdict, reason, the repr of margin, gap and
+    residual, iterations, and the bytes of the witness cells (with each
+    asymmetry) and of the certificate."""
+    w, cert = report.witness, report.certificate
+    cells = None if w is None else [(z, e.matrix.tobytes(), repr(e.asymmetry)) for z, e in w.effects.items()]
+    ys = None if cert is None else [(key, np.asarray(y).tobytes()) for key, y in cert.items()]
+    return (report.verdict, report.reason, repr(report.margin), repr(report.gap), repr(report.residual),
+            report.iterations, cells, ys)
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from(["commuting", "orthogonal-unbiased", "generic"]), st.integers(3, 4), st.integers(0, 2**32 - 1)
+)
+def test_pairwise_vs_global_is_decide_on_each_of_its_families(kind, n, seed):
+    # one batch for all pairs and the whole family, against the batch of one
+    rng = np.random.default_rng(seed)
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+    if kind == "commuting":
+        parents = [_qubit(al, rng.uniform(-0.5, 0.5) * frame[0]) for al in rng.uniform(0.6, 1.4, n)]
+    elif kind == "orthogonal-unbiased":
+        parents = [unbiased(rng.uniform(0.3, 0.8) * frame[k % 3]) for k in range(n)]
+    else:
+        vecs = rng.standard_normal((n, 3))
+        parents = [
+            _qubit(al, rng.uniform(0.3, 0.95) * min(al, 2.0 - al) * v / _norm(v))
+            for al, v in zip(rng.uniform(0.6, 1.4, n), vecs)
+        ]
+    parents = tuple(parents)
+    out = pairwise_vs_global(parents)
+    assert sorted(out.pairwise) == list(itertools.combinations(range(n), 2))
+    for (i, j), report in out.pairwise.items():
+        alone = decide(FeasibilityProblem((parents[i], parents[j])))
+        assert _report_bytes(report) == _report_bytes(alone), (i, j)
+    assert _report_bytes(out.global_report) == _report_bytes(decide(FeasibilityProblem(parents)))
+
+
 # ---------------------------------------------------------------------------
 # one witness gate on every route
 # ---------------------------------------------------------------------------
@@ -1304,6 +1339,23 @@ def test_every_feasible_reports_its_witness_residual_exactly(family, reason, ite
         assert report.iterations == iterations
     assert report.residual == witness_residual(report.witness, parents)
     assert report.residual <= WITNESS_TOL
+
+
+def test_a_planar_search_that_fails_inside_decide_falls_through_to_the_barrier_route(monkeypatch):
+    pair = (_qubit(0.9, 0.3 * EX + 0.1 * EZ), _qubit(1.2, 0.4 * EY))
+    other = (unbiased(0.5 * EX), unbiased(0.5 * EY))
+    opts = FeasibilityOptions()
+    before = decide(FeasibilityProblem(pair))
+    assert before.verdict is Verdict.FEASIBLE and before.reason == "qubit-pair"  # the search's witness
+    oracle = _report_bytes(_decide_by_robustness(pair, opts.tol))
+    excess = 10.0 * WITNESS_TOL
+    monkeypatch.setattr(feasibility, "_planar_search", lambda *_: (excess, 0.5, 0.5, 7))
+    assert _report_bytes(decide(FeasibilityProblem(pair))) == oracle
+    batch = feasibility._decide_batch([other, pair, other[::-1]], opts)
+    assert _report_bytes(batch[1]) == oracle
+    numeric = decide_pair_qubit_numeric(*pair)
+    assert numeric.verdict is Verdict.UNDETERMINED and numeric.witness is None
+    assert numeric.residual == excess and numeric.iterations == 7
 
 
 def _pair_scale(alpha, a, beta, b) -> float:

@@ -11,7 +11,6 @@ from jointmeas.observables import (
     Observable,
     ProductObservable,
     commute,
-    is_trivial,
     joint_from_cell,
     label_key,
     marginal,
@@ -81,8 +80,8 @@ def test_validate_reports_residuals():
 def test_sharp_and_trivial_predicates():
     assert structure_flags(_diag_sharp([1, 0, 1]))[0]
     assert not structure_flags(_coin(3))[0]
-    assert is_trivial(_coin(3))
-    assert not is_trivial(_diag_sharp([1, 0]))
+    assert structure_flags(_coin(3))[1]
+    assert not structure_flags(_diag_sharp([1, 0]))[1]
 
 
 def _two_outcome(e: np.ndarray) -> Observable:
@@ -105,11 +104,11 @@ def test_structure_flags_keeps_its_sharp_threshold(scale):
 
 
 @pytest.mark.parametrize("scale", [0.9, 1.1])
-def test_is_trivial_keeps_its_threshold(scale):
+def test_structure_flags_keeps_its_trivial_threshold(scale):
     eps = scale * STRUCTURE_TOL
     e = _framed([0.4 + 1.5 * eps, 0.4, 0.4], 32)  # tr E / 3 = 0.4 + eps / 2
     assert np.linalg.norm(e - np.trace(e).real / 3 * np.eye(3), 2) == pytest.approx(eps, rel=1e-5)
-    assert is_trivial(_two_outcome(e)) is (scale < 1.0)
+    assert structure_flags(_two_outcome(e))[1] is (scale < 1.0)
 
 
 def _skewed_pair(eps: float):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -78,6 +80,21 @@ def test_rejects_a_nonfinite_real_or_imaginary_part(bad, order):
     m[1, 1] = bad
     with pytest.raises(ValueError, match="operator entries must be finite"):
         HermitianOperator(np.asarray(m, order=order))
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[0.5 + 1e308j, 0], [0, 0.5]]),  # was accepted as diag(0.5, 0.5), asymmetry 0.0
+    np.array([[1e308, 1e308], [1e308, 0.5]]),  # was accepted holding inf + nan j entries
+    np.array([[1.0, 0.0], [0.0, -2e150]]),
+    np.array([[1.0, 0.0], [0.0, 2e150j]]),
+], ids=["imaginary-1e308", "real-1e308", "real-above-bound", "imaginary-above-bound"])
+def test_rejects_an_entry_above_the_bound_before_any_arithmetic(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from an overflow first
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            HermitianOperator(m)
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            _hermitian_stack(np.array([np.eye(2), m]))
 
 
 def test_matrix_is_frozen():

@@ -79,6 +79,19 @@ def test_observable_json_missing_effect():
         observable_from_json(data)
 
 
+@pytest.mark.parametrize("outcomes, product", [
+    ([["0"], "1"], False),  # was read as a product label beside a plain one
+    ("01", False),  # was read as its characters "0" and "1"
+    ([0, 1], False),
+    (["00", "01", "10", "11"], True),
+], ids=["label-in-a-list", "string", "numbers", "product-with-plain-labels"])
+def test_observable_json_refuses_outcome_labels_of_the_wrong_shape(outcomes, product):
+    obs = boundary_joint(L * EX, L * EY) if product else unbiased(0.7 * EX)
+    data = {**observable_to_json(obs), "outcomes": outcomes}
+    with pytest.raises(ValueError, match="outcomes must be a list of"):
+        observable_from_json(data)
+
+
 def test_feasibility_report_json_contract():
     a, b = unbiased(0.8 * EX), unbiased(0.8 * EY)
     report = decide(FeasibilityProblem((a, b)))
