@@ -5,7 +5,8 @@ boundary pair, the gamma family, the partition paradox, commuting sharp
 products), runs it through the library, and compares the outcome against
 expectations derived from the analytic criteria.  The registry is what the
 CLI ``run`` command executes; a correct build passes every scenario with
-default parameters.
+default parameters.  Each parameter declares a closed range, and a value
+outside it is refused before the scenario runs.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from .feasibility import (
     decide,
     pairwise_vs_global,
 )
-from .observables import max_cell_deviation, max_marginal_deviation, validate
-from .operators import HermitianOperator, loewner_leq
+from .observables import commute, max_cell_deviation, max_marginal_deviation, validate
+from .operators import MAX_DIM, HermitianOperator, loewner_leq
 from .order import in_lb, refute_greatest
 from .partitioning import enumerate_partitionings, forward_partition_joint, partition_paradox_audit
 from .sampling import random_commuting_sharp_pair
@@ -124,33 +125,38 @@ _CITE_DUAL = (
 )
 
 
+def _decided(prefix, report, parents, want, reason=None, margin=None, bound=None, cite=""):
+    """The expectations on one decided family, named ``prefix`` + "verdict",
+    and so on: its verdict is ``want``, its reason ``reason`` and its margin
+    within 1e-9 of ``margin`` (each skipped when None), and, when ``bound`` is
+    given and the report holds a witness, the witness validates and its
+    marginals lie within ``bound`` of ``parents``."""
+    exps = [Expectation(prefix + "verdict", "equals", want.value, report.verdict.value, citation=cite)]
+    if reason is not None:
+        exps.append(Expectation(prefix + "reason", "equals", reason, report.reason, citation=cite))
+    if margin is not None:
+        exps.append(Expectation(prefix + "margin", "close", margin, report.margin, tol=1e-9, citation=cite))
+    if bound is not None and report.witness is not None:
+        residual = max_marginal_deviation(report.witness, parents)
+        exps += [
+            Expectation(prefix + "witness-validates", "is_true", True, validate(report.witness).passed),
+            Expectation(prefix + "witness-marginal-residual", "at_most", bound, residual, citation=cite),
+        ]
+    return exps
+
+
 def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
     l = params["l"]
     a, b = l * EX, l * EY
     obs_a, obs_b = _unbiased(a), _unbiased(b)
-    crit = busch_criterion(a, b)  # first: it refuses non-effects
+    crit = busch_criterion(a, b)
     report = decide(FeasibilityProblem((obs_a, obs_b), opts))
     want = Verdict.FEASIBLE if crit.jm else Verdict.INFEASIBLE
-    exps = [
-        Expectation("verdict", "equals", want.value, report.verdict.value, citation=_CITE_PAIR),
-        Expectation("reason", "equals", "eq3", report.reason, citation=_CITE_PAIR),
-        Expectation(
-            "margin", "close", crit.margin, report.margin, tol=1e-9, citation=_CITE_PAIR
-        ),
-    ]
+    # route 1 takes a pair that commutes within STRUCTURE_TOL (|l| up to about
+    # 4.5e-5) before eq3, and reports no margin
+    reason, margin = ("commuting", None) if commute(obs_a, obs_b) else ("eq3", crit.margin)
+    exps = _decided("", report, (obs_a, obs_b), want, reason, margin, 1e-12, _CITE_PAIR)
     payload = {"report": report.to_json(), "criterion_value": crit.value}
-    if report.verdict is Verdict.FEASIBLE and report.witness is not None:
-        val = validate(report.witness)
-        exps.append(Expectation("witness-validates", "is_true", True, val.passed))
-        exps.append(
-            Expectation(
-                "witness-marginal-residual",
-                "at_most",
-                1e-12,
-                max_marginal_deviation(report.witness, (obs_a, obs_b)),
-                citation=_CITE_BOUNDARY,
-            )
-        )
     if abs(crit.value - 2.0) <= CRITERION_TOL:
         dev = None
         if report.witness is not None:
@@ -170,54 +176,18 @@ def _run_busch_boundary(params: dict, opts: FeasibilityOptions):
 def _run_pairwise_not_triple(params: dict, opts: FeasibilityOptions):
     l = params["l"]
     parents = tuple(_unbiased(l * axis) for axis in AXES)
-    pair_crit = busch_criterion(l * AXES[0], l * AXES[1])  # first: they refuse non-effects
+    pair_crit = busch_criterion(l * AXES[0], l * AXES[1])
     triple_crit = three_orthogonal_criterion(*(l * axis for axis in AXES))
     pg = pairwise_vs_global(parents, opts)
     want_pair = Verdict.FEASIBLE if pair_crit.jm else Verdict.INFEASIBLE
-    want_global = Verdict.FEASIBLE if triple_crit.jm else Verdict.INFEASIBLE
     exps = []
     for (i, j), rep in sorted(pg.pairwise.items()):
-        exps.append(
-            Expectation(
-                f"pair-{i}{j}-verdict",
-                "equals",
-                want_pair.value,
-                rep.verdict.value,
-                citation=_CITE_PAIR,
-            )
-        )
-    exps.append(
-        Expectation(
-            "global-verdict",
-            "equals",
-            want_global.value,
-            pg.global_report.verdict.value,
-            citation=_CITE_TRIPLE,
-        )
-    )
-    if not triple_crit.jm:
-        exps.append(
-            Expectation(
-                "global-margin",
-                "close",
-                triple_crit.margin,
-                pg.global_report.margin,
-                tol=1e-9,
-                citation=_CITE_TRIPLE,
-            )
-        )
-        exps.append(
-            Expectation("global-reason", "equals", "eq6", pg.global_report.reason)
-        )
-    elif pg.global_report.witness is not None:
-        exps.append(
-            Expectation(
-                "global-witness-validates",
-                "is_true",
-                True,
-                validate(pg.global_report.witness).passed,
-            )
-        )
+        exps += _decided(f"pair-{i}{j}-", rep, (parents[i], parents[j]), want_pair, cite=_CITE_PAIR)
+    if triple_crit.jm:  # then the triple's witness is checked
+        want = (Verdict.FEASIBLE, None, None, 1e-12)
+    else:
+        want = (Verdict.INFEASIBLE, "eq6", triple_crit.margin, None)
+    exps += _decided("global-", pg.global_report, parents, *want, cite=_CITE_TRIPLE)
     return exps, {"report": pg.to_json(), "triple_criterion_value": triple_crit.value}
 
 
@@ -343,19 +313,8 @@ def _run_partition_paradox(params: dict, opts: FeasibilityOptions):
         Expectation(
             "matrix-undetermined-cells", "equals", 0, audit.matrix.undetermined_count
         ),
-        Expectation(
-            "global-verdict",
-            "equals",
-            Verdict.INFEASIBLE.value,
-            audit.global_report.verdict.value,
-            citation=_CITE_TRIPLE,
-        ),
-        Expectation(
-            "global-reason",
-            "equals",
-            "dual-certificate",
-            audit.global_report.reason,
-            citation=_CITE_DUAL,
+        *_decided(
+            "global-", audit.global_report, (g, f), Verdict.INFEASIBLE, "dual-certificate", cite=_CITE_DUAL
         ),
         Expectation(
             "context-triple-incompatible",
@@ -374,31 +333,12 @@ def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
     rng = np.random.default_rng([params["seed"], dim])
     obs_a, obs_b = random_commuting_sharp_pair(dim, rng)
     report = decide(FeasibilityProblem((obs_a, obs_b), opts))
-    exps = [
-        Expectation(
-            "verdict",
-            "equals",
-            Verdict.FEASIBLE.value,
-            report.verdict.value,
-            citation=_CITE_PRODUCT,
-        ),
-        Expectation("reason", "equals", "commuting", report.reason),
-    ]
+    exps = _decided(
+        "", report, (obs_a, obs_b), Verdict.FEASIBLE, "commuting", bound=1e-10, cite=_CITE_PRODUCT
+    )
     payload = {"report": report.to_json()}
     witness = report.witness
     if witness is not None:
-        exps.append(
-            Expectation("witness-validates", "is_true", True, validate(witness).passed)
-        )
-        exps.append(
-            Expectation(
-                "witness-marginal-residual",
-                "at_most",
-                1e-10,
-                max_marginal_deviation(witness, (obs_a, obs_b)),
-                citation=_CITE_PRODUCT,
-            )
-        )
         refuted = False
         for x in obs_a.outcomes:
             for y in obs_b.outcomes:
@@ -448,18 +388,29 @@ class Scenario:
     name: str
     summary: str
     citation: str
-    defaults: dict
+    parameters: dict  # name -> (default, lo, hi), the closed range a value may take
     runner: object
 
     def run(self, overrides: dict | None, opts: FeasibilityOptions) -> ScenarioReport:
-        params = dict(self.defaults)
+        """Run with ``overrides`` in place of the defaults.  A value outside
+        its parameter's range (NaN included) raises ``ValueError`` before the
+        runner starts; a None value, or a name the scenario does not declare,
+        is ignored."""
+        params = {key: default for key, (default, _, _) in self.parameters.items()}
         for key, value in (overrides or {}).items():
-            if value is not None and key in params:
-                params[key] = value
+            if value is None or key not in params:
+                continue
+            _, lo, hi = self.parameters[key]
+            if not lo <= value <= hi:
+                raise ValueError(f"{key} must lie in [{lo:g}, {hi:g}], got {value!r}")
+            params[key] = value
         exps, payload = self.runner(params, opts)
         return ScenarioReport(self.name, params, exps, payload)
 
 
+# each range is the set on which the scenario's objects are defined: an unbiased
+# Bloch vector has length at most 1, an effect's alpha lies in [0, 2]; bad_gamma
+# is unbounded, because the scenario expects gamma_family_member to refuse it
 REGISTRY = {
     s.name: s
     for s in (
@@ -467,42 +418,42 @@ REGISTRY = {
             "busch-boundary",
             "orthogonal unbiased qubit pair on the compatibility boundary",
             _CITE_PAIR,
-            {"l": 1.0 / math.sqrt(2.0)},
+            {"l": (1.0 / math.sqrt(2.0), -1.0, 1.0)},
             _run_busch_boundary,
         ),
         Scenario(
             "pairwise-not-triple",
             "orthogonal unbiased triple: pairwise compatible, globally not",
             _CITE_TRIPLE,
-            {"l": 0.6},
+            {"l": (0.6, -1.0, 1.0)},
             _run_pairwise_not_triple,
         ),
         Scenario(
             "unique-not-greatest",
             "unique boundary joint whose cells are not greatest lower bounds",
             _CITE_LB,
-            {"l": 1.0 / math.sqrt(2.0), "t": 0.3, "gamma": 0.4},
+            {"l": (1.0 / math.sqrt(2.0), -1.0, 1.0), "t": (0.3, -2.0, 2.0), "gamma": (0.4, 0.0, 2.0)},
             _run_unique_not_greatest,
         ),
         Scenario(
             "no-maximal-family",
             "gamma family of joints with opposite cell ordering (no maximal joint)",
             _CITE_GAMMA,
-            {"anorm": 0.6, "beta": 0.4, "bad_gamma": 0.33},
+            {"anorm": (0.6, 0.0, 1.0), "beta": (0.4, 0.0, 1.0), "bad_gamma": (0.33, -math.inf, math.inf)},
             _run_no_maximal_family,
         ),
         Scenario(
             "partition-paradox",
             "all partitionings pairwise compatible while the joints are not",
             _CITE_PARTITION,
-            {"l": 1.0 / math.sqrt(2.0)},
+            {"l": (1.0 / math.sqrt(2.0), -1.0, 1.0)},
             _run_partition_paradox,
         ),
         Scenario(
             "commuting-sharp-product",
             "randomized commuting sharp pair and its product joint",
             _CITE_PRODUCT,
-            {"dim": 4, "seed": 0},
+            {"dim": (4, 2, MAX_DIM), "seed": (0, 0, math.inf)},
             _run_commuting_sharp_product,
         ),
     )

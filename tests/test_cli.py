@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -30,6 +31,7 @@ from jointmeas import (
     boundary_joint,
     joint_from_cell,
     observable_to_json,
+    run_scenario,
 )
 from jointmeas.cli import main
 
@@ -326,10 +328,19 @@ def test_check_refuses_a_mutated_file_with_exit_2_or_3(tmp_path_factory, data):
     # every check reads the file; a reader defect would end in a traceback
     # (exit 1 from the console script), not in exit 2 or 3
     folder = tmp_path_factory.mktemp("fuzz")
-    bad, good = folder / "bad.json", folder / "good.json"
+    bad, good, joint = folder / "bad.json", folder / "good.json", folder / "joint.json"
     bad.write_bytes(data)
     good.write_text(json.dumps(_DOCUMENTS[0]))
-    for argv in (["validate", bad], ["jm-pair", bad, good], ["jm-set", good, bad, good]):
+    joint.write_text(json.dumps(_DOCUMENTS[2]))
+    for argv in (
+        ["validate", bad],
+        ["jm-pair", bad, good],
+        ["jm-set", good, bad, good],
+        ["order-audit", bad, good, good],
+        ["order-audit", joint, bad, good],
+        ["partitions", bad, good],
+        ["partitions", good, bad],
+    ):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["check", *map(str, argv)])
@@ -601,7 +612,7 @@ def test_run_commuting_sharp_product_rejects_dim_below_two(dim):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 3
-    assert "dim >= 2" in proc.stderr
+    assert "dim must lie in [2, 64]" in proc.stderr
 
 
 @pytest.mark.parametrize("dim", ["65", "1000000"])
@@ -609,7 +620,7 @@ def test_run_commuting_sharp_product_refuses_dim_above_the_cap_before_drawing(di
     drawn = []
     monkeypatch.setattr("jointmeas.sampling.random_unitary", lambda *args: drawn.append(args))
     assert main(["run", "commuting-sharp-product", "--dim", dim]) == 3
-    assert "dim <= 64" in capsys.readouterr().err
+    assert "dim must lie in [2, 64]" in capsys.readouterr().err
     assert drawn == []
 
 
@@ -617,21 +628,80 @@ def test_run_commuting_sharp_product_refuses_dim_above_the_cap_before_drawing(di
     (["busch-boundary", "--l", "inf"], 2),
     (["pairwise-not-triple", "--l", "nan"], 2),
     (["no-maximal-family", "--bad-gamma=-inf"], 2),
-    # the effects' entries exceed the constructor's bound
+    # outside the declared range, refused before the runner starts
     (["busch-boundary", "--l", "1e200"], 3),
     (["pairwise-not-triple", "--l", "1e200"], 3),
-    # not an effect: the criterion refuses it
     (["busch-boundary", "--l", "1.5"], 3),
+    (["partition-paradox", "--l", "1e200"], 3),
+    (["no-maximal-family", "--anorm", "1e200"], 3),
+    (["commuting-sharp-product", "--seed", "-1"], 3),
     # refused by the cell check before its length overflows, as gamma = 5 is
     (["no-maximal-family", "--bad-gamma", "1e160"], 0),
-], ids=["l-inf", "l-nan", "gamma-minus-inf", "l-huge", "triple-l-huge", "l-not-an-effect", "gamma-huge"])
+    # a pair that commutes within STRUCTURE_TOL, which route 1 takes before eq3
+    (["busch-boundary", "--l", "0"], 0),
+], ids=[
+    "l-inf", "l-nan", "gamma-minus-inf", "l-huge", "triple-l-huge", "l-not-an-effect", "paradox-l-huge",
+    "anorm-huge", "seed-negative", "gamma-huge", "l-zero",
+])
 def test_run_checks_its_scenario_parameters_without_a_warning(argv, code, capsys):
-    # each of these raised a RuntimeWarning (exit 1 under PYTHONWARNINGS=error)
+    # all but seed-negative once exited 1 under PYTHONWARNINGS=error: a
+    # RuntimeWarning, or for l-zero a failed expectation
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", *argv]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == (code != 0) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("l", ["0", "1e-5", "-1e-5", "1e-4"])
+def test_run_busch_boundary_passes_on_a_pair_that_route_one_takes(l, capsys):
+    # ||[A, B]|| = l^2 / 2 is within STRUCTURE_TOL up to |l| of about 4.5e-5:
+    # reason commuting, no margin; at 1e-4 reason eq3 with its margin
+    assert main(["run", "busch-boundary", f"--l={l}"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    names = {e["name"]: e for e in report["expectations"]}
+    commuting = abs(float(l)) < 4.5e-5
+    assert names["reason"]["expected"] == ("commuting" if commuting else "eq3")
+    assert ("margin" in names) is not commuting
+
+
+def _endpoints():
+    """(scenario, parameter, endpoint, a value one past it) for every finite
+    endpoint of every declared range."""
+    for name, scenario in sorted(REGISTRY.items()):
+        for key, (_, lo, hi) in scenario.parameters.items():
+            for value, outside in ((lo, lo - 1), (hi, hi + 1)):
+                if math.isfinite(value):
+                    yield name, key, value, outside
+
+
+def test_every_scenario_default_lies_in_its_range_and_every_flag_has_one_type():
+    types = {}
+    for scenario in REGISTRY.values():
+        for key, (default, lo, hi) in scenario.parameters.items():
+            assert lo <= default <= hi, (scenario.name, key)
+            assert types.setdefault(key, type(default)) is type(default), key
+
+
+@pytest.mark.parametrize("name, key, value, outside", list(_endpoints()))
+def test_run_at_each_range_endpoint_exits_without_a_traceback(name, key, value, outside, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", name, f"--{key.replace('_', '-')}={value}"])
+    assert code in (0, 1, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key, endpoint, outside", list(_endpoints()))
+def test_run_scenario_refuses_a_value_outside_its_range_before_the_runner(
+    name, key, endpoint, outside, monkeypatch
+):
+    def refuse(*_):
+        raise AssertionError("the runner ran on a value outside its range")
+
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(REGISTRY[name], runner=refuse))
+    with pytest.raises(ValueError, match=f"{key} must lie in"):
+        run_scenario(name, {key: outside})
 
 
 @pytest.mark.parametrize("name", ["busch-boundary", "pairwise-not-triple"])
@@ -641,7 +711,7 @@ def test_run_refuses_parents_that_are_not_effects_before_deciding(name, monkeypa
 
     monkeypatch.setattr("jointmeas.feasibility._decide_by_robustness", refuse)
     assert main(["run", name, "--l", "1.5"]) == 3
-    assert "not a valid effect" in capsys.readouterr().err
+    assert "l must lie in [-1, 1]" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -35,6 +35,7 @@ from jointmeas import (
     max_marginal_deviation,
     molnar_criterion,
     pairwise_vs_global,
+    partition_compatibility_matrix,
     qubit_pair_criterion,
     random_commuting_sharp_pair,
     validate,
@@ -961,6 +962,42 @@ def test_barrier_verdict_is_frame_and_label_free(shape, v, seed):
             assert_dual_certificate(report, family)
         verdicts.add(report.verdict)
     assert len(verdicts) == 1
+
+
+def _sharp_in_frame(frame, rng) -> Observable:
+    """A sharp observable whose effects are the spectral projections of
+    ``frame``'s columns grouped by random labels, two or three of them, each
+    used at least once."""
+    dim = frame.shape[0]
+    labels = rng.permutation(np.arange(dim) % rng.integers(2, 4))
+    outcomes = tuple(str(x) for x in np.unique(labels))
+    return Observable(
+        outcomes, {x: HermitianOperator((frame * (labels == int(x))) @ frame.conj().T) for x in outcomes}
+    )
+
+
+def test_sharp_families_meet_the_papers_facts_one_and_three():
+    # for sharp parents compatible means commuting: (i) parents diagonal in
+    # one Haar frame are compatible, through route 1, in pairs and as a whole,
+    # and a parent in a second Haar frame makes the pair and the triple
+    # incompatible; (iii) in d = 3 the partition matrix of the non-commuting
+    # pair then has an incompatible cell, since commuting binarizations would
+    # make every spectral projection commute
+    rng = np.random.default_rng(3)
+    for draw in range(15):
+        dim = 3 + draw % 2
+        u, v = random_unitary(dim, rng), random_unitary(dim, rng)
+        a = tuple(_sharp_in_frame(u, rng) for _ in range(2 + draw // 2 % 2))
+        b = _sharp_in_frame(v, rng)
+        report = decide(FeasibilityProblem(a))
+        assert (report.verdict, report.reason) == (Verdict.FEASIBLE, "commuting"), draw
+        for family in ((a[0], b), (a[0], a[1], b)):
+            report = decide(FeasibilityProblem(family))
+            assert report.verdict is Verdict.INFEASIBLE, (draw, len(family))
+            assert_dual_certificate(report, family)
+        if dim == 3:
+            matrix = partition_compatibility_matrix(a[0], b)
+            assert any(r.verdict is Verdict.INFEASIBLE for r in matrix.cells.values()), draw
 
 
 def test_trivial_joint_construction_and_refusal():
