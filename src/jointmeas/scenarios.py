@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .feasibility import (
 )
 from .observables import commute, max_cell_deviation, max_marginal_deviation, validate
 from .operators import MAX_DIM, HermitianOperator, loewner_leq
-from .order import in_lb, refute_greatest
+from .order import EPS, in_lb, joint_observable_order_audit, maximality_probe, refute_greatest
 from .partitioning import enumerate_partitionings, forward_partition_joint, partition_paradox_audit
 from .sampling import random_commuting_sharp_pair
 
@@ -117,6 +118,7 @@ _CITE_INFIMUM = (
     "[B]A and [A]B are comparable (Ando 1999)"
 )
 _CITE_GAMMA = "one-parameter family exhausting the joints of an unbiased/rank-one pair"
+_CITE_MAXIMAL = "exact maximality test: C is maximal in lb(A, B) iff ran(A - C) and ran(B - C) meet in 0"
 _CITE_PRODUCT = "symmetrized product joint observable for commuting families"
 _CITE_PARTITION = "pairwise compatibility of all two-outcome coarse-grainings"
 _CITE_DUAL = (
@@ -287,10 +289,25 @@ def _run_no_maximal_family(params: dict, opts: FeasibilityOptions):
             citation=_CITE_GAMMA + "; opposite cell ordering forbids a maximal joint",
         )
     )
+    # the (1,1) cell of member gamma gains exactly gamma_hi - gamma in
+    # lb(A(1), B(1)); the probe reports a gain above EPS as NOT_MAXIMAL
+    fa, fb = HermitianOperator(bloch_matrix(1.0, a)), HermitianOperator(bloch_matrix(beta, beta * b_hat))
+    rows = []
+    for k, (g, member) in enumerate(zip(grid, members)):
+        probe = maximality_probe(member.effects[("1", "1")], fa, fb)
+        gain = interval.hi - float(g)
+        want = "NOT_MAXIMAL" if gain > EPS else "MAXIMAL_WITHIN"
+        exps += [
+            Expectation(f"corner-gain-{k}", "close", gain, probe.trace_gain, 1e-9, _CITE_MAXIMAL),
+            Expectation(f"corner-verdict-{k}", "equals", want, probe.verdict, citation=_CITE_MAXIMAL),
+        ]
+        traces = {f"{x},{y}": e.trace() for (x, y), e in member.effects.items()}
+        rows.append({"gamma": float(g), "traces": traces, "corner_gain": probe.trace_gain})
     payload = {
         "interval": [interval.lo, interval.hi],
         "min_trace_gap": float(min_gap),
         "rejection": rejection,
+        "members": rows,
     }
     return exps, payload
 
@@ -329,7 +346,7 @@ def _run_partition_paradox(params: dict, opts: FeasibilityOptions):
 
 
 def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
-    dim = int(params["dim"])
+    dim = params["dim"]
     rng = np.random.default_rng([params["seed"], dim])
     obs_a, obs_b = random_commuting_sharp_pair(dim, rng)
     report = decide(FeasibilityProblem((obs_a, obs_b), opts))
@@ -339,38 +356,26 @@ def _run_commuting_sharp_product(params: dict, opts: FeasibilityOptions):
     payload = {"report": report.to_json()}
     witness = report.witness
     if witness is not None:
-        refuted = False
-        for x in obs_a.outcomes:
-            for y in obs_b.outcomes:
-                hit = refute_greatest(
-                    witness.effects[(x, y)], obs_a.effects[x], obs_b.effects[y]
-                )
-                refuted = refuted or hit is not None
-        exps.append(
-            Expectation(
-                "greatest-not-refuted",
-                "is_true",
-                True,
-                not refuted,
-                citation=f"{_CITE_PRODUCT}; its cells are greatest lower bounds by the "
-                f"{_CITE_INFIMUM}",
+        audit = joint_observable_order_audit(witness, obs_a, obs_b)
+        payload["audit"] = audit.to_json()
+        greatest = f"{_CITE_PRODUCT}; its cells are greatest lower bounds by the {_CITE_INFIMUM}"
+        exps += [
+            Expectation(name, "is_true", True, held, citation=cite)
+            for name, held, cite in (
+                ("greatest-not-refuted", audit.all_greatest, greatest),
+                ("all-maximal", audit.all_maximal, _CITE_MAXIMAL),
+                ("uniqueness-not-refuted", not audit.uniqueness_refuted, _CITE_PRODUCT),
             )
-        )
+        ]
+        sides = [[p for p in enumerate_partitionings(obs) if not p.is_trivial] for obs in (obs_a, obs_b)]
         partition_ok = True
-        nontrivial = [
-            p for p in enumerate_partitionings(obs_a) if not p.is_trivial
-        ]
-        nontrivial_b = [
-            p for p in enumerate_partitionings(obs_b) if not p.is_trivial
-        ]
-        for pa in nontrivial:
-            for pb in nontrivial_b:
-                fwd = forward_partition_joint(witness, pa.subset, pb.subset)
-                ok = (
-                    validate(fwd).passed
-                    and max_marginal_deviation(fwd, (pa.observable, pb.observable)) <= 1e-10
-                )
-                partition_ok = partition_ok and ok
+        for pa, pb in itertools.product(*sides):
+            fwd = forward_partition_joint(witness, pa.subset, pb.subset)
+            ok = (
+                validate(fwd).passed
+                and max_marginal_deviation(fwd, (pa.observable, pb.observable)) <= 1e-10
+            )
+            partition_ok = partition_ok and ok
         exps.append(
             Expectation(
                 "partition-joints-valid",
@@ -393,14 +398,19 @@ class Scenario:
 
     def run(self, overrides: dict | None, opts: FeasibilityOptions) -> ScenarioReport:
         """Run with ``overrides`` in place of the defaults.  A value outside
-        its parameter's range (NaN included) raises ``ValueError`` before the
-        runner starts; a None value, or a name the scenario does not declare,
-        is ignored."""
+        its parameter's range (NaN included), or a non-integer for an integer
+        parameter, raises ``ValueError`` before the runner starts; a None
+        value, or a name the scenario does not declare, is ignored."""
         params = {key: default for key, (default, _, _) in self.parameters.items()}
         for key, value in (overrides or {}).items():
             if value is None or key not in params:
                 continue
-            _, lo, hi = self.parameters[key]
+            default, lo, hi = self.parameters[key]
+            if isinstance(default, int):
+                try:
+                    value = operator.index(value)
+                except TypeError:
+                    raise ValueError(f"{key} must be an integer, got {value!r}") from None
             if not lo <= value <= hi:
                 raise ValueError(f"{key} must lie in [{lo:g}, {hi:g}], got {value!r}")
             params[key] = value
@@ -410,7 +420,8 @@ class Scenario:
 
 # each range is the set on which the scenario's objects are defined: an unbiased
 # Bloch vector has length at most 1, an effect's alpha lies in [0, 2]; bad_gamma
-# is unbounded, because the scenario expects gamma_family_member to refuse it
+# is unbounded, because the scenario expects gamma_family_member to refuse it.
+# Its default 0.75 lies outside every gamma interval, which sits inside (0, 1/2)
 REGISTRY = {
     s.name: s
     for s in (
@@ -439,7 +450,7 @@ REGISTRY = {
             "no-maximal-family",
             "gamma family of joints with opposite cell ordering (no maximal joint)",
             _CITE_GAMMA,
-            {"anorm": (0.6, 0.0, 1.0), "beta": (0.4, 0.0, 1.0), "bad_gamma": (0.33, -math.inf, math.inf)},
+            {"anorm": (0.6, 0.0, 1.0), "beta": (0.4, 0.0, 1.0), "bad_gamma": (0.75, -math.inf, math.inf)},
             _run_no_maximal_family,
         ),
         Scenario(

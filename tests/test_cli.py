@@ -145,6 +145,61 @@ def test_run_precondition_violation_exits_3(capsys):
     assert "precondition failed" in captured.err
 
 
+def test_run_no_maximal_family_passes_where_the_old_bad_gamma_lay_in_the_interval(capsys):
+    # gamma in [0.1, 0.455] here: a bad_gamma of 0.33 was a valid member,
+    # so the scenario's own rejection check failed (exit 1)
+    assert main(["run", "no-maximal-family", "--anorm", "0.3", "--beta", "0.6"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["bad_gamma"] == 0.75
+
+
+def test_no_maximal_family_passes_at_admissible_points():
+    # every gamma interval lies inside (0, 1/2), so the default bad_gamma is
+    # refused for every admissible (anorm, beta)
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        anorm = float(rng.uniform(0.02, 0.98))
+        half_gap = 0.5 * (1.0 - anorm**2)
+        beta = float(rng.uniform(1.02 * half_gap, 1.98 * half_gap))
+        report = run_scenario("no-maximal-family", {"anorm": anorm, "beta": beta})
+        assert report.passed, (anorm, beta, [e.name for e in report.expectations if not e.passed])
+
+
+def test_no_maximal_family_probes_each_members_corner_cell():
+    # the (1,1) cell of member gamma has room gamma_hi - gamma in
+    # lb(A(1), B(1)): every member but the top one is not maximal there
+    report = run_scenario("no-maximal-family")
+    assert report.passed
+    exps = {e.name: e for e in report.expectations}
+    verdicts = [exps[f"corner-verdict-{k}"].observed for k in range(5)]
+    assert verdicts == ["NOT_MAXIMAL"] * 4 + ["MAXIMAL_WITHIN"]
+    members = report.payload["members"]
+    for row in members:
+        assert row["traces"]["1,1"] == pytest.approx(row["gamma"], abs=1e-12)
+        assert sum(row["traces"].values()) == pytest.approx(2.0, abs=1e-12)
+    assert [row["corner_gain"] for row in members] == pytest.approx([0.24, 0.18, 0.12, 0.06, 0.0], abs=1e-9)
+
+
+def test_run_pairwise_not_triple_across_both_thresholds(capsys):
+    # the pairs part at 1/sqrt(2) and the triple at 1/sqrt(3); each run checks
+    # its verdicts against eq3 and eq6
+    for l in np.linspace(0.50, 0.76, 14):
+        assert main(["run", "pairwise-not-triple", f"--l={l:.12g}"]) == 0, l
+        report = json.loads(capsys.readouterr().out)["report"]["report"]
+        pairs = {r["verdict"] for r in report["pairs"].values()}
+        assert pairs == {"FEASIBLE" if l < 1.0 / math.sqrt(2.0) else "INFEASIBLE"}, l
+        assert report["global"]["verdict"] == ("FEASIBLE" if l < 1.0 / math.sqrt(3.0) else "INFEASIBLE"), l
+
+
+def test_commuting_sharp_product_audits_the_product_joint():
+    report = run_scenario("commuting-sharp-product")
+    assert report.passed
+    assert {"greatest-not-refuted", "all-maximal", "uniqueness-not-refuted"} <= {
+        e.name for e in report.expectations
+    }
+    audit = report.payload["audit"]
+    assert audit["all_greatest"] and audit["all_maximal"] and not audit["uniqueness_refuted"]
+
+
 # ---------------------------------------------------------------------------
 # check: validate
 # ---------------------------------------------------------------------------
@@ -702,6 +757,35 @@ def test_run_scenario_refuses_a_value_outside_its_range_before_the_runner(
     monkeypatch.setitem(REGISTRY, name, dataclasses.replace(REGISTRY[name], runner=refuse))
     with pytest.raises(ValueError, match=f"{key} must lie in"):
         run_scenario(name, {key: outside})
+
+
+@pytest.mark.parametrize("overrides", [{"dim": 4.5}, {"dim": 4.0}, {"seed": 0.5}, {"seed": "3"}])
+def test_run_scenario_refuses_a_non_integer_for_an_integer_parameter_before_the_runner(
+    overrides, monkeypatch
+):
+    # {"dim": 4.5} once drew a d = 4 pair, and {"seed": 0.5} ended in numpy's TypeError
+    def refuse(*_):
+        raise AssertionError("the runner ran on a non-integer")
+
+    name = "commuting-sharp-product"
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(REGISTRY[name], runner=refuse))
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_scenario(name, overrides)
+
+
+def test_run_scenario_passes_integers_to_both_kinds_of_parameter(monkeypatch):
+    seen = []
+
+    def record(params, opts):
+        seen.append(params)
+        return [], {}
+
+    for name in ("commuting-sharp-product", "busch-boundary"):
+        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(REGISTRY[name], runner=record))
+    run_scenario("commuting-sharp-product", {"dim": np.int64(3), "seed": 5})
+    run_scenario("busch-boundary", {"l": 1})
+    assert seen == [{"dim": 3, "seed": 5}, {"l": 1}]
+    assert type(seen[0]["dim"]) is int
 
 
 @pytest.mark.parametrize("name", ["busch-boundary", "pairwise-not-triple"])

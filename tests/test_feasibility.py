@@ -31,6 +31,7 @@ from jointmeas import (
     decide,
     decide_pair_qubit_numeric,
     joint_from_cell,
+    joint_observable_order_audit,
     liu_criterion,
     max_marginal_deviation,
     molnar_criterion,
@@ -998,6 +999,21 @@ def test_sharp_families_meet_the_papers_facts_one_and_three():
         if dim == 3:
             matrix = partition_compatibility_matrix(a[0], b)
             assert any(r.verdict is Verdict.INFEASIBLE for r in matrix.cells.values()), draw
+
+
+def test_commuting_sharp_pairs_meet_the_papers_fact_two():
+    # (ii) for sharp parents: the joint that decide builds for a commuting
+    # pair in d = 2-4, with projections of any rank, has cells that are the
+    # greatest lower bounds of their marginal effects and maximal, and the
+    # audit finds no second joint
+    rng = np.random.default_rng(5)
+    for draw in range(18):
+        a, b = random_commuting_sharp_pair(2 + draw % 3, rng)
+        report = decide(FeasibilityProblem((a, b)))
+        assert (report.verdict, report.reason) == (Verdict.FEASIBLE, "commuting"), draw
+        audit = joint_observable_order_audit(report.witness, a, b)
+        assert audit.all_greatest and audit.all_maximal, draw
+        assert not audit.uniqueness_refuted, draw
 
 
 def test_trivial_joint_construction_and_refusal():
